@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, TheoremViolation
 from .power import SubsetElement, bits, mask_product
 
 CASE1 = "Case1"
@@ -144,11 +144,17 @@ def witness_noncancellative(subset, family):
         rhs_mask = square & ~(1 << rows[a][b])
         tag = CASE2
         # b*b != a*b here, otherwise the pair (b, a) would have hit above.
-        assert rhs_mask >> rows[b][b] & 1
+        if not rhs_mask >> rows[b][b] & 1:
+            raise TheoremViolation(
+                f"Case2 witness for mask {amask} lost b*b from its rhs")
 
-    assert lhs_mask != rhs_mask
-    assert mask_product(S, amask, lhs_mask) == mask_product(S, amask, rhs_mask)
-    assert mask_product(S, lhs_mask, amask) == mask_product(S, rhs_mask, amask)
+    if lhs_mask == rhs_mask:
+        raise TheoremViolation(f"{tag} witness for mask {amask} has equal sides")
+    if (mask_product(S, amask, lhs_mask) != mask_product(S, amask, rhs_mask)
+            or mask_product(S, lhs_mask, amask)
+            != mask_product(S, rhs_mask, amask)):
+        raise TheoremViolation(
+            f"{tag} witness for mask {amask} does not equalize products")
     return CancellationWitness(
         SubsetElement(S, amask),
         SubsetElement(S, lhs_mask),

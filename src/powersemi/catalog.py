@@ -12,7 +12,7 @@ from multiprocessing import Pool
 
 from .cancellation import (cancellative_elements_bruteforce,
                            singleton_cancellative_elements)
-from .errors import OrderUnsupported
+from .errors import OrderUnsupported, TheoremViolation
 from .morphisms import (IsoFingerprint, Morphism, find_isomorphism,
                         fingerprint)
 from .power import (POWER_CAP, build_power_semigroup, congruence_family,
@@ -181,7 +181,7 @@ def _verify_pairwise_distinct(entries):
         for a, b in combinations(bucket, 2):
             found = find_isomorphism(a.semigroup, b.semigroup)
             if found is not None:
-                raise AssertionError(
+                raise TheoremViolation(
                     f"catalog entries {a.canonical_id} and {b.canonical_id} "
                     "are isomorphic; enumeration is broken")
 
@@ -252,7 +252,8 @@ def global_iso_probe(n, jobs=1, long_running=False, cap=POWER_CAP,
             continue
         verified = Morphism(powers[i], powers[j], mapping)
         if not verified.is_isomorphism:
-            raise AssertionError("probe produced a map that fails re-verification")
+            raise TheoremViolation(
+                "probe produced a map that fails re-verification")
         counterexamples.append({
             "left": list(entries[i].canonical_id),
             "right": list(entries[j].canonical_id),

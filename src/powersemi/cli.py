@@ -21,8 +21,9 @@ from .errors import (NonAssociative, NotCompatible, PreconditionViolated,
 from .morphisms import (describe_fingerprint_mismatch, find_isomorphism,
                         fingerprint, lift_isomorphism, restrict_isomorphism)
 from .numerical import NumericalMonoid
-from .power import (POWER_CAP, build_power_semigroup, congruence_family,
-                    downward_complete_closure, family_report, full_family)
+from .power import (POWER_CAP, POWER_CAP_MAX, build_power_semigroup,
+                    congruence_family, downward_complete_closure,
+                    family_report, full_family)
 from .semigroups import FiniteSemigroup, congruence_from_partition, read_table
 
 SCHEMA_VERSION = 1
@@ -272,8 +273,31 @@ def _cmd_free_check(args):
     return report, EXIT_FINDING if bad else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that also reports a rejected argv as a JSON error report."""
+
+    def error(self, message):
+        _emit({"schema_version": SCHEMA_VERSION,
+               "error": {"type": "UsageError", "message": message}}, None)
+        super().error(message)
+
+
+def _int_in(low, high=None):
+    """argparse type: an integer in [low, high], or at least low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if value < low or (high is not None and value > high):
+            span = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"{value} is not {span}")
+        return value
+    return parse
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--out", help="write the JSON report here instead of stdout")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for any randomized part of the run")
@@ -283,10 +307,11 @@ def build_parser():
                         dest="long_running",
                         help="opt in to order-5 workloads")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powersemi",
         description="Workbench for power semigroups of finite semigroups.")
     sub = parser.add_subparsers(dest="command", required=True)
+    cap_type = _int_in(1, POWER_CAP_MAX)
 
     def add(name, func, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)
@@ -299,7 +324,7 @@ def build_parser():
 
     p = add("power", _cmd_power, "materialize the power semigroup of a table")
     p.add_argument("--table", required=True)
-    p.add_argument("--cap", type=int, default=POWER_CAP)
+    p.add_argument("--cap", type=cap_type, default=POWER_CAP)
 
     for name, func, help_text in (
             ("family", _cmd_family,
@@ -310,7 +335,7 @@ def build_parser():
              "construct a non-cancellativity witness for a subset")):
         p = add(name, func, help_text)
         p.add_argument("--table", required=True)
-        p.add_argument("--cap", type=int, default=POWER_CAP)
+        p.add_argument("--cap", type=cap_type, default=POWER_CAP)
         p.add_argument("--generators",
                        help="semicolon-separated element lists, e.g. '0,2;1,3'; "
                             "the downward-complete closure is used")
@@ -330,7 +355,7 @@ def build_parser():
         p.add_argument("--table", required=True, help="first Cayley table file")
         p.add_argument("--other", required=True, help="second Cayley table file")
         if name in ("lift", "restrict"):
-            p.add_argument("--cap", type=int, default=POWER_CAP)
+            p.add_argument("--cap", type=cap_type, default=POWER_CAP)
 
     p = add("enumerate", _cmd_enumerate,
             "enumerate all semigroups of one order")
@@ -341,19 +366,20 @@ def build_parser():
     p = add("probe", _cmd_probe,
             "compare power semigroups of all non-isomorphic pairs of one order")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--cap", type=int, default=POWER_CAP)
+    p.add_argument("--cap", type=cap_type, default=POWER_CAP)
 
     p = add("prop1-check", _cmd_prop1_check,
             "verify the two cancellativity classifiers agree over the catalog")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--closures", type=int, default=3,
+    p.add_argument("--closures", type=_int_in(0), default=3,
                    help="seeded random closures per semigroup")
 
     p = add("nm", _cmd_nm, "gap structure of a numerical monoid")
     p.add_argument("--gens", required=True,
                    help="comma-separated positive generators with gcd 1")
     p.add_argument("--gaps", action="store_true", help="include the gap list")
-    p.add_argument("--member", type=int, help="also test one membership")
+    p.add_argument("--member", type=_int_in(0),
+                   help="also test one membership")
 
     p = add("nm-witness", _cmd_nm_witness,
             "non-cancellativity witness inside a numerical monoid")
@@ -363,10 +389,10 @@ def build_parser():
 
     p = add("free-check", _cmd_free_check,
             "randomized cancellation checks over free-word sets")
-    p.add_argument("--alphabet", type=int, default=4)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--max-word-len", type=int, default=6)
-    p.add_argument("--max-set-size", type=int, default=8)
+    p.add_argument("--alphabet", type=_int_in(2), default=4)
+    p.add_argument("--trials", type=_int_in(0), default=10000)
+    p.add_argument("--max-word-len", type=_int_in(1), default=6)
+    p.add_argument("--max-set-size", type=_int_in(1), default=8)
 
     return parser
 

@@ -202,6 +202,15 @@ def _mapping_search(source, target):
     yield from backtrack(0)
 
 
+def _verified_isomorphism(source, target, mapping):
+    morphism = Morphism(source, target, mapping)
+    if not morphism.is_isomorphism:
+        raise TheoremViolation(
+            f"isomorphism search produced {list(mapping)}, which fails "
+            "re-verification")
+    return morphism
+
+
 def find_isomorphism(source, target):
     """A verified isomorphism if one exists, else a definitive None.
 
@@ -209,18 +218,14 @@ def find_isomorphism(source, target):
     re-verifies the found map exhaustively before returning it.
     """
     for mapping in _mapping_search(source, target):
-        morphism = Morphism(source, target, mapping)
-        assert morphism.is_isomorphism
-        return morphism
+        return _verified_isomorphism(source, target, mapping)
     return None
 
 
 def all_isomorphisms(source, target):
     """Every isomorphism source -> target, each re-verified exhaustively."""
     for mapping in _mapping_search(source, target):
-        morphism = Morphism(source, target, mapping)
-        assert morphism.is_isomorphism
-        yield morphism
+        yield _verified_isomorphism(source, target, mapping)
 
 
 def isomorphic_bruteforce(source, target):

@@ -14,7 +14,7 @@ import random
 from math import gcd
 
 from .cancellation import CASE2, CancellationWitness
-from .errors import NonMemberInput, PreconditionViolated
+from .errors import NonMemberInput, PreconditionViolated, TheoremViolation
 
 
 class NumericalMonoid:
@@ -48,7 +48,7 @@ class NumericalMonoid:
         for x in range(1, horizon):
             member[x] = any(x >= g and member[x - g] for g in gens)
         if not all(member[horizon - smallest:]):
-            raise AssertionError(
+            raise TheoremViolation(
                 "membership table did not close with a full run of "
                 f"{smallest} consecutive members; horizon too small")
         self.gaps = tuple(x for x in range(horizon) if not member[x])
@@ -97,8 +97,11 @@ class NumericalMonoid:
         a, b = sorted(a_set)[:2]
         lhs = self.sumset(a_set, a_set)
         rhs = lhs - {a + b}
-        assert b + b in rhs  # 2b == a + b would force a == b
-        assert self.sumset(a_set, lhs) == self.sumset(a_set, rhs)
+        if b + b not in rhs:  # 2b == a + b would force a == b
+            raise TheoremViolation(f"witness for {sorted(a_set)} lost 2b")
+        if self.sumset(a_set, lhs) != self.sumset(a_set, rhs):
+            raise TheoremViolation(
+                f"witness for {sorted(a_set)} does not equalize sumsets")
         return CancellationWitness(a_set, lhs, rhs, CASE2)
 
     def __eq__(self, other):

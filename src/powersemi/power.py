@@ -10,6 +10,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (AmbientMismatch, IndexOutOfRange, OrderCapExceeded,
                      PreconditionViolated)
 from .semigroups import FiniteSemigroup
@@ -17,6 +19,19 @@ from .semigroups import FiniteSemigroup
 # Full materialization of the power semigroup is allowed for carriers up
 # to this order by default (31 elements, 961 products).
 POWER_CAP = 5
+# No cap may exceed this: an order-n power table has about 4**n cells, and
+# re-validating its associativity holds two int64 temporaries of about 8**n
+# entries each (2 MB at order 6, 16 MB at order 7, 8.6 GB at order 10).
+POWER_CAP_MAX = 6
+
+
+def _check_cap(n, cap):
+    if cap > POWER_CAP_MAX:
+        raise OrderCapExceeded(
+            f"materialization cap {cap} exceeds the ceiling {POWER_CAP_MAX}")
+    if n > cap:
+        raise OrderCapExceeded(
+            f"carrier order {n} exceeds the materialization cap {cap}")
 
 
 def bits(mask):
@@ -112,17 +127,29 @@ def build_power_semigroup(semigroup, cap=POWER_CAP):
     """Materialize the semigroup of all non-empty subsets of the carrier.
 
     The result has order 2**n - 1; its element k is the subset with mask
-    k + 1, so the singleton {i} sits at index 2**i - 1. Construction
+    k + 1, so the singleton {i} sits at index 2**i - 1. The table is
+    built by a bit-DP over masks. Splitting a mask as Y = Y' + 2**j, with
+    j its top bit, gives {i} * Y = ({i} * Y') | {i*j}; that fills the
+    singleton rows one block of columns 2**j .. 2**(j+1) - 1 at a time.
+    Then X * Y = (X' * Y) | ({j} * Y) fills the rows block by block the
+    same way: 2n numpy steps in all, none per cell. Construction
     re-validates associativity of the setwise product mechanically.
     """
     n = semigroup.order
-    if n > cap:
-        raise OrderCapExceeded(
-            f"carrier order {n} exceeds the materialization cap {cap}")
-    m = (1 << n) - 1
-    table = [[mask_product(semigroup, a, b) - 1 for b in range(1, m + 1)]
-             for a in range(1, m + 1)]
-    return FiniteSemigroup(table)
+    _check_cap(n, cap)
+    size = 1 << n
+    # singles[i, Y] is the mask of {i} * Y, prod[X, Y] that of X * Y;
+    # the empty mask 0 seeds both and is dropped at the end.
+    singles = np.zeros((n, size), dtype=np.int64)
+    images = np.left_shift(1, semigroup.table)
+    prod = np.zeros((size, size), dtype=np.int64)
+    for j in range(n):
+        low, high = 1 << j, 2 << j
+        singles[:, low:high] = singles[:, :low] | images[:, j, None]
+    for j in range(n):
+        low, high = 1 << j, 2 << j
+        prod[low:high] = prod[:low] | singles[j]
+    return FiniteSemigroup(prod[1:, 1:] - 1)
 
 
 @dataclass(frozen=True)
@@ -165,8 +192,8 @@ class SubsetFamily:
                 f"mask {bad} is not a non-empty subset of the carrier")
         self.semigroup = semigroup
         self.masks = cleaned
-        self.is_subsemigroup = self._closure_witness() is None
         cert = downward_completeness(self)
+        self.is_subsemigroup = cert.failed != "closure"
         self.is_downward_complete = cert.ok
         self._materialized = None
 
@@ -256,11 +283,8 @@ def is_downward_complete(family):
 
 def full_family(semigroup, cap=POWER_CAP):
     """The family of all non-empty subsets of the carrier."""
-    n = semigroup.order
-    if n > cap:
-        raise OrderCapExceeded(
-            f"carrier order {n} exceeds the materialization cap {cap}")
-    return SubsetFamily(semigroup, range(1, 1 << n))
+    _check_cap(semigroup.order, cap)
+    return SubsetFamily(semigroup, range(1, 1 << semigroup.order))
 
 
 def singleton_family(semigroup):

@@ -246,6 +246,24 @@ def test_module_entry_point(tables):
     assert json.loads(proc.stdout)["order"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["free-check", "--alphabet", "1"],
+    ["nm", "--gens", "3,5", "--member", "-1"],
+    ["free-check", "--trials", "-3"],
+    ["prop1-check", "--order", "2", "--closures", "-1"],
+    ["power", "--table", "z2", "--cap", "7"],
+    ["probe", "--order", "2", "--cap", "7"],
+], ids=["alphabet", "member", "trials", "closures", "power-cap", "probe-cap"])
+def test_rejected_argv_exits_2_with_json_error(argv, tables, capsys):
+    argv = [tables.get(arg, arg) for arg in argv]
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["type"] == "UsageError"
+    assert "Traceback" not in captured.err
+
+
 def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         run(["does-not-exist"])

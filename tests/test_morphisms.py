@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
+
+import powersemi
 
 from powersemi import (FiniteSemigroup, Morphism, PreconditionViolated,
                        all_automorphisms_bruteforce, all_isomorphisms,
@@ -216,3 +222,33 @@ def test_morphism_inverse():
     assert negation.inverse() == negation  # an involution
     with pytest.raises(PreconditionViolated):
         Morphism(z3, z3, [0, 0, 0]).inverse()
+
+
+# Run under `python -O`, where assert statements are stripped: a search
+# that yields a wrong map must still be caught by the re-verification.
+WRONG_MAP_SCRIPT = """
+from powersemi import TheoremViolation, morphisms, zoo
+if __debug__:
+    raise SystemExit("expected to run under python -O")
+morphisms._mapping_search = lambda source, target: iter([(1, 0, 2)])
+z3 = zoo.cyclic_group(3)
+for search in (morphisms.find_isomorphism,
+               lambda s, t: list(morphisms.all_isomorphisms(s, t))):
+    try:
+        search(z3, z3)
+    except TheoremViolation:
+        continue
+    raise SystemExit("a wrong map was returned unchecked")
+print("ok")
+"""
+
+
+def test_wrong_search_result_raises_under_optimize():
+    src = str(Path(powersemi.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_MAP_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersemi import (AmbientMismatch, OrderCapExceeded, SubsetElement,
-                       SubsetFamily, build_power_semigroup,
+from powersemi import (POWER_CAP_MAX, AmbientMismatch, OrderCapExceeded,
+                       SubsetElement, SubsetFamily, build_power_semigroup,
                        congruence_from_partition, congruence_family,
                        downward_complete_closure, downward_completeness,
                        family_report, full_family, is_downward_complete,
-                       mask_of, setwise_product, singleton_family)
+                       mask_of, mask_product, setwise_product,
+                       singleton_family)
 from powersemi import zoo
 
 
@@ -81,6 +82,51 @@ def test_materialization_cap():
     with pytest.raises(OrderCapExceeded):
         build_power_semigroup(big)
     assert build_power_semigroup(big, cap=6).order == 63
+
+
+def test_cap_above_ceiling_is_rejected():
+    small = zoo.cyclic_group(2)
+    for build in (build_power_semigroup, full_family):
+        with pytest.raises(OrderCapExceeded):
+            build(small, cap=POWER_CAP_MAX + 1)
+
+
+def assert_table_matches_mask_product(sgr):
+    power = build_power_semigroup(sgr, cap=POWER_CAP_MAX)
+    masks = range(1, 1 << sgr.order)
+    assert power.rows == [[mask_product(sgr, a, b) - 1 for b in masks]
+                          for a in masks]
+
+
+def test_power_table_matches_per_cell_oracle_on_catalog(catalog):
+    for entries in catalog.values():
+        for entry in entries:
+            assert_table_matches_mask_product(entry.semigroup)
+
+
+@pytest.mark.parametrize("sgr", [zoo.null_semigroup(6), zoo.cyclic_group(6)],
+                         ids=["null6", "z6"])
+def test_order6_power_table_matches_per_cell_oracle(sgr):
+    assert_table_matches_mask_product(sgr)
+
+
+@pytest.mark.parametrize("sgr", [zoo.cyclic_group(3), zoo.left_zero(3)],
+                         ids=["z3", "left_zero3"])
+def test_family_flags_against_direct_scan(sgr):
+    masks = range(1, 1 << sgr.order)
+    for choice in range(1, 1 << len(masks)):
+        members = [m for k, m in enumerate(masks) if choice >> k & 1]
+        fam = SubsetFamily(sgr, members)
+        closed = all(mask_product(sgr, a, b) in fam
+                     for a in members for b in members)
+        covered = 0
+        for m in members:
+            covered |= m
+        down = all(sub in fam for m in members
+                   for sub in range(1, m + 1) if sub & m == sub)
+        assert fam.is_subsemigroup == closed
+        assert fam.is_downward_complete == (
+            closed and covered == masks[-1] and down)
 
 
 def test_singleton_embedding_preserves_products(catalog):
