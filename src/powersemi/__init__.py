@@ -8,8 +8,9 @@ from .cancellation import (BRUTE_FORCE, CASE1, CASE2, CancellationWitness,
                            find_witness_bruteforce, is_cancellative_in,
                            singleton_cancellative_elements, verify_witness,
                            witness_noncancellative)
-from .catalog import (CatalogEntry, associative_tables, enumerate_semigroups,
-                      global_iso_probe, singleton_characterization_check)
+from .catalog import (CatalogEntry, associative_tables, canonical_tables,
+                      enumerate_semigroups, global_iso_probe,
+                      singleton_characterization_check)
 from .errors import (AmbientMismatch, IndexOutOfRange, NonAssociative,
                      NonMemberInput, NotCompatible, OrderCapExceeded,
                      OrderUnsupported, PreconditionViolated, TheoremViolation,

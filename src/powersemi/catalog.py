@@ -8,7 +8,6 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
-from multiprocessing import Pool
 
 from .cancellation import (cancellative_elements_bruteforce,
                            singleton_cancellative_elements)
@@ -20,9 +19,6 @@ from .power import (POWER_CAP, build_power_semigroup, congruence_family,
 from .semigroups import FiniteSemigroup, all_congruences
 
 ENUM_MAX = 5
-# Lexicographic-minimality symmetry breaking costs n! relabelings per
-# completed table; worth it only up to this order.
-MINIMALITY_MAX = 4
 
 
 @dataclass
@@ -46,13 +42,17 @@ class CatalogEntry:
         return self._power_fp
 
 
-def associative_tables(n):
+def _fill(n, perms):
     """Depth-first fill of Cayley-table cells, row-major, pruning any
     partial table as soon as a fully determined triple fails associativity.
 
-    Yields every associative table of order n as a list of rows.
+    perms holds (perm, src) pairs: a relabeling of the elements and, for
+    each cell, the flat index of the cell it is relabeled from. A partial
+    table is pruned as soon as one relabeling makes its decided prefix
+    lexicographically smaller. Yields tables in lexicographic order.
     """
     t = [[-1] * n for _ in range(n)]
+    flat = [-1] * (n * n)
 
     def consistent(i, j):
         v = t[i][j]
@@ -94,6 +94,21 @@ def associative_tables(n):
                         return False
         return True
 
+    def lex_leader(k):
+        # Every completion of a prefix with a smaller relabeling keeps that
+        # smaller relabeling, so such a prefix can be dropped.
+        for perm, src in perms:
+            for idx in range(k + 1):
+                w = flat[src[idx]]
+                if w == -1:
+                    break
+                w = perm[w]
+                if w != flat[idx]:
+                    if w < flat[idx]:
+                        return False
+                    break
+        return True
+
     total = n * n
 
     def fill(k):
@@ -102,50 +117,33 @@ def associative_tables(n):
             return
         i, j = divmod(k, n)
         for v in range(n):
-            t[i][j] = v
-            if consistent(i, j):
+            t[i][j] = flat[k] = v
+            if consistent(i, j) and lex_leader(k):
                 yield from fill(k + 1)
-        t[i][j] = -1
+        t[i][j] = flat[k] = -1
 
     yield from fill(0)
 
 
-def _relabeled(table, perm, inv, n):
-    return tuple(perm[table[inv[i]][inv[j]]]
-                 for i in range(n) for j in range(n))
+def associative_tables(n):
+    """Every associative table of order n as a list of rows, in
+    lexicographic order."""
+    return _fill(n, ())
 
 
-def _orbit_minimal(args):
-    """True iff no relabeling of the table is lexicographically smaller."""
-    table, n = args
-    flat = tuple(v for row in table for v in row)
+def canonical_tables(n):
+    """One table per isomorphism class of order n: the lexicographically
+    least table of each relabeling orbit, in lexicographic order."""
+    perms = []
     for perm in permutations(range(n)):
+        if perm == tuple(range(n)):
+            continue
         inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        for idx in range(n * n):
-            i, j = divmod(idx, n)
-            v = perm[table[inv[i]][inv[j]]]
-            if v < flat[idx]:
-                return False
-            if v > flat[idx]:
-                break
-    return True
-
-
-def _dedup_by_search(tables):
-    """Keep one table per isomorphism class via fingerprint buckets plus
-    explicit searches inside each bucket."""
-    buckets = {}
-    kept = []
-    for table in tables:
-        sgr = FiniteSemigroup(table)
-        fp = fingerprint(sgr)
-        bucket = buckets.setdefault(fp, [])
-        if not any(find_isomorphism(sgr, other) for other in bucket):
-            bucket.append(sgr)
-            kept.append(table)
-    return kept
+        for x, p in enumerate(perm):
+            inv[p] = x
+        perms.append((perm, [inv[i] * n + inv[j]
+                             for i in range(n) for j in range(n)]))
+    return _fill(n, perms)
 
 
 @lru_cache(maxsize=None)
@@ -157,13 +155,10 @@ def _enumerate_cached(n, up_to_isomorphism, long_running):
         raise OrderUnsupported(
             f"order {ENUM_MAX} runs for a while; pass long_running=True "
             "(CLI: --long-running) to opt in")
-    tables = associative_tables(n)
     if up_to_isomorphism:
-        if n <= MINIMALITY_MAX:
-            tables = [t for t in tables if _orbit_minimal((t, n))]
-        else:
-            tables = _dedup_by_search(tables)
-    tables = sorted(tables)
+        tables = canonical_tables(n)
+    else:
+        tables = associative_tables(n)
     entries = []
     for idx, table in enumerate(tables):
         sgr = FiniteSemigroup(table)
@@ -190,31 +185,13 @@ def enumerate_semigroups(n, up_to_isomorphism=True, long_running=False,
                          jobs=1):
     """All semigroups of order n, one per isomorphism class by default.
 
-    Up to order 4 a representative is the lexicographically minimal table
-    of its relabeling orbit; at order 5 minimality is replaced by
-    fingerprint bucketing plus explicit isomorphism tests. Entries are
-    sorted by their table encoding, and pairwise non-isomorphism of the
-    output is re-verified during construction. jobs > 1 parallelizes the
-    minimality filter.
+    A representative is the lexicographically least table of its
+    relabeling orbit, found by pruning the table search (lex-leader
+    symmetry breaking). Entries are sorted by their table encoding, and
+    pairwise non-isomorphism of the output is re-verified during
+    construction. jobs is accepted for compatibility and has no effect.
     """
-    if jobs > 1 and up_to_isomorphism and 1 <= n <= MINIMALITY_MAX:
-        tables = list(associative_tables(n))
-        with Pool(jobs) as pool:
-            keep = pool.map(_orbit_minimal, [(t, n) for t in tables])
-        kept = sorted(t for t, k in zip(tables, keep) if k)
-        entries = []
-        for idx, table in enumerate(kept):
-            sgr = FiniteSemigroup(table)
-            entries.append(CatalogEntry(sgr, (n, idx), fingerprint(sgr)))
-        _verify_pairwise_distinct(entries)
-        return entries
     return list(_enumerate_cached(n, up_to_isomorphism, long_running))
-
-
-def _probe_pair(payload):
-    i, j, table_a, table_b = payload
-    found = find_isomorphism(FiniteSemigroup(table_a), FiniteSemigroup(table_b))
-    return i, j, None if found is None else found.mapping
 
 
 def global_iso_probe(n, jobs=1, long_running=False, cap=POWER_CAP,
@@ -224,7 +201,8 @@ def global_iso_probe(n, jobs=1, long_running=False, cap=POWER_CAP,
     The catalog entries are pairwise non-isomorphic by construction, so a
     pair with isomorphic power semigroups would be a counterexample worth
     preserving verbatim: the report carries the full map, re-verified
-    exhaustively, and the CLI turns any finding into exit code 1.
+    exhaustively, and the CLI turns any finding into exit code 1. jobs is
+    accepted for compatibility and has no effect.
     """
     start = timer()
     if entries is None:
@@ -236,20 +214,12 @@ def global_iso_probe(n, jobs=1, long_running=False, cap=POWER_CAP,
         buckets.setdefault(entry.power_fingerprint(cap), []).append(idx)
     survivors = sorted((i, j) for bucket in buckets.values()
                        for i, j in combinations(bucket, 2))
-    results = []
-    if jobs > 1 and survivors:
-        payloads = [(i, j, powers[i].rows, powers[j].rows)
-                    for i, j in survivors]
-        with Pool(jobs) as pool:
-            results = pool.map(_probe_pair, payloads)
-    else:
-        for i, j in survivors:
-            mapping = find_isomorphism(powers[i], powers[j])
-            results.append((i, j, None if mapping is None else mapping.mapping))
     counterexamples = []
-    for i, j, mapping in results:
-        if mapping is None:
+    for i, j in survivors:
+        found = find_isomorphism(powers[i], powers[j])
+        if found is None:
             continue
+        mapping = found.mapping
         verified = Morphism(powers[i], powers[j], mapping)
         if not verified.is_isomorphism:
             raise TheoremViolation(

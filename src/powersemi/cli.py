@@ -208,7 +208,7 @@ def _cmd_restrict(args):
 def _cmd_enumerate(args):
     entries = _catalog.enumerate_semigroups(
         args.order, up_to_isomorphism=not args.labeled,
-        long_running=args.long_running, jobs=args.jobs)
+        long_running=args.long_running)
     return {
         "order": args.order,
         "up_to_isomorphism": not args.labeled,
@@ -219,8 +219,7 @@ def _cmd_enumerate(args):
 
 def _cmd_probe(args):
     report = _catalog.global_iso_probe(
-        args.order, jobs=args.jobs, long_running=args.long_running,
-        cap=args.cap)
+        args.order, long_running=args.long_running, cap=args.cap)
     code = EXIT_FINDING if report["counterexamples"] else EXIT_OK
     return report, code
 
@@ -302,7 +301,7 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0,
                         help="seed for any randomized part of the run")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for probe/enumerate")
+                        help="accepted for compatibility; has no effect")
     common.add_argument("--long-running", action="store_true",
                         dest="long_running",
                         help="opt in to order-5 workloads")
@@ -413,7 +412,8 @@ def run(argv=None):
         report, code = args.func(args)
     except UsageError as exc:
         report = {"schema_version": SCHEMA_VERSION,
-                  "error": {"message": str(exc), **exc.extra}}
+                  "error": {"type": "UsageError", "message": str(exc),
+                            **exc.extra}}
         _emit(report, args)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

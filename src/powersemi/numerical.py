@@ -16,6 +16,10 @@ from math import gcd
 from .cancellation import CASE2, CancellationWitness
 from .errors import NonMemberInput, PreconditionViolated, TheoremViolation
 
+# The membership table holds min(gens) * max(gens) + min(gens) + 1 entries;
+# generators that need more are rejected rather than allocated.
+HORIZON_MAX = 10 ** 6
+
 
 class NumericalMonoid:
     """The additive monoid generated by positive integers with gcd 1.
@@ -43,6 +47,10 @@ class NumericalMonoid:
         self.generators = tuple(gens)
         smallest, largest = gens[0], gens[-1]
         horizon = smallest * largest + smallest + 1
+        if horizon > HORIZON_MAX:
+            raise ValueError(
+                f"generators {gens} need a membership horizon of {horizon}, "
+                f"above the supported maximum of {HORIZON_MAX}")
         member = [False] * horizon
         member[0] = True
         for x in range(1, horizon):

@@ -20,8 +20,8 @@ from .semigroups import FiniteSemigroup
 # to this order by default (31 elements, 961 products).
 POWER_CAP = 5
 # No cap may exceed this: an order-n power table has about 4**n cells, and
-# re-validating its associativity holds two int64 temporaries of about 8**n
-# entries each (2 MB at order 6, 16 MB at order 7, 8.6 GB at order 10).
+# re-validating its associativity holds two uint8 temporaries of about 8**n
+# entries each (250 KB at order 6, 2 MB at order 7, 1 GB at order 10).
 POWER_CAP_MAX = 6
 
 

@@ -38,9 +38,11 @@ class FiniteSemigroup:
             raise IndexOutOfRange(
                 f"entry {int(arr[i, j])} at ({int(i)}, {int(j)}) "
                 f"is outside [0, {n})")
-        # (i*j)*k == i*(j*k) for every triple, all at once.
-        lhs = arr[arr, :]
-        rhs = arr[:, arr]
+        # (i*j)*k == i*(j*k) for every triple, all at once, on uint8
+        # temporaries: entries are below MAX_ORDER, so the copy is exact.
+        small = arr.astype(np.uint8)
+        lhs = small[small, :]
+        rhs = small[:, small]
         if not np.array_equal(lhs, rhs):
             i, j, k = np.argwhere(lhs != rhs)[0]
             raise NonAssociative(int(i), int(j), int(k))
@@ -55,11 +57,10 @@ class FiniteSemigroup:
 
     def _find_identity(self):
         want = np.arange(self.order)
-        for e in range(self.order):
-            if np.array_equal(self.table[e], want) and \
-                    np.array_equal(self.table[:, e], want):
-                return e
-        return None
+        t = self.table
+        found = np.flatnonzero((t == want).all(axis=1) &
+                               (t.T == want).all(axis=1))
+        return int(found[0]) if found.size else None
 
     def _check_element(self, a):
         if not 0 <= a < self.order:

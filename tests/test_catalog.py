@@ -1,14 +1,14 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from powersemi import (OrderUnsupported, associative_tables,
-                       build_power_semigroup, enumerate_semigroups,
-                       find_isomorphism, global_iso_probe,
-                       isomorphic_bruteforce,
+                       build_power_semigroup, canonical_tables,
+                       enumerate_semigroups, find_isomorphism,
+                       global_iso_probe, isomorphic_bruteforce,
                        singleton_characterization_check)
-from powersemi.catalog import _dedup_by_search
 
 
 def naive_is_associative(rows, n):
@@ -20,17 +20,17 @@ def naive_is_associative(rows, n):
     return True
 
 
-def naive_canonical(rows, n):
-    best = None
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        flat = tuple(perm[rows[inv[i]][inv[j]]]
-                     for i in range(n) for j in range(n))
-        if best is None or flat < best:
-            best = flat
-    return best
+def canonical_form(table):
+    """The lexicographically least relabeling of a table, by brute force
+    over all n! relabelings at once."""
+    t = np.asarray(table)
+    n = len(t)
+    perms = np.array(list(itertools.permutations(range(n))))
+    inv = np.argsort(perms, axis=1)
+    cells = t[inv[:, :, None], inv[:, None, :]].reshape(len(perms), -1)
+    relabeled = np.take_along_axis(perms, cells, axis=1)
+    least = np.lexsort(relabeled.T[::-1])[0]
+    return tuple(relabeled[least].tolist())
 
 
 def naive_enumeration(n):
@@ -41,7 +41,7 @@ def naive_enumeration(n):
         rows = [list(cells[i * n:(i + 1) * n]) for i in range(n)]
         if naive_is_associative(rows, n):
             labeled += 1
-            classes.add(naive_canonical(rows, n))
+            classes.add(canonical_form(rows))
     return labeled, classes
 
 
@@ -99,12 +99,51 @@ def test_rejected_tables_are_isomorphic_to_kept_ones(catalog):
     assert audited > 20
 
 
-def test_dedup_by_search_agrees_with_minimality_route():
-    # the order-5 dedup strategy must give the same class counts where
-    # both strategies are feasible
-    for n in (2, 3):
-        tables = list(associative_tables(n))
-        assert len(_dedup_by_search(tables)) == len(enumerate_semigroups(n))
+def orbit_minimal(table, n):
+    """True iff no relabeling of the table is lexicographically smaller."""
+    flat = tuple(v for row in table for v in row)
+    for perm in itertools.permutations(range(n)):
+        inv = [0] * n
+        for i, p in enumerate(perm):
+            inv[p] = i
+        for idx in range(n * n):
+            i, j = divmod(idx, n)
+            v = perm[table[inv[i]][inv[j]]]
+            if v < flat[idx]:
+                return False
+            if v > flat[idx]:
+                break
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_canonical_tables_are_the_orbit_minimal_labeled_tables(n):
+    assert list(canonical_tables(n)) == \
+        [t for t in associative_tables(n) if orbit_minimal(t, n)]
+
+
+# OEIS A027851 (classes up to isomorphism), A023814 (labeled tables) and
+# A001423 (classes up to isomorphism or anti-isomorphism).
+CLASSES = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
+LABELED = {1: 1, 2: 8, 3: 113, 4: 3492}
+CLASSES_UP_TO_DUALITY = {1: 1, 2: 4, 3: 18, 4: 126, 5: 1160}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_catalog_counts_match_published_sequences(n):
+    entries = enumerate_semigroups(n, long_running=True)
+    assert len(entries) == CLASSES[n]
+    if n in LABELED:
+        assert sum(1 for _ in associative_tables(n)) == LABELED[n]
+    # S and its transposed (anti-isomorphic) table are one class up to
+    # duality; each catalog table is its own canonical form.
+    tables = [tuple(v for row in e.semigroup.rows for v in row)
+              for e in entries]
+    assert all(canonical_form(e.semigroup.table) == table
+               for e, table in zip(entries, tables))
+    duality_classes = {min(table, canonical_form(e.semigroup.table.T))
+                       for e, table in zip(entries, tables)}
+    assert len(duality_classes) == CLASSES_UP_TO_DUALITY[n]
 
 
 def test_unsupported_orders():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -207,6 +208,14 @@ def test_nm_subcommand(capsys):
 def test_nm_usage_error_on_bad_generators(capsys):
     code, report = invoke(capsys, "nm", "--gens", "2,4")
     assert code == 2
+
+
+def test_nm_rejects_generators_past_the_horizon_bound(capsys):
+    start = time.perf_counter()
+    code, report = invoke(capsys, "nm", "--gens", "2000,2001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert report["error"]["type"] == "UsageError"
 
 
 def test_nm_witness_subcommand(capsys):
