@@ -9,8 +9,7 @@ distinct letters cancels despite not being a singleton.
 Run:  python demos/additive_and_free_carriers.py
 """
 
-from powersemi import (NumericalMonoid, cancellativity_campaign, nm_equal,
-                       word_product)
+from powersemi import NumericalMonoid, cancellativity_campaign, word_product
 
 print("=" * 72)
 print("Numerical monoids: gaps and the Frobenius number")
@@ -22,10 +21,10 @@ for gens in ((2, 3), (3, 5), (4, 6, 9), (5, 8, 11)):
 
 print()
 print("equality is decided by gap sets:")
-print("  <2,3> == <2,3,5> :", nm_equal(NumericalMonoid((2, 3)),
-                                       NumericalMonoid((2, 3, 5))))
-print("  <2,3> == <3,4,5> :", nm_equal(NumericalMonoid((2, 3)),
-                                       NumericalMonoid((3, 4, 5))))
+print("  <2,3> == <2,3,5> :",
+      NumericalMonoid((2, 3)) == NumericalMonoid((2, 3, 5)))
+print("  <2,3> == <3,4,5> :",
+      NumericalMonoid((2, 3)) == NumericalMonoid((3, 4, 5)))
 
 print()
 print("=" * 72)

@@ -23,17 +23,16 @@ from .morphisms import (IsoFingerprint, Morphism, all_automorphisms_bruteforce,
                         find_isomorphism, fingerprint, homomorphisms,
                         isomorphic_bruteforce, lift_isomorphism,
                         restrict_isomorphism, verify_commutativity_transfer)
-from .numerical import (NumericalMonoid, equality_campaign, nm_equal,
-                        random_member_set, random_monoid, witness_campaign)
+from .numerical import (NumericalMonoid, equality_campaign, random_member_set,
+                        random_monoid, witness_campaign)
 from .power import (POWER_CAP, POWER_CAP_MAX, CompletenessCertificate,
                     SubsetElement, SubsetFamily, bits, build_power_semigroup,
                     congruence_family, downward_complete_closure,
                     downward_completeness, family_report, full_family,
-                    is_downward_complete, mask_of, mask_product,
-                    setwise_product, singleton_family, submasks)
+                    mask_of, mask_product, setwise_product, singleton_family,
+                    submasks)
 from .semigroups import (MAX_ORDER, Congruence, FiniteSemigroup,
                          all_congruences, congruence_from_partition,
-                         format_table, parse_table, read_table,
-                         validate_semigroup)
+                         format_table, parse_table, read_table)
 
 __version__ = "0.1.0"

@@ -50,23 +50,15 @@ class CancellationWitness:
         }
 
 
-def is_cancellative_in(member, family, side="both"):
-    """Brute-force cancellativity of one member inside a product-closed family.
-
-    Left cancellative means X -> member*X is injective on the family;
-    right swaps the factors; "both" requires the two.
+def is_cancellative_in(member, family):
+    """Brute-force cancellativity of one member inside a product-closed family:
+    both X -> member*X and X -> X*member must be injective on the family.
     """
     mask = member.mask if isinstance(member, SubsetElement) else int(member)
     S = family.semigroup
-    if side in ("left", "both"):
-        images = {mask_product(S, mask, x) for x in family.masks}
-        if len(images) != len(family.masks):
-            return False
-    if side in ("right", "both"):
-        images = {mask_product(S, x, mask) for x in family.masks}
-        if len(images) != len(family.masks):
-            return False
-    return True
+    size = len(family.masks)
+    return (len({mask_product(S, mask, x) for x in family.masks}) == size
+            and len({mask_product(S, x, mask) for x in family.masks}) == size)
 
 
 def cancellative_elements_bruteforce(family):

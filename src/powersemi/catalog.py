@@ -12,10 +12,9 @@ from itertools import combinations, permutations
 from .cancellation import (cancellative_elements_bruteforce,
                            singleton_cancellative_elements)
 from .errors import OrderUnsupported, TheoremViolation
-from .morphisms import (IsoFingerprint, Morphism, find_isomorphism,
-                        fingerprint)
-from .power import (POWER_CAP, build_power_semigroup, congruence_family,
-                    downward_complete_closure, full_family)
+from .morphisms import IsoFingerprint, find_isomorphism, fingerprint
+from .power import (POWER_CAP, _check_cap, build_power_semigroup,
+                    congruence_family, downward_complete_closure, full_family)
 from .semigroups import FiniteSemigroup, all_congruences
 
 ENUM_MAX = 5
@@ -29,17 +28,16 @@ class CatalogEntry:
     canonical_id: tuple
     fingerprint: IsoFingerprint
     _power: FiniteSemigroup | None = field(default=None, repr=False)
-    _power_fp: IsoFingerprint | None = field(default=None, repr=False)
 
     def power_semigroup(self, cap=POWER_CAP):
+        # The cached table does not depend on cap, but every call is gated.
+        _check_cap(self.semigroup.order, cap)
         if self._power is None:
             self._power = build_power_semigroup(self.semigroup, cap)
         return self._power
 
     def power_fingerprint(self, cap=POWER_CAP):
-        if self._power_fp is None:
-            self._power_fp = fingerprint(self.power_semigroup(cap))
-        return self._power_fp
+        return fingerprint(self.power_semigroup(cap))
 
 
 def _fill(n, perms):
@@ -181,28 +179,27 @@ def _verify_pairwise_distinct(entries):
                     "are isomorphic; enumeration is broken")
 
 
-def enumerate_semigroups(n, up_to_isomorphism=True, long_running=False,
-                         jobs=1):
+def enumerate_semigroups(n, up_to_isomorphism=True, long_running=False):
     """All semigroups of order n, one per isomorphism class by default.
 
     A representative is the lexicographically least table of its
     relabeling orbit, found by pruning the table search (lex-leader
     symmetry breaking). Entries are sorted by their table encoding, and
     pairwise non-isomorphism of the output is re-verified during
-    construction. jobs is accepted for compatibility and has no effect.
+    construction.
     """
     return list(_enumerate_cached(n, up_to_isomorphism, long_running))
 
 
-def global_iso_probe(n, jobs=1, long_running=False, cap=POWER_CAP,
+def global_iso_probe(n, long_running=False, cap=POWER_CAP,
                      entries=None, timer=time.perf_counter):
     """Compare the power semigroups of every pair of distinct catalog classes.
 
     The catalog entries are pairwise non-isomorphic by construction, so a
     pair with isomorphic power semigroups would be a counterexample worth
     preserving verbatim: the report carries the full map, re-verified
-    exhaustively, and the CLI turns any finding into exit code 1. jobs is
-    accepted for compatibility and has no effect.
+    exhaustively by find_isomorphism, and the CLI turns any finding into
+    exit code 1.
     """
     start = timer()
     if entries is None:
@@ -219,17 +216,12 @@ def global_iso_probe(n, jobs=1, long_running=False, cap=POWER_CAP,
         found = find_isomorphism(powers[i], powers[j])
         if found is None:
             continue
-        mapping = found.mapping
-        verified = Morphism(powers[i], powers[j], mapping)
-        if not verified.is_isomorphism:
-            raise TheoremViolation(
-                "probe produced a map that fails re-verification")
         counterexamples.append({
             "left": list(entries[i].canonical_id),
             "right": list(entries[j].canonical_id),
             "left_table": entries[i].semigroup.rows,
             "right_table": entries[j].semigroup.rows,
-            "power_map": list(mapping),
+            "power_map": list(found.mapping),
         })
     elapsed_ms = int(round((timer() - start) * 1000))
     return {

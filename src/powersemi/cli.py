@@ -16,14 +16,14 @@ from . import freewords as _freewords
 from .cancellation import (cancellative_elements_bruteforce,
                            singleton_cancellative_elements,
                            witness_noncancellative)
-from .errors import (NonAssociative, NotCompatible, PreconditionViolated,
-                     TheoremViolation, WorkbenchError)
+from .errors import (NonAssociative, NotCompatible, TheoremViolation,
+                     WorkbenchError)
 from .morphisms import (describe_fingerprint_mismatch, find_isomorphism,
                         fingerprint, lift_isomorphism, restrict_isomorphism)
 from .numerical import NumericalMonoid
 from .power import (POWER_CAP, POWER_CAP_MAX, build_power_semigroup,
                     congruence_family, downward_complete_closure,
-                    family_report, full_family)
+                    family_report, full_family, mask_of)
 from .semigroups import FiniteSemigroup, congruence_from_partition, read_table
 
 SCHEMA_VERSION = 1
@@ -68,10 +68,7 @@ def _parse_mask(semigroup, text):
     if any(not 0 <= x < semigroup.order for x in elems):
         raise UsageError(f"elements {elems} outside the carrier of order "
                          f"{semigroup.order}")
-    mask = 0
-    for x in elems:
-        mask |= 1 << x
-    return mask
+    return mask_of(elems)
 
 
 def _select_family(semigroup, args, cap):
@@ -405,38 +402,31 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
+def _failure(exc):
+    """Error report, exit code and stderr line for an exception of a run:
+    exit 1 for a TheoremViolation finding, 2 for anything else."""
+    finding = isinstance(exc, TheoremViolation)
+    kind = "UsageError" if isinstance(exc, UsageError) else type(exc).__name__
+    error = {"type": kind, "message": str(exc), **getattr(exc, "extra", {})}
+    return ({"error": error}, EXIT_FINDING if finding else EXIT_USAGE,
+            f"{'theorem violation' if finding else 'error'}: {exc}")
+
+
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    complaint = None
     try:
         report, code = args.func(args)
-    except UsageError as exc:
-        report = {"schema_version": SCHEMA_VERSION,
-                  "error": {"type": "UsageError", "message": str(exc),
-                            **exc.extra}}
-        _emit(report, args)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TheoremViolation as exc:
-        report = {"schema_version": SCHEMA_VERSION,
-                  "error": {"type": "TheoremViolation", "message": str(exc)}}
-        _emit(report, args)
-        print(f"theorem violation: {exc}", file=sys.stderr)
-        return EXIT_FINDING
-    except PreconditionViolated as exc:
-        report = {"schema_version": SCHEMA_VERSION,
-                  "error": {"type": "PreconditionViolated",
-                            "message": str(exc)}}
-        _emit(report, args)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except WorkbenchError as exc:
-        report = {"schema_version": SCHEMA_VERSION,
-                  "error": {"type": type(exc).__name__, "message": str(exc)}}
-        _emit(report, args)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit({"schema_version": SCHEMA_VERSION, **report}, args)
+    except (UsageError, WorkbenchError) as exc:
+        report, code, complaint = _failure(exc)
+    try:
+        _emit({"schema_version": SCHEMA_VERSION, **report}, args)
+    except OSError as exc:
+        report, code, complaint = _failure(
+            UsageError(f"cannot write report to {args.out}: {exc}"))
+        _emit({"schema_version": SCHEMA_VERSION, **report}, None)
+    if complaint is not None:
+        print(complaint, file=sys.stderr)
     return code
 
 

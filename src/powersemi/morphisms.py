@@ -228,32 +228,30 @@ def all_isomorphisms(source, target):
         yield _verified_isomorphism(source, target, mapping)
 
 
+def _bruteforce_isomorphisms(source, target):
+    """Yield every bijection that is an isomorphism between two semigroups
+    of the same order, as a tuple, testing all permutations at once."""
+    perms = np.array(list(permutations(range(source.order))), dtype=np.int64)
+    lhs = perms[:, source.table]
+    rhs = target.table[perms[:, :, None], perms[:, None, :]]
+    for hit in np.flatnonzero((lhs == rhs).all(axis=(1, 2))):
+        yield tuple(int(v) for v in perms[hit])
+
+
 def isomorphic_bruteforce(source, target):
     """Decide isomorphism by testing every bijection at once.
 
     Independent of the pruned search; usable up to order ~8. Returns the
     first isomorphism as a tuple, or None.
     """
-    n = source.order
-    if n != target.order:
+    if source.order != target.order:
         return None
-    perms = np.array(list(permutations(range(n))), dtype=np.int64)
-    lhs = perms[:, source.table]
-    rhs = target.table[perms[:, :, None], perms[:, None, :]]
-    hits = np.nonzero((lhs == rhs).all(axis=(1, 2)))[0]
-    if hits.size == 0:
-        return None
-    return tuple(int(v) for v in perms[hits[0]])
+    return next(_bruteforce_isomorphisms(source, target), None)
 
 
 def all_automorphisms_bruteforce(semigroup):
     """Every automorphism by scanning all permutations; oracle for tiny orders."""
-    n = semigroup.order
-    perms = np.array(list(permutations(range(n))), dtype=np.int64)
-    lhs = perms[:, semigroup.table]
-    rhs = semigroup.table[perms[:, :, None], perms[:, None, :]]
-    hits = np.nonzero((lhs == rhs).all(axis=(1, 2)))[0]
-    return [tuple(int(v) for v in perms[h]) for h in hits]
+    return list(_bruteforce_isomorphisms(semigroup, semigroup))
 
 
 def homomorphisms(source, target, surjective_only=False):
@@ -291,23 +289,33 @@ def lift_isomorphism(morphism, cap=POWER_CAP):
     return big
 
 
-def restrict_isomorphism(morphism, source_family, target_family):
-    """Restrict a family-level isomorphism to the two carriers.
-
-    Hypotheses: both families downward complete, both carriers
-    cancellative, at least one commutative, and the morphism acting
-    between the families' materializations. Under them every singleton
-    must map to a singleton; the implementation verifies this element by
-    element instead of trusting it, raising TheoremViolation on any
-    failure. The restriction x -> y with morphism({x}) = {y} is returned
-    as a verified isomorphism.
-    """
+def _check_family_isomorphism(morphism, source_family, target_family):
+    """The hypotheses shared by the two transfer checks: a verified
+    isomorphism between the materializations of two downward-complete
+    families."""
     if not morphism.is_isomorphism:
         raise PreconditionViolated("map is not a verified isomorphism")
     if not source_family.is_downward_complete:
         raise PreconditionViolated("source family is not downward complete")
     if not target_family.is_downward_complete:
         raise PreconditionViolated("target family is not downward complete")
+    if morphism.source != source_family.as_semigroup() \
+            or morphism.target != target_family.as_semigroup():
+        raise PreconditionViolated(
+            "map does not act between the materialized families")
+
+
+def restrict_isomorphism(morphism, source_family, target_family):
+    """Restrict a family-level isomorphism to the two carriers.
+
+    Hypotheses: a verified isomorphism between the materializations of
+    two downward-complete families, both carriers cancellative, and at
+    least one of them commutative. Under them every singleton must map to
+    a singleton; the implementation verifies this element by element
+    instead of trusting it, raising TheoremViolation on any failure. The restriction x -> y with morphism({x}) = {y} is returned
+    as a verified isomorphism.
+    """
+    _check_family_isomorphism(morphism, source_family, target_family)
     H = source_family.semigroup
     K = target_family.semigroup
     if not H.is_cancellative_semigroup():
@@ -316,10 +324,6 @@ def restrict_isomorphism(morphism, source_family, target_family):
         raise PreconditionViolated("target carrier is not cancellative")
     if not (H.commutative or K.commutative):
         raise PreconditionViolated("neither carrier is commutative")
-    if morphism.source != source_family.as_semigroup() \
-            or morphism.target != target_family.as_semigroup():
-        raise PreconditionViolated(
-            "map does not act between the materialized families")
 
     restricted = []
     for x in range(H.order):
@@ -343,18 +347,9 @@ def verify_commutativity_transfer(morphism, source_family, target_family):
     target carrier's actual commutativity flag; False would be a theorem
     violation for the caller to report.
     """
-    if not morphism.is_isomorphism:
-        raise PreconditionViolated("map is not a verified isomorphism")
-    if not source_family.is_downward_complete:
-        raise PreconditionViolated("source family is not downward complete")
-    if not target_family.is_downward_complete:
-        raise PreconditionViolated("target family is not downward complete")
+    _check_family_isomorphism(morphism, source_family, target_family)
     if not source_family.semigroup.commutative:
         raise PreconditionViolated("source carrier is not commutative")
-    if morphism.source != source_family.as_semigroup() \
-            or morphism.target != target_family.as_semigroup():
-        raise PreconditionViolated(
-            "map does not act between the materialized families")
     return target_family.semigroup.commutative
 
 

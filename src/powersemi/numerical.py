@@ -37,9 +37,7 @@ class NumericalMonoid:
         gens = sorted({int(g) for g in generators})
         if not gens or gens[0] < 1:
             raise ValueError("generators must be positive integers")
-        g = 0
-        for x in gens:
-            g = gcd(g, x)
+        g = gcd(*gens)
         if g != 1:
             raise ValueError(
                 f"generators {gens} have gcd {g}; the complement in N "
@@ -113,6 +111,7 @@ class NumericalMonoid:
         return CancellationWitness(a_set, lhs, rhs, CASE2)
 
     def __eq__(self, other):
+        """Equal gap sets; for numerical monoids equal and isomorphic coincide."""
         return isinstance(other, NumericalMonoid) and self.gaps == other.gaps
 
     def __hash__(self):
@@ -123,24 +122,12 @@ class NumericalMonoid:
         return f"NumericalMonoid(<{gens}>)"
 
 
-def nm_equal(first, second):
-    """Equality of numerical monoids, decided by comparing gap sets.
-
-    Equality is the right notion: for these monoids isomorphic and equal
-    coincide, so this doubles as the isomorphism decision procedure.
-    """
-    return first.gaps == second.gaps
-
-
 def random_monoid(rng, max_generator=40, max_count=4):
     """A random numerical monoid; resamples until the gcd is 1."""
     while True:
         count = rng.randint(2, max_count)
         gens = rng.sample(range(2, max_generator), count)
-        g = 0
-        for x in gens:
-            g = gcd(g, x)
-        if g == 1:
+        if gcd(*gens) == 1:
             return NumericalMonoid(gens)
 
 
@@ -171,7 +158,7 @@ def equality_campaign(trials=100, seed=0, max_generator=40):
             second = random_monoid(rng, max_generator)
         bound = max(first._horizon, second._horizon)
         pointwise = all((x in first) == (x in second) for x in range(bound))
-        if nm_equal(first, second) != pointwise:
+        if (first == second) != pointwise:
             mismatches.append({
                 "trial": trial,
                 "first": list(first.generators),

@@ -277,10 +277,6 @@ def downward_completeness(family):
     return CompletenessCertificate(True)
 
 
-def is_downward_complete(family):
-    return downward_completeness(family).ok
-
-
 def full_family(semigroup, cap=POWER_CAP):
     """The family of all non-empty subsets of the carrier."""
     _check_cap(semigroup.order, cap)

@@ -122,11 +122,6 @@ class FiniteSemigroup:
         return f"FiniteSemigroup(order={self.order})"
 
 
-def validate_semigroup(table):
-    """Validate a raw n x n table and return the FiniteSemigroup it defines."""
-    return FiniteSemigroup(table)
-
-
 class Congruence:
     """A partition of the carrier compatible with the operation.
 

@@ -71,9 +71,8 @@ def probe_reports(catalog):
     reports = {}
     timings = {}
     for n in (2, 3, 4):
-        jobs = 8 if n == 4 else 1
         start = time.perf_counter()
-        reports[n] = global_iso_probe(n, jobs=jobs, entries=catalog[n])
+        reports[n] = global_iso_probe(n, entries=catalog[n])
         timings[n] = time.perf_counter() - start
     return reports, timings
 
@@ -207,7 +206,7 @@ def test_criterion_6_global_isomorphism_probe(catalog, probe_reports):
     assert reports[4]["counterexamples"] == []
     assert timings[4] < 1800
     announce(6, "probe clean at orders 2 (10 pairs), 3 (276 pairs, both "
-                f"brute-force confirmed) and 4 (17578 pairs, jobs=8, "
+                f"brute-force confirmed) and 4 (17578 pairs, "
                 f"{timings[4]:.1f}s)")
 
 
@@ -285,8 +284,6 @@ def test_criterion_10_determinism(catalog):
     for _ in range(2):
         runs.append((
             json.dumps(global_iso_probe(3, entries=catalog[3],
-                                        timer=FIXED_TIMER)),
-            json.dumps(global_iso_probe(3, entries=catalog[3], jobs=2,
                                         timer=FIXED_TIMER)),
             json.dumps(singleton_characterization_check(3, seed=42)),
             json.dumps(equality_campaign(trials=40, seed=42)),

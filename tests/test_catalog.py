@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from powersemi import (OrderUnsupported, associative_tables,
+from powersemi import (OrderCapExceeded, OrderUnsupported, associative_tables,
                        build_power_semigroup, canonical_tables,
                        enumerate_semigroups, find_isomorphism,
                        global_iso_probe, isomorphic_bruteforce,
@@ -163,12 +163,6 @@ def test_canonical_ids_are_stable(catalog):
         [e.semigroup.rows for e in catalog[3]]
 
 
-def test_parallel_enumeration_matches_sequential(catalog):
-    parallel = enumerate_semigroups(3, jobs=2)
-    assert [e.semigroup.rows for e in parallel] == \
-        [e.semigroup.rows for e in catalog[3]]
-
-
 def test_probe_order_two():
     report = global_iso_probe(2, timer=lambda: 0.0)
     assert report["pairs_checked"] == 10
@@ -187,10 +181,12 @@ def test_probe_order_three_negatives_hold_up_to_bruteforce(catalog):
         assert isomorphic_bruteforce(powers[i], powers[j]) is None
 
 
-def test_probe_parallel_agrees_with_sequential(catalog):
-    seq = global_iso_probe(3, entries=catalog[3], timer=lambda: 0.0)
-    par = global_iso_probe(3, entries=catalog[3], jobs=2, timer=lambda: 0.0)
-    assert seq == par
+def test_probe_cap_is_enforced_after_power_tables_are_cached(catalog):
+    global_iso_probe(3, entries=catalog[3])  # caches every power table
+    with pytest.raises(OrderCapExceeded):
+        global_iso_probe(3, entries=catalog[3], cap=2)
+    with pytest.raises(OrderCapExceeded):
+        catalog[3][0].power_fingerprint(cap=2)
 
 
 def test_probe_report_is_deterministic(catalog):

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from powersemi import format_table
+from powersemi import TheoremViolation, format_table
+from powersemi import cli as cli_module
 from powersemi import zoo
 from powersemi.cli import run
 
@@ -244,6 +245,35 @@ def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     assert run(["free-check", "--trials", "150", "--seed", "3",
                 "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("table", ["z2", "bad"])
+def test_unwritable_out_path_is_a_usage_error(table, tables, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = run(["validate", "--table", tables[table], "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "UsageError"
+    assert error["message"].startswith(f"cannot write report to {out}: ")
+    assert captured.err == f"error: {error['message']}\n"
+    assert not out.exists()
+
+
+def test_theorem_violation_exits_1_with_json_error(monkeypatch, capsys):
+    def violate(*args, **kwargs):
+        raise TheoremViolation("probe map fails re-verification")
+
+    monkeypatch.setattr(cli_module._catalog, "global_iso_probe", violate)
+    code = run(["probe", "--order", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {
+        "schema_version": 1,
+        "error": {"type": "TheoremViolation",
+                  "message": "probe map fails re-verification"}}
+    assert captured.err == \
+        "theorem violation: probe map fails re-verification\n"
 
 
 def test_module_entry_point(tables):

@@ -9,13 +9,14 @@ import pytest
 import powersemi
 
 from powersemi import (FiniteSemigroup, Morphism, PreconditionViolated,
-                       all_automorphisms_bruteforce, all_isomorphisms,
-                       build_power_semigroup,
+                       SubsetFamily, all_automorphisms_bruteforce,
+                       all_isomorphisms, build_power_semigroup,
                        cancellative_preservation_check,
                        describe_fingerprint_mismatch, find_isomorphism,
                        fingerprint, full_family, homomorphisms,
                        isomorphic_bruteforce, lift_isomorphism,
-                       restrict_isomorphism, verify_commutativity_transfer)
+                       restrict_isomorphism, singleton_family,
+                       verify_commutativity_transfer)
 from powersemi import zoo
 
 
@@ -173,6 +174,91 @@ def test_restrict_precondition_failures():
                        [0, 0, 0])
     with pytest.raises(PreconditionViolated):
         restrict_isomorphism(bad_map, full_family(z2), full_family(z2))
+
+
+def symmetric_group_3():
+    perms = list(permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteSemigroup([[index[tuple(p[q[x]] for x in range(3))]
+                             for q in perms] for p in perms])
+
+
+def between(source_family, target_family, mapping=None):
+    """A map between the materializations of two families, identity by
+    default."""
+    source = source_family.as_semigroup()
+    target = target_family.as_semigroup()
+    return Morphism(source, target,
+                    range(source.order) if mapping is None else mapping)
+
+
+def only_one_hypothesis_fails(name):
+    """(morphism, source family, target family) breaking one hypothesis of
+    the transfer checks and keeping every other one."""
+    z2, z4, s3 = zoo.cyclic_group(2), zoo.cyclic_group(4), symmetric_group_3()
+    # Z2 with a zero adjoined: not cancellative, and P(Z2) is a copy of it.
+    z2_zero = FiniteSemigroup([[0, 1, 2], [1, 0, 2], [2, 2, 2]])
+    # The cosets of {0, 2} in Z4: a copy of Z2, closed but missing subsets.
+    cosets = SubsetFamily(z4, [0b0101, 0b1010])
+    power_z2 = build_power_semigroup(z2)
+    return {
+        "not-isomorphism": (Morphism(power_z2, power_z2, [0, 0, 0]),
+                            full_family(z2), full_family(z2)),
+        "source-not-complete": (between(cosets, singleton_family(z2)),
+                                cosets, singleton_family(z2)),
+        "target-not-complete": (between(singleton_family(z2), cosets),
+                                singleton_family(z2), cosets),
+        "source-not-cancellative": (
+            between(singleton_family(z2_zero), full_family(z2)),
+            singleton_family(z2_zero), full_family(z2)),
+        "target-not-cancellative": (
+            between(full_family(z2), singleton_family(z2_zero)),
+            full_family(z2), singleton_family(z2_zero)),
+        "none-commutative": (
+            between(singleton_family(s3), singleton_family(s3)),
+            singleton_family(s3), singleton_family(s3)),
+        "source-not-commutative": (
+            between(singleton_family(s3), singleton_family(s3)),
+            singleton_family(s3), singleton_family(s3)),
+        "wrong-semigroups": (Morphism(power_z2, power_z2, [0, 1, 2]),
+                             singleton_family(z2), singleton_family(z2)),
+    }[name]
+
+
+NOT_ISO = "map is not a verified isomorphism"
+SOURCE_INCOMPLETE = "source family is not downward complete"
+TARGET_INCOMPLETE = "target family is not downward complete"
+WRONG_SEMIGROUPS = "map does not act between the materialized families"
+
+
+@pytest.mark.parametrize("case, message", [
+    ("not-isomorphism", NOT_ISO),
+    ("source-not-complete", SOURCE_INCOMPLETE),
+    ("target-not-complete", TARGET_INCOMPLETE),
+    ("source-not-cancellative", "source carrier is not cancellative"),
+    ("target-not-cancellative", "target carrier is not cancellative"),
+    ("none-commutative", "neither carrier is commutative"),
+    ("wrong-semigroups", WRONG_SEMIGROUPS),
+])
+def test_restrict_rejects_each_failed_hypothesis(case, message):
+    morphism, source_family, target_family = only_one_hypothesis_fails(case)
+    with pytest.raises(PreconditionViolated) as info:
+        restrict_isomorphism(morphism, source_family, target_family)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case, message", [
+    ("not-isomorphism", NOT_ISO),
+    ("source-not-complete", SOURCE_INCOMPLETE),
+    ("target-not-complete", TARGET_INCOMPLETE),
+    ("source-not-commutative", "source carrier is not commutative"),
+    ("wrong-semigroups", WRONG_SEMIGROUPS),
+])
+def test_commutativity_transfer_rejects_each_failed_hypothesis(case, message):
+    morphism, source_family, target_family = only_one_hypothesis_fails(case)
+    with pytest.raises(PreconditionViolated) as info:
+        verify_commutativity_transfer(morphism, source_family, target_family)
+    assert str(info.value) == message
 
 
 def test_commutativity_transfer_on_lifts():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powersemi import (CASE2, NonMemberInput, NumericalMonoid,
-                       PreconditionViolated, equality_campaign, nm_equal,
+                       PreconditionViolated, equality_campaign,
                        random_member_set, random_monoid, witness_campaign)
 
 
@@ -62,12 +62,11 @@ def test_generator_validation():
 
 
 def test_equality_by_gap_sets():
-    assert nm_equal(NumericalMonoid((2, 3)), NumericalMonoid((2, 3)))
-    assert not nm_equal(NumericalMonoid((2, 3)), NumericalMonoid((3, 4, 5)))
+    assert NumericalMonoid((2, 3)) == NumericalMonoid((2, 3))
+    assert NumericalMonoid((2, 3)) != NumericalMonoid((3, 4, 5))
     # redundant generator, same monoid
-    assert nm_equal(NumericalMonoid((2, 3)), NumericalMonoid((2, 3, 5)))
-    assert not nm_equal(NumericalMonoid((4, 6, 9)),
-                        NumericalMonoid((4, 6, 9, 11)))
+    assert NumericalMonoid((2, 3)) == NumericalMonoid((2, 3, 5))
+    assert NumericalMonoid((4, 6, 9)) != NumericalMonoid((4, 6, 9, 11))
 
 
 def test_sumsets():

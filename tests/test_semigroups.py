@@ -4,8 +4,7 @@ import pytest
 
 from powersemi import (FiniteSemigroup, IndexOutOfRange, NonAssociative,
                        NotCompatible, all_congruences,
-                       congruence_from_partition, format_table, parse_table,
-                       validate_semigroup)
+                       congruence_from_partition, format_table, parse_table)
 from powersemi import zoo
 
 
@@ -19,14 +18,14 @@ def naive_is_associative(rows, n):
 
 
 def test_z2_is_a_commutative_monoid():
-    sgr = validate_semigroup([[0, 1], [1, 0]])
+    sgr = FiniteSemigroup([[0, 1], [1, 0]])
     assert sgr.order == 2
     assert sgr.commutative
     assert sgr.identity == 0
 
 
 def test_null_semigroup_valid_without_identity():
-    sgr = validate_semigroup([[0, 0], [0, 0]])
+    sgr = FiniteSemigroup([[0, 0], [0, 0]])
     assert sgr.commutative
     assert sgr.identity is None
 
