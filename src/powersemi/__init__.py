@@ -25,8 +25,8 @@ from .morphisms import (IsoFingerprint, Morphism, all_automorphisms_bruteforce,
                         restrict_isomorphism, verify_commutativity_transfer)
 from .numerical import (NumericalMonoid, equality_campaign, random_member_set,
                         random_monoid, witness_campaign)
-from .power import (POWER_CAP, POWER_CAP_MAX, CompletenessCertificate,
-                    SubsetElement, SubsetFamily, bits, build_power_semigroup,
+from .power import (POWER_CAP_MAX, CompletenessCertificate, SubsetElement,
+                    SubsetFamily, bits, build_power_semigroup,
                     congruence_family, downward_complete_closure,
                     downward_completeness, family_report, full_family,
                     mask_of, mask_product, setwise_product, singleton_family,

@@ -13,8 +13,8 @@ from .cancellation import (cancellative_elements_bruteforce,
                            singleton_cancellative_elements)
 from .errors import OrderUnsupported, TheoremViolation
 from .morphisms import IsoFingerprint, find_isomorphism, fingerprint
-from .power import (POWER_CAP, _check_cap, build_power_semigroup,
-                    congruence_family, downward_complete_closure, full_family)
+from .power import (build_power_semigroup, congruence_family,
+                    downward_complete_closure, full_family)
 from .semigroups import FiniteSemigroup, all_congruences
 
 ENUM_MAX = 5
@@ -29,15 +29,13 @@ class CatalogEntry:
     fingerprint: IsoFingerprint
     _power: FiniteSemigroup | None = field(default=None, repr=False)
 
-    def power_semigroup(self, cap=POWER_CAP):
-        # The cached table does not depend on cap, but every call is gated.
-        _check_cap(self.semigroup.order, cap)
+    def power_semigroup(self):
         if self._power is None:
-            self._power = build_power_semigroup(self.semigroup, cap)
+            self._power = build_power_semigroup(self.semigroup)
         return self._power
 
-    def power_fingerprint(self, cap=POWER_CAP):
-        return fingerprint(self.power_semigroup(cap))
+    def power_fingerprint(self):
+        return fingerprint(self.power_semigroup())
 
 
 def _fill(n, perms):
@@ -144,8 +142,7 @@ def canonical_tables(n):
     return _fill(n, perms)
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(n, up_to_isomorphism, long_running):
+def _check_order(n, long_running):
     if not 1 <= n <= ENUM_MAX:
         raise OrderUnsupported(f"order {n} outside the supported range "
                                f"[1, {ENUM_MAX}]")
@@ -153,6 +150,11 @@ def _enumerate_cached(n, up_to_isomorphism, long_running):
         raise OrderUnsupported(
             f"order {ENUM_MAX} runs for a while; pass long_running=True "
             "(CLI: --long-running) to opt in")
+
+
+@lru_cache(maxsize=None)
+def _enumerate_cached(n, up_to_isomorphism, long_running):
+    _check_order(n, long_running)
     if up_to_isomorphism:
         tables = canonical_tables(n)
     else:
@@ -191,8 +193,8 @@ def enumerate_semigroups(n, up_to_isomorphism=True, long_running=False):
     return list(_enumerate_cached(n, up_to_isomorphism, long_running))
 
 
-def global_iso_probe(n, long_running=False, cap=POWER_CAP,
-                     entries=None, timer=time.perf_counter):
+def global_iso_probe(n, long_running=False, entries=None,
+                     timer=time.perf_counter):
     """Compare the power semigroups of every pair of distinct catalog classes.
 
     The catalog entries are pairwise non-isomorphic by construction, so a
@@ -204,11 +206,11 @@ def global_iso_probe(n, long_running=False, cap=POWER_CAP,
     start = timer()
     if entries is None:
         entries = enumerate_semigroups(n, True, long_running)
-    powers = [entry.power_semigroup(cap) for entry in entries]
+    powers = [entry.power_semigroup() for entry in entries]
     total_pairs = len(entries) * (len(entries) - 1) // 2
     buckets = {}
     for idx, entry in enumerate(entries):
-        buckets.setdefault(entry.power_fingerprint(cap), []).append(idx)
+        buckets.setdefault(entry.power_fingerprint(), []).append(idx)
     survivors = sorted((i, j) for bucket in buckets.values()
                        for i, j in combinations(bucket, 2))
     counterexamples = []
@@ -235,7 +237,7 @@ def global_iso_probe(n, long_running=False, cap=POWER_CAP,
 
 
 def singleton_characterization_check(n, seed=0, closures_per_semigroup=3,
-                                     long_running=False, cap=POWER_CAP):
+                                     long_running=False):
     """Exhaustive agreement check of the two cancellativity classifiers.
 
     For every commutative catalogued semigroup of order <= n, the
@@ -244,6 +246,7 @@ def singleton_characterization_check(n, seed=0, closures_per_semigroup=3,
     closures must coincide with the singleton rule. Violations are
     reported, never expected.
     """
+    _check_order(n, long_running)
     rng = random.Random(seed)
     violations = []
     commutative_count = 0
@@ -254,7 +257,7 @@ def singleton_characterization_check(n, seed=0, closures_per_semigroup=3,
             if not sgr.commutative:
                 continue
             commutative_count += 1
-            families = [full_family(sgr, cap)]
+            families = [full_family(sgr)]
             families.extend(congruence_family(c) for c in all_congruences(sgr))
             for _ in range(closures_per_semigroup):
                 count = rng.randint(0, 2)

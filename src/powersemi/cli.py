@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a run surfaces a theorem-violation
 finding (so CI fails loudly on a mathematical surprise), 2 on usage
-errors, including tables that fail validation.
+errors, including tables that fail validation, and 3 on an internal
+error (an exception the package does not raise deliberately).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import catalog as _catalog
 from . import freewords as _freewords
@@ -21,15 +23,19 @@ from .errors import (NonAssociative, NotCompatible, TheoremViolation,
 from .morphisms import (describe_fingerprint_mismatch, find_isomorphism,
                         fingerprint, lift_isomorphism, restrict_isomorphism)
 from .numerical import NumericalMonoid
-from .power import (POWER_CAP, POWER_CAP_MAX, build_power_semigroup,
-                    congruence_family, downward_complete_closure,
-                    family_report, full_family, mask_of)
+from .power import (build_power_semigroup, congruence_family,
+                    downward_complete_closure, family_report, full_family,
+                    mask_of)
 from .semigroups import FiniteSemigroup, congruence_from_partition, read_table
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
+# Upper bound of each free-check size option; word length and set size
+# scale the memory of every trial directly.
+FREE_CHECK_MAX = 64
 
 
 class UsageError(Exception):
@@ -71,7 +77,7 @@ def _parse_mask(semigroup, text):
     return mask_of(elems)
 
 
-def _select_family(semigroup, args, cap):
+def _select_family(semigroup, args):
     if getattr(args, "congruence", None):
         labels = _parse_elements(args.congruence)
         try:
@@ -89,7 +95,7 @@ def _select_family(semigroup, args, cap):
                 continue
             masks.append(_parse_mask(semigroup, chunk))
         return downward_complete_closure(semigroup, masks)
-    return full_family(semigroup, cap)
+    return full_family(semigroup)
 
 
 def _cmd_validate(args):
@@ -105,7 +111,7 @@ def _cmd_validate(args):
 
 def _cmd_power(args):
     sgr = _load_semigroup(args.table)
-    power = build_power_semigroup(sgr, args.cap)
+    power = build_power_semigroup(sgr)
     return {
         "carrier_order": sgr.order,
         "order": power.order,
@@ -117,13 +123,13 @@ def _cmd_power(args):
 
 def _cmd_family(args):
     sgr = _load_semigroup(args.table)
-    family = _select_family(sgr, args, args.cap)
+    family = _select_family(sgr, args)
     return family_report(family), EXIT_OK
 
 
 def _cmd_cancellatives(args):
     sgr = _load_semigroup(args.table)
-    family = _select_family(sgr, args, args.cap)
+    family = _select_family(sgr, args)
     brute = sorted(m.mask for m in cancellative_elements_bruteforce(family))
     report = {
         "family": family_report(family),
@@ -143,7 +149,7 @@ def _cmd_cancellatives(args):
 
 def _cmd_witness(args):
     sgr = _load_semigroup(args.table)
-    family = _select_family(sgr, args, args.cap)
+    family = _select_family(sgr, args)
     mask = _parse_mask(sgr, args.set)
     witness = witness_noncancellative(mask, family)
     return witness.report(), EXIT_OK
@@ -173,7 +179,7 @@ def _cmd_lift(args):
     found, report = _verdict(left, right)
     report["power_map"] = None
     if found is not None:
-        lifted = lift_isomorphism(found, args.cap)
+        lifted = lift_isomorphism(found)
         report["power_map"] = list(lifted.mapping)
     return report, EXIT_OK
 
@@ -181,8 +187,8 @@ def _cmd_lift(args):
 def _cmd_restrict(args):
     left = _load_semigroup(args.table)
     right = _load_semigroup(args.other)
-    power_left = build_power_semigroup(left, args.cap)
-    power_right = build_power_semigroup(right, args.cap)
+    power_left = build_power_semigroup(left)
+    power_right = build_power_semigroup(right)
     found = find_isomorphism(power_left, power_right)
     report = {
         "power_isomorphic": found is not None,
@@ -193,8 +199,8 @@ def _cmd_restrict(args):
     if found is None:
         return report, EXIT_OK
     try:
-        small = restrict_isomorphism(found, full_family(left, args.cap),
-                                     full_family(right, args.cap))
+        small = restrict_isomorphism(found, full_family(left),
+                                     full_family(right))
     except TheoremViolation as exc:
         report["theorem_violation"] = str(exc)
         return report, EXIT_FINDING
@@ -215,8 +221,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_probe(args):
-    report = _catalog.global_iso_probe(
-        args.order, long_running=args.long_running, cap=args.cap)
+    report = _catalog.global_iso_probe(args.order,
+                                       long_running=args.long_running)
     code = EXIT_FINDING if report["counterexamples"] else EXIT_OK
     return report, code
 
@@ -307,7 +313,6 @@ def build_parser():
         prog="powersemi",
         description="Workbench for power semigroups of finite semigroups.")
     sub = parser.add_subparsers(dest="command", required=True)
-    cap_type = _int_in(1, POWER_CAP_MAX)
 
     def add(name, func, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)
@@ -320,7 +325,6 @@ def build_parser():
 
     p = add("power", _cmd_power, "materialize the power semigroup of a table")
     p.add_argument("--table", required=True)
-    p.add_argument("--cap", type=cap_type, default=POWER_CAP)
 
     for name, func, help_text in (
             ("family", _cmd_family,
@@ -331,7 +335,6 @@ def build_parser():
              "construct a non-cancellativity witness for a subset")):
         p = add(name, func, help_text)
         p.add_argument("--table", required=True)
-        p.add_argument("--cap", type=cap_type, default=POWER_CAP)
         p.add_argument("--generators",
                        help="semicolon-separated element lists, e.g. '0,2;1,3'; "
                             "the downward-complete closure is used")
@@ -350,8 +353,6 @@ def build_parser():
         p = add(name, func, help_text)
         p.add_argument("--table", required=True, help="first Cayley table file")
         p.add_argument("--other", required=True, help="second Cayley table file")
-        if name in ("lift", "restrict"):
-            p.add_argument("--cap", type=cap_type, default=POWER_CAP)
 
     p = add("enumerate", _cmd_enumerate,
             "enumerate all semigroups of one order")
@@ -362,7 +363,6 @@ def build_parser():
     p = add("probe", _cmd_probe,
             "compare power semigroups of all non-isomorphic pairs of one order")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--cap", type=cap_type, default=POWER_CAP)
 
     p = add("prop1-check", _cmd_prop1_check,
             "verify the two cancellativity classifiers agree over the catalog")
@@ -385,10 +385,12 @@ def build_parser():
 
     p = add("free-check", _cmd_free_check,
             "randomized cancellation checks over free-word sets")
-    p.add_argument("--alphabet", type=_int_in(2), default=4)
+    p.add_argument("--alphabet", type=_int_in(2, FREE_CHECK_MAX), default=4)
     p.add_argument("--trials", type=_int_in(0), default=10000)
-    p.add_argument("--max-word-len", type=_int_in(1), default=6)
-    p.add_argument("--max-set-size", type=_int_in(1), default=8)
+    p.add_argument("--max-word-len", type=_int_in(1, FREE_CHECK_MAX),
+                   default=6)
+    p.add_argument("--max-set-size", type=_int_in(1, FREE_CHECK_MAX),
+                   default=8)
 
     return parser
 
@@ -403,13 +405,21 @@ def _emit(report, args):
 
 
 def _failure(exc):
-    """Error report, exit code and stderr line for an exception of a run:
-    exit 1 for a TheoremViolation finding, 2 for anything else."""
-    finding = isinstance(exc, TheoremViolation)
-    kind = "UsageError" if isinstance(exc, UsageError) else type(exc).__name__
-    error = {"type": kind, "message": str(exc), **getattr(exc, "extra", {})}
-    return ({"error": error}, EXIT_FINDING if finding else EXIT_USAGE,
-            f"{'theorem violation' if finding else 'error'}: {exc}")
+    """Error report, exit code and stderr text for an exception of a run:
+    exit 1 for a TheoremViolation finding, 2 for a usage error, and 3 with
+    the traceback for any exception the package does not raise on purpose."""
+    usage = isinstance(exc, UsageError)
+    kind = "UsageError" if usage else type(exc).__name__
+    error = {"type": kind, "message": str(exc), **(exc.extra if usage else {})}
+    if isinstance(exc, TheoremViolation):
+        code, complaint = EXIT_FINDING, f"theorem violation: {exc}"
+    elif usage or isinstance(exc, WorkbenchError):
+        code, complaint = EXIT_USAGE, f"error: {exc}"
+    else:
+        code = EXIT_INTERNAL
+        complaint = ("".join(traceback.format_exception(exc))
+                     + f"internal error: {exc}")
+    return {"error": error}, code, complaint
 
 
 def run(argv=None):
@@ -417,11 +427,11 @@ def run(argv=None):
     complaint = None
     try:
         report, code = args.func(args)
-    except (UsageError, WorkbenchError) as exc:
+    except Exception as exc:
         report, code, complaint = _failure(exc)
     try:
         _emit({"schema_version": SCHEMA_VERSION, **report}, args)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         report, code, complaint = _failure(
             UsageError(f"cannot write report to {args.out}: {exc}"))
         _emit({"schema_version": SCHEMA_VERSION, **report}, None)

@@ -33,7 +33,7 @@ class AmbientMismatch(WorkbenchError):
 
 
 class OrderCapExceeded(WorkbenchError):
-    """Full materialization was requested above the configured cap."""
+    """Full materialization was requested above POWER_CAP_MAX."""
 
 
 class OrderUnsupported(WorkbenchError):

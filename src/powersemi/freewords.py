@@ -33,14 +33,13 @@ def word_product(xs, ys):
     return frozenset(x + y for x in xs for y in ys)
 
 
-def letters_cancellation_consistent(letters, ys1, ys2, side="left"):
+def letters_cancellation_consistent(letters, ys1, ys2):
     """Check that a set of single-letter words separates word sets.
 
-    For side "left" this returns (X * ys1 == X * ys2) == (ys1 == ys2)
-    where X is the set of one-letter words over the given letters; "right"
-    multiplies on the other side and "both" requires the two. The result
-    should always be True; a False return would be a finding, not a bug
-    in the caller.
+    Returns (X * ys1 == X * ys2) == (ys1 == ys2) and the same with X
+    multiplied on the right, where X is the set of one-letter words over
+    the given letters. The result should always be True; a False return
+    would be a finding, not a bug in the caller.
     """
     letters = frozenset(letters)
     if not letters or any(not isinstance(a, int) or a < 0 for a in letters):
@@ -48,14 +47,9 @@ def letters_cancellation_consistent(letters, ys1, ys2, side="left"):
             "letters must be a non-empty set of non-negative integers")
     x_words = {(a,) for a in letters}
     sets_equal = frozenset(map(tuple, ys1)) == frozenset(map(tuple, ys2))
-    consistent = True
-    if side in ("left", "both"):
-        products_equal = word_product(x_words, ys1) == word_product(x_words, ys2)
-        consistent = consistent and products_equal == sets_equal
-    if side in ("right", "both"):
-        products_equal = word_product(ys1, x_words) == word_product(ys2, x_words)
-        consistent = consistent and products_equal == sets_equal
-    return consistent
+    left_equal = word_product(x_words, ys1) == word_product(x_words, ys2)
+    right_equal = word_product(ys1, x_words) == word_product(ys2, x_words)
+    return left_equal == sets_equal and right_equal == sets_equal
 
 
 def leading_letter_disjoint(letters, ys1, ys2):
@@ -64,19 +58,18 @@ def leading_letter_disjoint(letters, ys1, ys2):
     For every pair a != b of the given letters, {a}*ys1 and {b}*ys2 must
     not intersect; unique factorization of words guarantees it, and this
     computes the intersections explicitly rather than appealing to that.
+    Each {b}*ys2 is built once, indexed by word, so the check is linear in
+    the number of letters.
     """
-    letters = sorted(set(letters))
+    letters = set(letters)
     ys1 = _check_word_set(ys1, "first word set")
     ys2 = _check_word_set(ys2, "second word set")
-    for a in letters:
-        left = {(a,) + w for w in ys1}
-        for b in letters:
-            if a == b:
-                continue
-            right = {(b,) + w for w in ys2}
-            if left & right:
-                return False
-    return True
+    leading = {}  # word -> every letter b with word in {b}*ys2
+    for b in letters:
+        for w in ys2:
+            leading.setdefault((b,) + w, set()).add(b)
+    return all(leading.get((a,) + w, set()) <= {a}
+               for a in letters for w in ys1)
 
 
 def random_word(rng, alphabet, max_len):
@@ -114,7 +107,7 @@ def cancellativity_campaign(alphabet=4, trials=10000, seed=0,
             "ys1": sorted(map(list, ys1)),
             "ys2": sorted(map(list, ys2)),
         }
-        if not letters_cancellation_consistent(letters, ys1, ys2, side="both"):
+        if not letters_cancellation_consistent(letters, ys1, ys2):
             violations.append(record)
         if not leading_letter_disjoint(letters, ys1, ys2):
             disjointness_failures.append(record)

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionViolated, TheoremViolation
-from .power import POWER_CAP, bits, build_power_semigroup
+from .power import bits, build_power_semigroup
 
 
 class Morphism:
@@ -265,7 +265,7 @@ def homomorphisms(source, target, surjective_only=False):
             yield morphism
 
 
-def lift_isomorphism(morphism, cap=POWER_CAP):
+def lift_isomorphism(morphism):
     """Lift a carrier isomorphism to the two full power semigroups.
 
     The lifted map sends the subset with mask m to its elementwise image,
@@ -274,8 +274,8 @@ def lift_isomorphism(morphism, cap=POWER_CAP):
     """
     if not morphism.is_isomorphism:
         raise PreconditionViolated("map is not a verified isomorphism")
-    power_source = build_power_semigroup(morphism.source, cap)
-    power_target = build_power_semigroup(morphism.target, cap)
+    power_source = build_power_semigroup(morphism.source)
+    power_target = build_power_semigroup(morphism.target)
     n = morphism.source.order
     lifted = []
     for mask in range(1, 1 << n):

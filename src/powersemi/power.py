@@ -17,21 +17,16 @@ from .errors import (AmbientMismatch, IndexOutOfRange, OrderCapExceeded,
 from .semigroups import FiniteSemigroup
 
 # Full materialization of the power semigroup is allowed for carriers up
-# to this order by default (31 elements, 961 products).
-POWER_CAP = 5
-# No cap may exceed this: an order-n power table has about 4**n cells, and
-# re-validating its associativity holds two uint8 temporaries of about 8**n
-# entries each (250 KB at order 6, 2 MB at order 7, 1 GB at order 10).
+# to this order (63 elements): an order-n power table has about 4**n cells,
+# and re-validating its associativity holds two uint8 temporaries of about
+# 8**n entries each (250 KB at order 6, 2 MB at order 7, 1 GB at order 10).
 POWER_CAP_MAX = 6
 
 
-def _check_cap(n, cap):
-    if cap > POWER_CAP_MAX:
+def _check_cap(n):
+    if n > POWER_CAP_MAX:
         raise OrderCapExceeded(
-            f"materialization cap {cap} exceeds the ceiling {POWER_CAP_MAX}")
-    if n > cap:
-        raise OrderCapExceeded(
-            f"carrier order {n} exceeds the materialization cap {cap}")
+            f"carrier order {n} exceeds the materialization cap {POWER_CAP_MAX}")
 
 
 def bits(mask):
@@ -123,7 +118,7 @@ def setwise_product(x, y):
     return SubsetElement(x.semigroup, mask_product(x.semigroup, x.mask, y.mask))
 
 
-def build_power_semigroup(semigroup, cap=POWER_CAP):
+def build_power_semigroup(semigroup):
     """Materialize the semigroup of all non-empty subsets of the carrier.
 
     The result has order 2**n - 1; its element k is the subset with mask
@@ -136,7 +131,7 @@ def build_power_semigroup(semigroup, cap=POWER_CAP):
     re-validates associativity of the setwise product mechanically.
     """
     n = semigroup.order
-    _check_cap(n, cap)
+    _check_cap(n)
     size = 1 << n
     # singles[i, Y] is the mask of {i} * Y, prod[X, Y] that of X * Y;
     # the empty mask 0 seeds both and is dropped at the end.
@@ -277,9 +272,9 @@ def downward_completeness(family):
     return CompletenessCertificate(True)
 
 
-def full_family(semigroup, cap=POWER_CAP):
+def full_family(semigroup):
     """The family of all non-empty subsets of the carrier."""
-    _check_cap(semigroup.order, cap)
+    _check_cap(semigroup.order)
     return SubsetFamily(semigroup, range(1, 1 << semigroup.order))
 
 

@@ -25,7 +25,11 @@ class FiniteSemigroup:
                  "_fingerprint", "_hash")
 
     def __init__(self, table):
-        arr = np.array(table, dtype=np.int64)
+        try:
+            arr = np.array(table, dtype=np.int64)
+        except OverflowError:
+            raise IndexOutOfRange("a table entry does not fit in 64 bits, "
+                                  "so it is outside the carrier")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise IndexOutOfRange(
                 f"expected a non-empty square table, got shape {arr.shape}")

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from powersemi import (OrderCapExceeded, OrderUnsupported, associative_tables,
+import powersemi.catalog as catalog_module
+from powersemi import (OrderUnsupported, associative_tables,
                        build_power_semigroup, canonical_tables,
                        enumerate_semigroups, find_isomorphism,
                        global_iso_probe, isomorphic_bruteforce,
@@ -181,14 +182,6 @@ def test_probe_order_three_negatives_hold_up_to_bruteforce(catalog):
         assert isomorphic_bruteforce(powers[i], powers[j]) is None
 
 
-def test_probe_cap_is_enforced_after_power_tables_are_cached(catalog):
-    global_iso_probe(3, entries=catalog[3])  # caches every power table
-    with pytest.raises(OrderCapExceeded):
-        global_iso_probe(3, entries=catalog[3], cap=2)
-    with pytest.raises(OrderCapExceeded):
-        catalog[3][0].power_fingerprint(cap=2)
-
-
 def test_probe_report_is_deterministic(catalog):
     one = global_iso_probe(3, entries=catalog[3], timer=lambda: 0.0)
     two = global_iso_probe(3, entries=catalog[3], timer=lambda: 0.0)
@@ -201,6 +194,18 @@ def test_characterization_check_small_orders():
     assert report["commutative_semigroups"] == 4  # orders 1 and 2 combined
     report = singleton_characterization_check(3, seed=5)
     assert report["violations"] == []
+
+
+@pytest.mark.parametrize("n,long_running",
+                         [(0, False), (-1, False), (5, False), (6, True)])
+def test_characterization_check_rejects_unsupported_orders_up_front(
+        n, long_running, monkeypatch):
+    def started(*args, **kwargs):
+        raise RuntimeError("enumeration started before the order check")
+
+    monkeypatch.setattr(catalog_module, "enumerate_semigroups", started)
+    with pytest.raises(OrderUnsupported):
+        singleton_characterization_check(n, long_running=long_running)
 
 
 def test_characterization_check_deterministic():

@@ -59,6 +59,14 @@ def test_validate_missing_file(tables, capsys):
     assert "error" in report
 
 
+def test_validate_entry_beyond_64_bits_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.tbl"
+    path.write_text("2\n0 99999999999999999999\n0 0\n")
+    code, report = invoke(capsys, "validate", "--table", str(path))
+    assert code == 2
+    assert report["error"]["type"] == "IndexOutOfRange"
+
+
 def test_power_subcommand(tables, capsys):
     code, report = invoke(capsys, "power", "--table", tables["z2"])
     assert code == 0
@@ -116,6 +124,19 @@ def test_witness_usage_error_on_singleton(tables, capsys):
                           "--set", "0")
     assert code == 2
     assert report["error"]["type"] == "PreconditionViolated"
+
+
+@pytest.mark.parametrize("command", ["power", "cancellatives"])
+def test_materialization_ceiling_needs_no_flag(command, tmp_path, capsys):
+    six = tmp_path / "null6.tbl"
+    six.write_text(format_table(zoo.null_semigroup(6)))
+    code, report = invoke(capsys, command, "--table", str(six))
+    assert code == 0
+    seven = tmp_path / "null7.tbl"
+    seven.write_text(format_table(zoo.null_semigroup(7)))
+    code, report = invoke(capsys, command, "--table", str(seven))
+    assert code == 2
+    assert report["error"]["type"] == "OrderCapExceeded"
 
 
 def test_iso_negative_with_mismatch_reason(tables, capsys):
@@ -196,6 +217,14 @@ def test_prop1_check_subcommand(capsys):
     assert report["violations"] == []
 
 
+@pytest.mark.parametrize("argv", [["--order", "0"], ["--order", "-1"],
+                                  ["--order", "6", "--long-running"]])
+def test_prop1_check_rejects_unsupported_orders(argv, capsys):
+    code, report = invoke(capsys, "prop1-check", *argv)
+    assert code == 2
+    assert report["error"]["type"] == "OrderUnsupported"
+
+
 def test_nm_subcommand(capsys):
     code, report = invoke(capsys, "nm", "--gens", "3,5", "--gaps")
     assert code == 0
@@ -260,6 +289,15 @@ def test_unwritable_out_path_is_a_usage_error(table, tables, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_out_path_with_a_nul_byte_is_a_usage_error(tables, capsys):
+    code = run(["validate", "--table", tables["z2"], "--out", "a\0b.json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "UsageError"
+    assert error["message"].startswith("cannot write report to a\0b.json: ")
+
+
 def test_theorem_violation_exits_1_with_json_error(monkeypatch, capsys):
     def violate(*args, **kwargs):
         raise TheoremViolation("probe map fails re-verification")
@@ -274,6 +312,22 @@ def test_theorem_violation_exits_1_with_json_error(monkeypatch, capsys):
                   "message": "probe map fails re-verification"}}
     assert captured.err == \
         "theorem violation: probe map fails re-verification\n"
+
+
+def test_internal_error_exits_3_with_json_error(monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setattr(cli_module._catalog, "global_iso_probe", crash)
+    code = run(["probe", "--order", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out) == {
+        "schema_version": 1,
+        "error": {"type": "RuntimeError", "message": "unexpected state"}}
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith(
+        "RuntimeError: unexpected state\ninternal error: unexpected state\n")
 
 
 def test_module_entry_point(tables):
@@ -292,7 +346,11 @@ def test_module_entry_point(tables):
     ["prop1-check", "--order", "2", "--closures", "-1"],
     ["power", "--table", "z2", "--cap", "7"],
     ["probe", "--order", "2", "--cap", "7"],
-], ids=["alphabet", "member", "trials", "closures", "power-cap", "probe-cap"])
+    ["free-check", "--alphabet", "65"],
+    ["free-check", "--max-word-len", "65"],
+    ["free-check", "--max-set-size", "65"],
+], ids=["alphabet", "member", "trials", "closures", "power-cap", "probe-cap",
+        "alphabet-max", "max-word-len-max", "max-set-size-max"])
 def test_rejected_argv_exits_2_with_json_error(argv, tables, capsys):
     argv = [tables.get(arg, arg) for arg in argv]
     with pytest.raises(SystemExit) as info:

@@ -55,6 +55,12 @@ def test_rejects_out_of_range_entries_and_bad_shapes():
         FiniteSemigroup([[-1, 0], [0, 0]])
 
 
+@pytest.mark.parametrize("entry", [2**63, 99999999999999999999, -2**63 - 1])
+def test_entries_beyond_64_bits_are_out_of_range(entry):
+    with pytest.raises(IndexOutOfRange):
+        FiniteSemigroup([[0, entry], [0, 0]])
+
+
 def test_order_cap_is_sixty_four():
     n = 65
     with pytest.raises(IndexOutOfRange):
