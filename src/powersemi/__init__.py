@@ -25,12 +25,12 @@ from .morphisms import (IsoFingerprint, Morphism, all_automorphisms_bruteforce,
                         restrict_isomorphism, verify_commutativity_transfer)
 from .numerical import (NumericalMonoid, equality_campaign, random_member_set,
                         random_monoid, witness_campaign)
-from .power import (POWER_CAP_MAX, CompletenessCertificate, SubsetElement,
-                    SubsetFamily, bits, build_power_semigroup,
+from .power import (FAMILY_MAX, POWER_CAP_MAX, CompletenessCertificate,
+                    SubsetElement, SubsetFamily, bits, build_power_semigroup,
                     congruence_family, downward_complete_closure,
-                    downward_completeness, family_report, full_family,
-                    mask_of, mask_product, setwise_product, singleton_family,
-                    submasks)
+                    downward_completeness, family_products, family_report,
+                    full_family, mask_of, mask_product, setwise_product,
+                    singleton_family, submasks)
 from .semigroups import (MAX_ORDER, Congruence, FiniteSemigroup,
                          all_congruences, congruence_from_partition,
                          format_table, parse_table, read_table)

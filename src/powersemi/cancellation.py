@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .errors import PreconditionViolated, TheoremViolation
 from .power import SubsetElement, bits, mask_product
 
@@ -62,11 +64,20 @@ def is_cancellative_in(member, family):
 
 
 def cancellative_elements_bruteforce(family):
-    """All members that are cancellative inside the family; the oracle route."""
+    """All members that are cancellative inside the family; the oracle route.
+
+    Member a is cancellative iff row a (X -> a*X) and column a (X -> X*a)
+    of the family's product matrix hold no repeated value, checked for
+    all members at once by sorting the rows and the columns.
+    """
     if not family.is_subsemigroup:
         raise PreconditionViolated("family is not closed under products")
-    return {SubsetElement(family.semigroup, m) for m in family.masks
-            if is_cancellative_in(m, family)}
+    by_row = np.sort(family.products, axis=1)
+    by_column = np.sort(family.products, axis=0)
+    cancellative = ((by_row[:, 1:] != by_row[:, :-1]).all(axis=1)
+                    & (by_column[1:] != by_column[:-1]).all(axis=0))
+    return {SubsetElement(family.semigroup, m)
+            for m, ok in zip(family.masks, cancellative.tolist()) if ok}
 
 
 def singleton_cancellative_elements(family):

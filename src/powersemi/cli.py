@@ -20,7 +20,8 @@ from .cancellation import (cancellative_elements_bruteforce,
                            witness_noncancellative)
 from .errors import (NonAssociative, NotCompatible, TheoremViolation,
                      WorkbenchError)
-from .morphisms import (describe_fingerprint_mismatch, find_isomorphism,
+from .morphisms import (check_restriction_hypotheses,
+                        describe_fingerprint_mismatch, find_isomorphism,
                         fingerprint, lift_isomorphism, restrict_isomorphism)
 from .numerical import NumericalMonoid
 from .power import (build_power_semigroup, congruence_family,
@@ -187,6 +188,7 @@ def _cmd_lift(args):
 def _cmd_restrict(args):
     left = _load_semigroup(args.table)
     right = _load_semigroup(args.other)
+    check_restriction_hypotheses(left, right)
     power_left = build_power_semigroup(left)
     power_right = build_power_semigroup(right)
     found = find_isomorphism(power_left, power_right)

@@ -33,7 +33,8 @@ class AmbientMismatch(WorkbenchError):
 
 
 class OrderCapExceeded(WorkbenchError):
-    """Full materialization was requested above POWER_CAP_MAX."""
+    """Materialization was requested above a ceiling: a power semigroup
+    above POWER_CAP_MAX, or a subset family above FAMILY_MAX members."""
 
 
 class OrderUnsupported(WorkbenchError):

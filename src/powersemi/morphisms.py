@@ -305,6 +305,18 @@ def _check_family_isomorphism(morphism, source_family, target_family):
             "map does not act between the materialized families")
 
 
+def check_restriction_hypotheses(source, target):
+    """Raise PreconditionViolated unless both carriers are cancellative and
+    at least one is commutative: the hypotheses of restrict_isomorphism
+    that need no power semigroup, so a caller can check them first."""
+    if not source.is_cancellative_semigroup():
+        raise PreconditionViolated("source carrier is not cancellative")
+    if not target.is_cancellative_semigroup():
+        raise PreconditionViolated("target carrier is not cancellative")
+    if not (source.commutative or target.commutative):
+        raise PreconditionViolated("neither carrier is commutative")
+
+
 def restrict_isomorphism(morphism, source_family, target_family):
     """Restrict a family-level isomorphism to the two carriers.
 
@@ -318,12 +330,7 @@ def restrict_isomorphism(morphism, source_family, target_family):
     _check_family_isomorphism(morphism, source_family, target_family)
     H = source_family.semigroup
     K = target_family.semigroup
-    if not H.is_cancellative_semigroup():
-        raise PreconditionViolated("source carrier is not cancellative")
-    if not K.is_cancellative_semigroup():
-        raise PreconditionViolated("target carrier is not cancellative")
-    if not (H.commutative or K.commutative):
-        raise PreconditionViolated("neither carrier is commutative")
+    check_restriction_hypotheses(H, K)
 
     restricted = []
     for x in range(H.order):

@@ -3,6 +3,14 @@
 Subsets of a carrier {0, ..., n-1} are bit masks: bit i set means element
 i belongs to the subset. The full power semigroup of S lists all non-zero
 masks in ascending order, so element k corresponds to mask k + 1.
+
+Products come from three places. `mask_product` multiplies two masks in
+Python, for single products. `build_power_semigroup` fills the full power
+table by a bit-DP in numpy. `family_products` multiplies every mask of one
+list by every mask of another, in numpy steps over the carrier, for any
+carrier order up to 64; a `SubsetFamily` holds the matrix of its members'
+products, 8 bytes per product, and answers closure, materialization and
+cancellativity from it.
 """
 
 from __future__ import annotations
@@ -22,11 +30,22 @@ from .semigroups import FiniteSemigroup
 # 8**n entries each (250 KB at order 6, 2 MB at order 7, 1 GB at order 10).
 POWER_CAP_MAX = 6
 
+# A SubsetFamily holds the matrix of its member products, 8 * k**2 bytes
+# for k members: 32 MiB at this ceiling, which an order-11 full family
+# reaches.
+FAMILY_MAX = 2047
+
 
 def _check_cap(n):
     if n > POWER_CAP_MAX:
         raise OrderCapExceeded(
             f"carrier order {n} exceeds the materialization cap {POWER_CAP_MAX}")
+
+
+def _check_family_size(k):
+    if k > FAMILY_MAX:
+        raise OrderCapExceeded(
+            f"a family of {k} members exceeds the ceiling {FAMILY_MAX}")
 
 
 def bits(mask):
@@ -66,6 +85,31 @@ def mask_product(semigroup, xmask, ymask):
             ylow = ym & -ym
             out |= 1 << row[ylow.bit_length() - 1]
             ym ^= ylow
+    return out
+
+
+def family_products(semigroup, xs, ys):
+    """The uint64 matrix whose entry (a, b) is the mask of xs[a] * ys[b].
+
+    The bit-DP of build_power_semigroup restricted to the listed masks:
+    first the masks of {i} * ys[b] for every carrier element i, by OR-ing
+    1 << i*j into every column whose ys[b] holds bit j; then xs[a] * ys[b]
+    as the OR of {i} * ys[b] over the bits i of xs[a]. That is 2n numpy
+    steps for a carrier of order n, each accumulating in place, so memory
+    is the result plus O(n * (len(xs) + len(ys))) scratch.
+    """
+    n = semigroup.order
+    shifts = np.arange(n, dtype=np.uint64)[:, None]
+    xbits = (np.asarray(xs, dtype=np.uint64) >> shifts & 1).astype(bool)
+    ybits = (np.asarray(ys, dtype=np.uint64) >> shifts & 1).astype(bool)
+    images = np.left_shift(np.uint64(1), semigroup.table.astype(np.uint64))
+    singles = np.zeros((n, ybits.shape[1]), dtype=np.uint64)
+    out = np.zeros((xbits.shape[1], ybits.shape[1]), dtype=np.uint64)
+    for j in range(n):
+        np.bitwise_or(singles, images[:, j, None], out=singles,
+                      where=ybits[j])
+    for i in range(n):
+        np.bitwise_or(out, singles[i], out=out, where=xbits[i, :, None])
     return out
 
 
@@ -169,11 +213,15 @@ class SubsetFamily:
     """A deduplicated family of non-empty subsets over one ambient.
 
     Masks are kept sorted; membership is answered by binary search.
-    Closure and downward-completeness flags are computed once at
-    construction, after which instances are immutable.
+    Construction computes the matrix of all member products with
+    family_products (8 * k**2 bytes for k members, at most FAMILY_MAX
+    of them) and, from it, the
+    closure and downward-completeness flags; the matrix also serves
+    as_semigroup and the brute-force cancellativity classifier. Instances
+    are immutable afterwards.
     """
 
-    __slots__ = ("semigroup", "masks", "is_subsemigroup",
+    __slots__ = ("semigroup", "masks", "products", "is_subsemigroup",
                  "is_downward_complete", "_materialized")
 
     def __init__(self, semigroup, masks):
@@ -185,20 +233,31 @@ class SubsetFamily:
             bad = cleaned[0] if cleaned[0] <= 0 else cleaned[-1]
             raise IndexOutOfRange(
                 f"mask {bad} is not a non-empty subset of the carrier")
+        _check_family_size(len(cleaned))
         self.semigroup = semigroup
         self.masks = cleaned
+        self.products = family_products(semigroup, cleaned, cleaned)
+        self.products.setflags(write=False)
         cert = downward_completeness(self)
         self.is_subsemigroup = cert.failed != "closure"
         self.is_downward_complete = cert.ok
         self._materialized = None
 
+    def _product_indices(self):
+        """Member index of every product, and whether it is a member."""
+        sorted_masks = np.array(self.masks, dtype=np.uint64)
+        idx = np.searchsorted(sorted_masks, self.products)
+        np.minimum(idx, len(self.masks) - 1, out=idx)
+        return idx, sorted_masks[idx] == self.products
+
     def _closure_witness(self):
-        for a in self.masks:
-            for b in self.masks:
-                p = mask_product(self.semigroup, a, b)
-                if p not in self:
-                    return a, b, p
-        return None
+        """The first pair of members, in row-major order, whose product
+        is not a member, with that product; None for a closed family."""
+        _, member = self._product_indices()
+        if member.all():
+            return None
+        a, b = np.argwhere(~member)[0]
+        return self.masks[a], self.masks[b], int(self.products[a, b])
 
     def __contains__(self, mask):
         if isinstance(mask, SubsetElement):
@@ -242,9 +301,7 @@ class SubsetFamily:
         if not self.is_subsemigroup:
             raise PreconditionViolated("family is not closed under products")
         if self._materialized is None:
-            table = [[self.index(mask_product(self.semigroup, a, b))
-                      for b in self.masks] for a in self.masks]
-            self._materialized = FiniteSemigroup(table)
+            self._materialized = FiniteSemigroup(self._product_indices()[0])
         return self._materialized
 
 
@@ -265,9 +322,10 @@ def downward_completeness(family):
         missing = next(x for x in range(family.semigroup.order)
                        if not covered >> x & 1)
         return CompletenessCertificate(False, "coverage", (missing,))
+    members = set(family.masks)
     for m in family.masks:
         for sub in submasks(m):
-            if sub not in family:
+            if sub not in members:
                 return CompletenessCertificate(False, "subsets", (m, sub))
     return CompletenessCertificate(True)
 
@@ -290,32 +348,29 @@ def downward_complete_closure(semigroup, generators=()):
     non-empty subsets of members and under setwise products until a
     fixpoint is reached. Idempotent and monotone in the generator set.
     """
-    members = {1 << x for x in range(semigroup.order)}
+    fresh = {1 << x for x in range(semigroup.order)}
     for g in generators:
         mask = g.mask if isinstance(g, SubsetElement) else int(g)
         if mask <= 0 or mask >= (1 << semigroup.order):
             raise IndexOutOfRange(f"generator mask {mask} outside the carrier")
-        members.add(mask)
-    changed = True
-    while changed:
-        changed = False
-        for m in list(members):
-            for sub in submasks(m):
-                if sub not in members:
-                    members.add(sub)
-                    changed = True
+        fresh.add(mask)
+    members = set()
+    while fresh:
+        for m in fresh:
+            # Every member's subsets join the closure, so each count
+            # bounds its size from below.
+            _check_family_size((1 << m.bit_count()) - 1)
+            members.update(submasks(m))
+            _check_family_size(len(members))
         snapshot = list(members)
-        for a in snapshot:
-            for b in snapshot:
-                p = mask_product(semigroup, a, b)
-                if p not in members:
-                    members.add(p)
-                    changed = True
+        products = family_products(semigroup, snapshot, snapshot)
+        fresh = set(np.unique(products).tolist()) - members
     return SubsetFamily(semigroup, members)
 
 
 def congruence_family(congruence):
     """All non-empty subsets of each congruence class, as one family."""
+    _check_family_size(sum((1 << len(cls)) - 1 for cls in congruence.classes))
     masks = []
     for cls in congruence.classes:
         masks.extend(submasks(mask_of(cls)))

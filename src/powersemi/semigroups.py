@@ -5,6 +5,8 @@ Elements are the indices 0..n-1 and ``table[i][j]`` is the product i*j.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .errors import IndexOutOfRange, NonAssociative, NotCompatible
@@ -12,6 +14,10 @@ from .errors import IndexOutOfRange, NonAssociative, NotCompatible
 # Subsets of the carrier are encoded as bit masks elsewhere in the package,
 # so the carrier must fit in one machine word.
 MAX_ORDER = 64
+
+# all_congruences checks partitions in batches of at most this many
+# quadruple flags (n**4 per partition), a few MB of temporaries.
+_BATCH_FLAGS = 1 << 18
 
 
 class FiniteSemigroup:
@@ -168,25 +174,28 @@ def _normalize_labels(labels):
 def congruence_from_partition(semigroup, labels):
     """Validate a partition as a congruence or raise NotCompatible.
 
-    The check scans all quadruples (x1, y1, x2, y2) with x1 ~ y1 and
-    x2 ~ y2 and requires x1*x2 ~ y1*y2; the first failure is reported.
+    The check covers all quadruples (x1, y1, x2, y2) with x1 ~ y1 and
+    x2 ~ y2 and requires x1*x2 ~ y1*y2, as one n**4 boolean array; the
+    first failure in (x1, y1, x2, y2) order is reported.
     """
     n = semigroup.order
     if len(labels) != n:
         raise IndexOutOfRange(f"expected {n} labels, got {len(labels)}")
     lab = _normalize_labels(labels)
-    rows = semigroup.rows
-    for x1 in range(n):
-        for y1 in range(n):
-            if lab[x1] != lab[y1]:
-                continue
-            for x2 in range(n):
-                for y2 in range(n):
-                    if lab[x2] != lab[y2]:
-                        continue
-                    if lab[rows[x1][x2]] != lab[rows[y1][y2]]:
-                        raise NotCompatible(x1, y1, x2, y2)
+    bad = _incompatible(semigroup, np.array([lab]))[0]
+    if bad.any():
+        raise NotCompatible(*(int(v) for v in np.argwhere(bad)[0]))
     return Congruence(semigroup, lab)
+
+
+def _incompatible(semigroup, labels):
+    """bad[k, x1, y1, x2, y2] for each labelling labels[k]: x1 ~ y1 and
+    x2 ~ y2 under it, but x1*x2 and y1*y2 fall in different blocks."""
+    same = labels[:, :, None] == labels[:, None, :]
+    product_label = labels[:, semigroup.table]
+    return (same[:, :, :, None, None] & same[:, None, None, :, :]
+            & (product_label[:, :, None, :, None]
+               != product_label[:, None, :, None, :]))
 
 
 def _label_vectors(n):
@@ -205,13 +214,16 @@ def _label_vectors(n):
 
 
 def all_congruences(semigroup):
-    """Every congruence of the semigroup, by scanning all set partitions."""
+    """Every congruence of the semigroup, by checking all set partitions,
+    as many at once as keep the n**4 flags of each within _BATCH_FLAGS."""
+    vectors = _label_vectors(semigroup.order)
+    per_batch = max(1, _BATCH_FLAGS // semigroup.order ** 4)
     found = []
-    for labels in _label_vectors(semigroup.order):
-        try:
-            found.append(congruence_from_partition(semigroup, labels))
-        except NotCompatible:
-            pass
+    while batch := list(islice(vectors, per_batch)):
+        bad = _incompatible(semigroup, np.array(batch))
+        compatible = ~bad.reshape(len(batch), -1).any(axis=1)
+        found.extend(Congruence(semigroup, labels)
+                     for labels, ok in zip(batch, compatible.tolist()) if ok)
     return found
 
 

@@ -1,12 +1,14 @@
 import pytest
 
+import powersemi.catalog as catalog_module
 from powersemi import (CASE1, CASE2, PreconditionViolated, SubsetFamily,
                        all_congruences, cancellative_elements_bruteforce,
                        congruence_family, congruence_from_partition,
-                       find_witness_bruteforce, full_family, mask_of,
-                       mask_product, singleton_cancellative_elements,
-                       singleton_family, verify_witness,
-                       witness_noncancellative)
+                       find_witness_bruteforce, full_family,
+                       is_cancellative_in, mask_of, mask_product,
+                       singleton_cancellative_elements,
+                       singleton_characterization_check, singleton_family,
+                       verify_witness, witness_noncancellative)
 from powersemi import zoo
 
 
@@ -158,3 +160,27 @@ def test_singleton_observation_family_not_subset_closed():
     assert masks_of(cancellative_elements_bruteforce(fam)) == {1, 2, 4}
     with pytest.raises(PreconditionViolated):
         singleton_cancellative_elements(fam)
+
+
+def test_bruteforce_matches_per_member_check_on_prop1_families(monkeypatch):
+    checked = []
+
+    def compare(family):
+        found = cancellative_elements_bruteforce(family)
+        assert masks_of(found) == {m for m in family.masks
+                                   if is_cancellative_in(m, family)}
+        checked.append(family)
+        return found
+
+    monkeypatch.setattr(catalog_module, "cancellative_elements_bruteforce",
+                        compare)
+    report = singleton_characterization_check(4)
+    assert report["violations"] == []
+    assert len(checked) == report["families_checked"] == 739
+
+
+def test_bruteforce_matches_per_member_check_on_noncommutative_families():
+    for sgr in (zoo.left_zero(3), zoo.right_zero(3), zoo.null_semigroup(3)):
+        for fam in (full_family(sgr), singleton_family(sgr)):
+            assert masks_of(cancellative_elements_bruteforce(fam)) == \
+                {m for m in fam.masks if is_cancellative_in(m, fam)}

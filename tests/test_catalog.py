@@ -1,15 +1,16 @@
 import itertools
 import json
+from math import factorial
 
 import numpy as np
 import pytest
 
 import powersemi.catalog as catalog_module
-from powersemi import (OrderUnsupported, associative_tables,
-                       build_power_semigroup, canonical_tables,
-                       enumerate_semigroups, find_isomorphism,
-                       global_iso_probe, isomorphic_bruteforce,
-                       singleton_characterization_check)
+from powersemi import (OrderUnsupported, all_automorphisms_bruteforce,
+                       associative_tables, build_power_semigroup,
+                       canonical_tables, enumerate_semigroups,
+                       find_isomorphism, global_iso_probe,
+                       isomorphic_bruteforce, singleton_characterization_check)
 
 
 def naive_is_associative(rows, n):
@@ -126,7 +127,7 @@ def test_canonical_tables_are_the_orbit_minimal_labeled_tables(n):
 # OEIS A027851 (classes up to isomorphism), A023814 (labeled tables) and
 # A001423 (classes up to isomorphism or anti-isomorphism).
 CLASSES = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
-LABELED = {1: 1, 2: 8, 3: 113, 4: 3492}
+LABELED = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732}
 CLASSES_UP_TO_DUALITY = {1: 1, 2: 4, 3: 18, 4: 126, 5: 1160}
 
 
@@ -134,7 +135,7 @@ CLASSES_UP_TO_DUALITY = {1: 1, 2: 4, 3: 18, 4: 126, 5: 1160}
 def test_catalog_counts_match_published_sequences(n):
     entries = enumerate_semigroups(n, long_running=True)
     assert len(entries) == CLASSES[n]
-    if n in LABELED:
+    if n <= 4:  # associative_tables(5) runs for minutes
         assert sum(1 for _ in associative_tables(n)) == LABELED[n]
     # S and its transposed (anti-isomorphic) table are one class up to
     # duality; each catalog table is its own canonical form.
@@ -145,6 +146,15 @@ def test_catalog_counts_match_published_sequences(n):
     duality_classes = {min(table, canonical_form(e.semigroup.table.T))
                        for e, table in zip(entries, tables)}
     assert len(duality_classes) == CLASSES_UP_TO_DUALITY[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_stabilizer_count_of_labeled_tables(n):
+    # A class S of order n has n!/|Aut S| labeled tables, so the canonical
+    # catalog determines the labeled count without generating it.
+    entries = enumerate_semigroups(n, long_running=True)
+    assert sum(factorial(n) // len(all_automorphisms_bruteforce(e.semigroup))
+               for e in entries) == LABELED[n]
 
 
 def test_unsupported_orders():

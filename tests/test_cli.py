@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powersemi import TheoremViolation, format_table
 from powersemi import cli as cli_module
 from powersemi import zoo
-from powersemi.cli import run
+from powersemi.cli import build_parser, run
 
 Z2 = "2\n0 1\n1 0\n"
 Z3 = "3\n0 1 2\n1 2 0\n2 0 1\n"
@@ -139,6 +143,18 @@ def test_materialization_ceiling_needs_no_flag(command, tmp_path, capsys):
     assert report["error"]["type"] == "OrderCapExceeded"
 
 
+@pytest.mark.parametrize("choice", [["--congruence", ",".join(["0"] * 17)],
+                                    ["--generators",
+                                     ",".join(map(str, range(17)))]],
+                         ids=["congruence", "generators"])
+def test_family_above_the_ceiling_exits_2(choice, tmp_path, capsys):
+    path = tmp_path / "null17.tbl"
+    path.write_text(format_table(zoo.null_semigroup(17)))
+    code, report = invoke(capsys, "family", "--table", str(path), *choice)
+    assert code == 2
+    assert report["error"]["type"] == "OrderCapExceeded"
+
+
 def test_iso_negative_with_mismatch_reason(tables, capsys):
     code, report = invoke(capsys, "iso", "--table", tables["z4"],
                           "--other", tables["klein"])
@@ -179,6 +195,39 @@ def test_restrict_rejects_non_cancellative_carrier(tables, capsys):
                           "--other", tables["null2"])
     assert code == 2
     assert report["error"]["type"] == "PreconditionViolated"
+
+
+def test_restrict_rejects_a_non_isomorphic_pair_outside_the_hypotheses(
+        tables, capsys):
+    code, report = invoke(capsys, "restrict", "--table", tables["z2"],
+                          "--other", tables["null2"])
+    assert code == 2
+    assert report["error"] == {"type": "PreconditionViolated",
+                               "message": "target carrier is not cancellative"}
+
+
+def test_restrict_checks_carrier_hypotheses_before_the_power_search(tmp_path):
+    # Catalog carrier (5, 1) and a relabeling: P(S) has large sets of
+    # interchangeable elements, so the power-level search can run for
+    # minutes; the carriers are not cancellative, which needs no search.
+    rows = [[0] * 5] * 4 + [[0, 0, 0, 0, 1]]
+    perm = [4, 2, 0, 3, 1]
+    inv = [perm.index(x) for x in range(5)]
+    relabeled = [[perm[rows[inv[i]][inv[j]]] for j in range(5)]
+                 for i in range(5)]
+    paths = []
+    for name, table in (("s.tbl", rows), ("t.tbl", relabeled)):
+        path = tmp_path / name
+        path.write_text(format_table(table))
+        paths.append(str(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "powersemi", "restrict", "--table", paths[0],
+         "--other", paths[1]],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == {
+        "type": "PreconditionViolated",
+        "message": "source carrier is not cancellative"}
 
 
 def test_enumerate_subcommand(tables, capsys):
@@ -365,3 +414,129 @@ def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         run(["does-not-exist"])
     assert info.value.code == 2
+
+
+FUZZ_TABLES = {
+    "z2": Z2, "z3": Z3, "z4": Z4, "klein": KLEIN, "bad": BAD, "null2": NULL2,
+    "lz3": format_table(zoo.left_zero(3)),
+    "null6": format_table(zoo.null_semigroup(6)),
+    "null7": format_table(zoo.null_semigroup(7)),
+    "huge": "2\n0 99999999999999999999\n0 0\n",
+    "ragged": "2\n0 1\n1\n", "words": "two\n", "empty": "",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    tables = []
+    for name, text in FUZZ_TABLES.items():
+        path = root / f"{name}.tbl"
+        path.write_text(text)
+        tables.append(str(path))
+    tables.append(str(root / "missing.tbl"))
+    outs = [str(root / "report.json"), str(root / "missing" / "r.json"),
+            str(root)]
+    return tables, outs
+
+
+JUNK = ["", "x", " ", "1.5", "-", "0x10", "1e3", "--", "\u0663"]
+
+
+def integers(low, high):
+    """Option values: mostly integers in [low, high], else numbers far
+    outside any range or text that is not an integer."""
+    return st.one_of(*[st.integers(low, high)] * 6,
+                     st.integers(-2**70, 2**70),
+                     st.sampled_from(JUNK)).map(str)
+
+
+def element_lists(high):
+    """Comma-separated element lists: mostly elements in [0, high], else
+    negative or huge numbers and junk between the commas."""
+    item = st.one_of(*[st.integers(0, high)] * 6,
+                     st.integers(-2**70, 2**70), st.sampled_from(JUNK))
+    return st.lists(item, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+
+
+def argv_for(command, tables, outs):
+    """Random argv for one subcommand. --long-running is never drawn, and
+    --trials and --closures, which set the amount of work with no upper
+    bound, stay small, so that every example runs in well under a second.
+    Required options are drawn nine times in ten, others three in ten."""
+    required = {}
+    optional = {
+        "--out": st.sampled_from(outs),
+        "--seed": integers(-5, 5),
+        "--jobs": integers(-2, 4),
+    }
+    if command in ("validate", "power", "family", "cancellatives", "witness",
+                   "iso", "lift", "restrict"):
+        required["--table"] = st.sampled_from(tables)
+    if command in ("iso", "lift", "restrict"):
+        required["--other"] = st.sampled_from(tables)
+    if command in ("family", "cancellatives", "witness"):
+        optional["--generators"] = st.lists(element_lists(4),
+                                            max_size=3).map(";".join)
+        optional["--congruence"] = element_lists(4)
+    if command == "witness":
+        required["--set"] = element_lists(3)
+    if command in ("enumerate", "probe", "prop1-check"):
+        required["--order"] = integers(-1, 6)
+    if command == "prop1-check":
+        optional["--closures"] = st.one_of(st.integers(-3, 8).map(str),
+                                           st.sampled_from(JUNK))
+    if command in ("nm", "nm-witness"):
+        required["--gens"] = element_lists(40)
+    if command == "nm-witness":
+        required["--set"] = element_lists(60)
+    if command == "nm":
+        optional["--member"] = integers(-3, 100)
+    if command == "free-check":
+        required["--trials"] = st.one_of(st.integers(-3, 20).map(str),
+                                         st.sampled_from(JUNK))
+        for name in ("--alphabet", "--max-word-len", "--max-set-size"):
+            optional[name] = integers(-1, 70)
+    flags = {"enumerate": ["--labeled"], "nm": ["--gaps"]}.get(command, [])
+
+    @st.composite
+    def build(draw):
+        argv = [command]
+        for options, tenths in ((required, 9), (optional, 3)):
+            for name, values in options.items():
+                if draw(st.integers(0, 9)) < tenths:
+                    argv += [name, draw(values)]
+        for flag in flags:
+            if draw(st.booleans()):
+                argv.append(flag)
+        if draw(st.integers(0, 9)) == 0:
+            argv.append(draw(st.sampled_from(["junk", "--nope", "-x"])))
+        return argv
+
+    return build()
+
+
+COMMANDS = ["validate", "power", "family", "cancellatives", "witness", "iso",
+            "lift", "restrict", "enumerate", "probe", "prop1-check", "nm",
+            "nm-witness", "free-check"]
+
+
+def test_fuzz_commands_cover_the_parser():
+    subparsers = next(a for a in build_parser()._actions
+                      if a.dest == "command")
+    assert sorted(subparsers.choices) == sorted(COMMANDS)
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_random_argv_keeps_the_exit_code_contract(fuzz_paths, data):
+    command = data.draw(st.sampled_from(COMMANDS))
+    argv = data.draw(argv_for(command, *fuzz_paths))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,13 +1,17 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersemi import (POWER_CAP_MAX, AmbientMismatch, OrderCapExceeded,
-                       SubsetElement, SubsetFamily, build_power_semigroup,
+from powersemi import (FAMILY_MAX, POWER_CAP_MAX, AmbientMismatch,
+                       OrderCapExceeded, SubsetElement, SubsetFamily,
+                       all_congruences, build_power_semigroup,
                        congruence_from_partition, congruence_family,
                        downward_complete_closure, downward_completeness,
-                       family_report, full_family, mask_of, mask_product,
-                       setwise_product, singleton_family)
+                       family_products, family_report, full_family, mask_of,
+                       mask_product, setwise_product, singleton_family,
+                       submasks)
 from powersemi import zoo
 
 
@@ -259,3 +263,127 @@ def test_family_membership_and_indexing():
 def test_as_semigroup_matches_build_power_semigroup():
     z3 = zoo.cyclic_group(3)
     assert full_family(z3).as_semigroup() == build_power_semigroup(z3)
+
+
+def random_masks(rng, order, count):
+    return [rng.randrange(1, 1 << order) for _ in range(count)]
+
+
+def assert_products_match_mask_product(sgr, xs, ys):
+    products = family_products(sgr, xs, ys)
+    assert products.dtype == "uint64"
+    assert products.shape == (len(xs), len(ys))
+    assert products.tolist() == [[mask_product(sgr, a, b) for b in ys]
+                                 for a in xs]
+
+
+def test_family_products_match_mask_product_on_catalog(catalog):
+    rng = random.Random(11)
+    for entries in catalog.values():
+        for entry in entries:
+            sgr = entry.semigroup
+            xs = random_masks(rng, sgr.order, rng.randint(1, 9))
+            ys = random_masks(rng, sgr.order, rng.randint(1, 9))
+            assert_products_match_mask_product(sgr, xs, ys)
+
+
+@pytest.mark.parametrize("sgr", [zoo.null_semigroup(64), zoo.left_zero(64)],
+                         ids=["null64", "left_zero64"])
+def test_family_products_use_bit_63(sgr):
+    rng = random.Random(5)
+    top = 1 << 63
+    xs = [top, top | 1, (1 << 64) - 1] + random_masks(rng, 64, 5)
+    ys = [1, top, top | 6] + random_masks(rng, 64, 4)
+    assert_products_match_mask_product(sgr, xs, ys)
+
+
+def scalar_closure_witness(family):
+    """Oracle: the first non-member product in row-major member order."""
+    for a in family.masks:
+        for b in family.masks:
+            p = mask_product(family.semigroup, a, b)
+            if p not in family:
+                return a, b, p
+    return None
+
+
+def test_closure_witness_matches_row_major_scan(catalog):
+    rng = random.Random(3)
+    for order in (1, 2, 3):
+        for entry in catalog[order]:
+            sgr = entry.semigroup
+            for _ in range(10):
+                fam = SubsetFamily(sgr, random_masks(rng, order,
+                                                     rng.randint(1, 6)))
+                assert fam._closure_witness() == scalar_closure_witness(fam)
+    for sgr in (zoo.null_semigroup(64), zoo.left_zero(64)):
+        fam = SubsetFamily(sgr, [1 << 62, 1 << 63, 3 << 62])
+        assert fam._closure_witness() == scalar_closure_witness(fam)
+
+
+def closed_families(sgr):
+    families = [full_family(sgr), singleton_family(sgr)]
+    families += [congruence_family(c) for c in all_congruences(sgr)]
+    families += [downward_complete_closure(sgr, [m])
+                 for m in range(1, 1 << sgr.order, 3)]
+    return families
+
+
+def test_as_semigroup_matches_per_cell_index_table(catalog):
+    for order in (1, 2, 3):
+        for entry in catalog[order]:
+            for fam in closed_families(entry.semigroup):
+                table = [[fam.index(mask_product(fam.semigroup, a, b))
+                          for b in fam.masks] for a in fam.masks]
+                assert fam.as_semigroup().rows == table
+
+
+def scalar_closure(sgr, generators):
+    """Oracle: close under non-empty subsets and products, pair by pair,
+    until nothing changes."""
+    members = {1 << x for x in range(sgr.order)} | set(generators)
+    changed = True
+    while changed:
+        changed = False
+        for m in list(members):
+            for sub in submasks(m):
+                if sub not in members:
+                    members.add(sub)
+                    changed = True
+        snapshot = list(members)
+        for a in snapshot:
+            for b in snapshot:
+                p = mask_product(sgr, a, b)
+                if p not in members:
+                    members.add(p)
+                    changed = True
+    return sorted(members)
+
+
+def test_closure_matches_scalar_fixpoint(catalog):
+    rng = random.Random(8)
+    for entries in catalog.values():
+        for entry in entries:
+            sgr = entry.semigroup
+            gens = random_masks(rng, sgr.order, rng.randint(0, 2))
+            assert downward_complete_closure(sgr, gens).masks == \
+                scalar_closure(sgr, gens)
+
+
+def test_closure_of_full_mask_on_null9():
+    fam = downward_complete_closure(zoo.null_semigroup(9), [(1 << 9) - 1])
+    assert fam.masks == list(range(1, 1 << 9))
+    assert fam.is_downward_complete
+
+
+def test_family_ceiling_is_checked_before_any_product():
+    full = (1 << 64) - 1
+    with pytest.raises(OrderCapExceeded):
+        SubsetFamily(zoo.null_semigroup(12), range(1, FAMILY_MAX + 2))
+    with pytest.raises(OrderCapExceeded):
+        downward_complete_closure(zoo.null_semigroup(12), [(1 << 12) - 1])
+    with pytest.raises(OrderCapExceeded):
+        downward_complete_closure(zoo.null_semigroup(64), [full])
+    one_class = congruence_from_partition(zoo.null_semigroup(12), [0] * 12)
+    with pytest.raises(OrderCapExceeded):
+        congruence_family(one_class)

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+import powersemi.semigroups as semigroups_module
 from powersemi import (FiniteSemigroup, IndexOutOfRange, NonAssociative,
                        NotCompatible, all_congruences,
                        congruence_from_partition, format_table, parse_table)
 from powersemi import zoo
+from powersemi.semigroups import _label_vectors
 
 
 def naive_is_associative(rows, n):
@@ -195,3 +197,49 @@ def test_table_is_read_only():
     sgr = zoo.cyclic_group(2)
     with pytest.raises(ValueError):
         sgr.table[0, 0] = 1
+
+
+def scalar_incompatible_quadruple(rows, labels):
+    """Oracle: the first (x1, y1, x2, y2) with x1 ~ y1 and x2 ~ y2 but
+    x1*x2 !~ y1*y2, scanning the quadruples in nested-loop order."""
+    n = len(rows)
+    for x1 in range(n):
+        for y1 in range(n):
+            if labels[x1] != labels[y1]:
+                continue
+            for x2 in range(n):
+                for y2 in range(n):
+                    if labels[x2] != labels[y2]:
+                        continue
+                    if labels[rows[x1][x2]] != labels[rows[y1][y2]]:
+                        return (x1, y1, x2, y2)
+    return None
+
+
+def test_congruence_check_matches_scalar_scan_on_catalog(catalog):
+    checked = rejected = 0
+    for entries in catalog.values():
+        for entry in entries:
+            sgr = entry.semigroup
+            accepted = []
+            for labels in _label_vectors(sgr.order):
+                expected = scalar_incompatible_quadruple(sgr.rows, labels)
+                checked += 1
+                if expected is None:
+                    assert congruence_from_partition(sgr, labels).labels \
+                        == tuple(labels)
+                    accepted.append(tuple(labels))
+                    continue
+                rejected += 1
+                with pytest.raises(NotCompatible) as info:
+                    congruence_from_partition(sgr, labels)
+                assert info.value.quadruple == expected
+            assert [c.labels for c in all_congruences(sgr)] == accepted
+    assert 0 < rejected < checked
+
+
+def test_all_congruences_across_batches(monkeypatch):
+    z4 = zoo.cyclic_group(4)
+    whole = [c.labels for c in all_congruences(z4)]
+    monkeypatch.setattr(semigroups_module, "_BATCH_FLAGS", 2 * 4 ** 4)
+    assert [c.labels for c in all_congruences(z4)] == whole
