@@ -17,12 +17,12 @@ from .errors import (AmbientMismatch, IndexOutOfRange, NonAssociative,
                      WorkbenchError)
 from .freewords import (cancellativity_campaign, leading_letter_disjoint,
                         letters_cancellation_consistent, word_product)
-from .morphisms import (IsoFingerprint, Morphism, all_automorphisms_bruteforce,
-                        all_isomorphisms, cancellative_preservation_check,
+from .morphisms import (IsoFingerprint, Morphism, all_isomorphisms,
+                        cancellative_preservation_check,
                         describe_fingerprint_mismatch, element_profiles,
-                        find_isomorphism, fingerprint, homomorphisms,
-                        isomorphic_bruteforce, lift_isomorphism,
-                        restrict_isomorphism, verify_commutativity_transfer)
+                        find_isomorphism, fingerprint, fingerprints,
+                        lift_isomorphism, restrict_isomorphism,
+                        verify_commutativity_transfer)
 from .numerical import (NumericalMonoid, equality_campaign, random_member_set,
                         random_monoid, witness_campaign)
 from .power import (FAMILY_MAX, POWER_CAP_MAX, CompletenessCertificate,

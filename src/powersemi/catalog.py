@@ -12,7 +12,8 @@ from itertools import combinations, permutations
 from .cancellation import (cancellative_elements_bruteforce,
                            singleton_cancellative_elements)
 from .errors import OrderUnsupported, TheoremViolation
-from .morphisms import IsoFingerprint, find_isomorphism, fingerprint
+from .morphisms import (IsoFingerprint, find_isomorphism, fingerprint,
+                        fingerprints)
 from .power import (build_power_semigroup, congruence_family,
                     downward_complete_closure, full_family)
 from .semigroups import FiniteSemigroup, all_congruences
@@ -159,10 +160,9 @@ def _enumerate_cached(n, up_to_isomorphism, long_running):
         tables = canonical_tables(n)
     else:
         tables = associative_tables(n)
-    entries = []
-    for idx, table in enumerate(tables):
-        sgr = FiniteSemigroup(table)
-        entries.append(CatalogEntry(sgr, (n, idx), fingerprint(sgr)))
+    semigroups = [FiniteSemigroup(table) for table in tables]
+    entries = [CatalogEntry(sgr, (n, idx), fp) for idx, (sgr, fp)
+               in enumerate(zip(semigroups, fingerprints(semigroups)))]
     if up_to_isomorphism:
         _verify_pairwise_distinct(entries)
     return tuple(entries)
@@ -202,6 +202,11 @@ def global_iso_probe(n, long_running=False, entries=None,
     preserving verbatim: the report carries the full map, re-verified
     exhaustively by find_isomorphism, and the CLI turns any finding into
     exit code 1.
+
+    The power tables are fingerprinted in one batch by fingerprints, so
+    each power semigroup, cached on its entry, also caches its element
+    profiles and fingerprint; only pairs whose fingerprints agree are
+    searched.
     """
     start = timer()
     if entries is None:
@@ -209,8 +214,8 @@ def global_iso_probe(n, long_running=False, entries=None,
     powers = [entry.power_semigroup() for entry in entries]
     total_pairs = len(entries) * (len(entries) - 1) // 2
     buckets = {}
-    for idx, entry in enumerate(entries):
-        buckets.setdefault(entry.power_fingerprint(), []).append(idx)
+    for idx, power_fp in enumerate(fingerprints(powers)):
+        buckets.setdefault(power_fp, []).append(idx)
     survivors = sorted((i, j) for bucket in buckets.values()
                        for i, j in combinations(bucket, 2))
     counterexamples = []

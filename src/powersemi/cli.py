@@ -37,6 +37,13 @@ EXIT_INTERNAL = 3
 # Upper bound of each free-check size option; word length and set size
 # scale the memory of every trial directly.
 FREE_CHECK_MAX = 64
+# Upper bounds of the options that set how much work a run does. A
+# free-check trial takes about 0.1 ms at the default sizes, so the bound is
+# about 10 s of trials. A prop1-check closure is drawn from at most two
+# generators, so at order 5 there are 993 distinct draws and more
+# closures per semigroup only repeat families.
+TRIALS_MAX = 100_000
+CLOSURES_MAX = 1000
 
 
 class UsageError(Exception):
@@ -369,7 +376,7 @@ def build_parser():
     p = add("prop1-check", _cmd_prop1_check,
             "verify the two cancellativity classifiers agree over the catalog")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--closures", type=_int_in(0), default=3,
+    p.add_argument("--closures", type=_int_in(0, CLOSURES_MAX), default=3,
                    help="seeded random closures per semigroup")
 
     p = add("nm", _cmd_nm, "gap structure of a numerical monoid")
@@ -388,7 +395,7 @@ def build_parser():
     p = add("free-check", _cmd_free_check,
             "randomized cancellation checks over free-word sets")
     p.add_argument("--alphabet", type=_int_in(2, FREE_CHECK_MAX), default=4)
-    p.add_argument("--trials", type=_int_in(0), default=10000)
+    p.add_argument("--trials", type=_int_in(0, TRIALS_MAX), default=10000)
     p.add_argument("--max-word-len", type=_int_in(1, FREE_CHECK_MAX),
                    default=6)
     p.add_argument("--max-set-size", type=_int_in(1, FREE_CHECK_MAX),

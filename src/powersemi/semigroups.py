@@ -28,7 +28,7 @@ class FiniteSemigroup:
     """
 
     __slots__ = ("table", "rows", "order", "commutative", "identity",
-                 "_fingerprint", "_hash")
+                 "_profiles", "_fingerprint", "_hash")
 
     def __init__(self, table):
         try:
@@ -62,6 +62,7 @@ class FiniteSemigroup:
         self.order = n
         self.commutative = bool(np.array_equal(arr, arr.T))
         self.identity = self._find_identity()
+        self._profiles = None
         self._fingerprint = None
         self._hash = hash((n, arr.tobytes()))
 

@@ -1,16 +1,18 @@
 import itertools
 import json
+from collections import Counter
 from math import factorial
 
 import numpy as np
 import pytest
 
 import powersemi.catalog as catalog_module
-from powersemi import (OrderUnsupported, all_automorphisms_bruteforce,
-                       associative_tables, build_power_semigroup,
-                       canonical_tables, enumerate_semigroups,
-                       find_isomorphism, global_iso_probe,
-                       isomorphic_bruteforce, singleton_characterization_check)
+from powersemi import (OrderUnsupported, associative_tables,
+                       build_power_semigroup, canonical_tables,
+                       enumerate_semigroups, find_isomorphism,
+                       global_iso_probe, singleton_characterization_check)
+
+from oracles import all_automorphisms_bruteforce, isomorphic_bruteforce
 
 
 def naive_is_associative(rows, n):
@@ -180,6 +182,26 @@ def test_probe_order_two():
     assert report["classes"] == 5
     assert report["counterexamples"] == []
     assert report["pruned_by_fingerprint"] + len(report["counterexamples"]) <= 10
+
+
+@pytest.mark.parametrize("n,survivors,bucket_sizes", [
+    (4, 0, {1: 188}),
+    (5, 5, {1: 1905, 2: 5}),
+])
+def test_probe_counts_and_power_fingerprint_buckets(n, survivors,
+                                                    bucket_sizes):
+    # Pins the pruning: a fingerprint change that merges or splits buckets
+    # changes these numbers.
+    report = global_iso_probe(n, long_running=True, timer=lambda: 0.0)
+    classes = CLASSES[n]
+    pairs = classes * (classes - 1) // 2
+    assert report == {"order": n, "classes": classes, "pairs_checked": pairs,
+                      "counterexamples": [],
+                      "pruned_by_fingerprint": pairs - survivors,
+                      "elapsed_ms": 0}
+    entries = enumerate_semigroups(n, long_running=True)
+    sizes = Counter(Counter(e.power_fingerprint() for e in entries).values())
+    assert sizes == bucket_sizes
 
 
 def test_probe_order_three_negatives_hold_up_to_bruteforce(catalog):

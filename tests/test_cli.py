@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -398,8 +399,11 @@ def test_module_entry_point(tables):
     ["free-check", "--alphabet", "65"],
     ["free-check", "--max-word-len", "65"],
     ["free-check", "--max-set-size", "65"],
+    ["free-check", "--trials", "100001"],
+    ["prop1-check", "--order", "2", "--closures", "1001"],
 ], ids=["alphabet", "member", "trials", "closures", "power-cap", "probe-cap",
-        "alphabet-max", "max-word-len-max", "max-set-size-max"])
+        "alphabet-max", "max-word-len-max", "max-set-size-max", "trials-max",
+        "closures-max"])
 def test_rejected_argv_exits_2_with_json_error(argv, tables, capsys):
     argv = [tables.get(arg, arg) for arg in argv]
     with pytest.raises(SystemExit) as info:
@@ -459,10 +463,62 @@ def element_lists(high):
     return st.lists(item, max_size=4).map(lambda xs: ",".join(map(str, xs)))
 
 
+def amounts(high):
+    """Values of an option that sets the amount of work: small ones, ones
+    on both sides of its upper bound high, and integers() junk."""
+    return st.one_of(st.integers(-3, 20).map(str),
+                     *[st.integers(high - 2, high + 2).map(str)] * 2,
+                     integers(0, 20))
+
+
+# The options that set the amount of work, and their upper bounds.
+WORK = {"--trials": cli_module.TRIALS_MAX,
+        "--closures": cli_module.CLOSURES_MAX}
+
+
+@contextlib.contextmanager
+def small_work(calls):
+    """Record in calls the amount of work each run asks for, and do at
+    most 20 of it, so that every example stays fast."""
+    campaign = cli_module._freewords.cancellativity_campaign
+    check = cli_module._catalog.singleton_characterization_check
+
+    def small_campaign(**kwargs):
+        calls.append(("--trials", kwargs["trials"]))
+        return campaign(**{**kwargs, "trials": min(kwargs["trials"], 20)})
+
+    def small_check(order, **kwargs):
+        amount = kwargs["closures_per_semigroup"]
+        calls.append(("--closures", amount))
+        return check(order, **{**kwargs,
+                               "closures_per_semigroup": min(amount, 20)})
+
+    with mock.patch.object(cli_module._freewords, "cancellativity_campaign",
+                           small_campaign), \
+            mock.patch.object(cli_module._catalog,
+                              "singleton_characterization_check",
+                              small_check):
+        yield
+
+
+@pytest.mark.parametrize("argv", [["free-check", "--trials"],
+                                  ["prop1-check", "--order", "1",
+                                   "--closures"]], ids=["trials", "closures"])
+def test_work_option_at_its_bound_runs_and_above_it_starts_no_work(argv,
+                                                                  capsys):
+    option = argv[-1]
+    high = WORK[option]
+    calls = []
+    with small_work(calls):
+        assert run(argv + [str(high)]) == 0
+        with pytest.raises(SystemExit) as info:
+            run(argv + [str(high + 1)])
+    assert info.value.code == 2
+    assert calls == [(option, high)]
+
+
 def argv_for(command, tables, outs):
-    """Random argv for one subcommand. --long-running is never drawn, and
-    --trials and --closures, which set the amount of work with no upper
-    bound, stay small, so that every example runs in well under a second.
+    """Random argv for one subcommand. --long-running is never drawn.
     Required options are drawn nine times in ten, others three in ten."""
     required = {}
     optional = {
@@ -484,8 +540,7 @@ def argv_for(command, tables, outs):
     if command in ("enumerate", "probe", "prop1-check"):
         required["--order"] = integers(-1, 6)
     if command == "prop1-check":
-        optional["--closures"] = st.one_of(st.integers(-3, 8).map(str),
-                                           st.sampled_from(JUNK))
+        optional["--closures"] = amounts(cli_module.CLOSURES_MAX)
     if command in ("nm", "nm-witness"):
         required["--gens"] = element_lists(40)
     if command == "nm-witness":
@@ -493,8 +548,7 @@ def argv_for(command, tables, outs):
     if command == "nm":
         optional["--member"] = integers(-3, 100)
     if command == "free-check":
-        required["--trials"] = st.one_of(st.integers(-3, 20).map(str),
-                                         st.sampled_from(JUNK))
+        required["--trials"] = amounts(cli_module.TRIALS_MAX)
         for name in ("--alphabet", "--max-word-len", "--max-set-size"):
             optional[name] = integers(-1, 70)
     flags = {"enumerate": ["--labeled"], "nm": ["--gaps"]}.get(command, [])
@@ -533,10 +587,22 @@ def test_random_argv_keeps_the_exit_code_contract(fuzz_paths, data):
     command = data.draw(st.sampled_from(COMMANDS))
     argv = data.draw(argv_for(command, *fuzz_paths))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    calls = []
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            small_work(calls):
         try:
             code = run(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+    for option, amount in calls:
+        assert 0 <= amount <= WORK[option], argv
+    for option, text in zip(argv, argv[1:]):
+        if option in WORK:
+            try:
+                out_of_range = not 0 <= int(text) <= WORK[option]
+            except ValueError:
+                out_of_range = True
+            if out_of_range:
+                assert code == 2 and calls == [], argv

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations, permutations, product
@@ -7,17 +8,20 @@ from pathlib import Path
 import pytest
 
 import powersemi
+import powersemi.morphisms as morphisms_module
 
 from powersemi import (FiniteSemigroup, Morphism, PreconditionViolated,
-                       SubsetFamily, all_automorphisms_bruteforce,
-                       all_isomorphisms, build_power_semigroup,
+                       SubsetFamily, all_isomorphisms, build_power_semigroup,
                        cancellative_preservation_check,
-                       describe_fingerprint_mismatch, find_isomorphism,
-                       fingerprint, full_family, homomorphisms,
-                       isomorphic_bruteforce, lift_isomorphism,
+                       describe_fingerprint_mismatch, element_profiles,
+                       enumerate_semigroups, find_isomorphism, fingerprint,
+                       fingerprints, full_family, lift_isomorphism,
                        restrict_isomorphism, singleton_family,
                        verify_commutativity_transfer)
 from powersemi import zoo
+
+from oracles import (all_automorphisms_bruteforce, homomorphisms,
+                     isomorphic_bruteforce)
 
 
 def relabel(sgr, perm):
@@ -94,6 +98,71 @@ def test_fingerprint_invariant_under_relabeling():
     sgr = zoo.min_chain(4)
     for perm in permutations(range(4)):
         assert fingerprint(relabel(sgr, perm)) == fingerprint(sgr)
+
+
+PROFILE_TYPES = [bool, int, int, int, int, int]
+
+
+def assert_batch_matches_loop(semigroups):
+    """fingerprints on fresh copies gives, for each table, the profiles
+    and fingerprint the Python loop of element_profiles gives on another
+    fresh copy, with the same types, in input order."""
+    batch = [FiniteSemigroup(s.rows) for s in semigroups]
+    found = fingerprints(batch)
+    assert len(found) == len(batch)
+    for sgr, copy, fp in zip(semigroups, batch, found):
+        single = FiniteSemigroup(sgr.rows)
+        loop = element_profiles(single)
+        assert copy._profiles == loop
+        for got, want in zip(copy._profiles, loop):
+            assert [type(v) for v in got] == [type(v) for v in want] \
+                == PROFILE_TYPES
+        assert fp == fingerprint(single)
+
+
+def test_profile_kernel_matches_loop_on_catalog_and_power_tables():
+    # Every class of orders 1-5 and its power semigroup (orders 1, 3, 7,
+    # 15 and 31) in one call, so the call mixes eight orders and the 1,915
+    # order-31 tables span several chunks, the last one partial.
+    carriers = [e.semigroup for n in range(1, 6)
+                for e in enumerate_semigroups(n, long_running=True)]
+    powers = [build_power_semigroup(s) for s in carriers]
+    assert len(carriers) + len(powers) == 4266
+    per_chunk = morphisms_module._BATCH_CELLS // 31 ** 2
+    assert 1915 > per_chunk and 1915 % per_chunk
+    mixed = [s for pair in zip(carriers, powers) for s in pair]
+    assert_batch_matches_loop(mixed)
+
+
+def test_profile_kernel_matches_loop_on_seeded_relabelings():
+    rng = random.Random(20)
+    semigroups = []
+    for entry in rng.sample(enumerate_semigroups(5, long_running=True), 60):
+        perm = list(range(5))
+        rng.shuffle(perm)
+        sgr = relabel(entry.semigroup, perm)
+        semigroups += [sgr, build_power_semigroup(sgr)]
+    for sgr in (zoo.cyclic_group(7), zoo.null_semigroup(9), zoo.left_zero(6),
+                zoo.min_chain(8), build_power_semigroup(zoo.cyclic_group(6)),
+                build_power_semigroup(zoo.min_chain(6))):
+        perm = list(range(sgr.order))
+        rng.shuffle(perm)
+        semigroups.append(relabel(sgr, perm))
+    assert_batch_matches_loop(semigroups)
+
+
+def test_profiles_are_cached_and_read_by_the_search():
+    sgr = zoo.min_chain(4)
+    other = relabel(sgr, [2, 0, 3, 1])
+    profiles = element_profiles(sgr)
+    assert element_profiles(sgr) is profiles
+    assert fingerprints([sgr]) == [fingerprint(sgr)]
+    assert sgr._profiles is profiles
+    assert find_isomorphism(sgr, other) is not None
+    cached = other._profiles
+    assert cached is not None
+    assert find_isomorphism(sgr, other) is not None
+    assert other._profiles is cached
 
 
 def test_all_isomorphisms_matches_bruteforce_automorphisms():
