@@ -3,9 +3,8 @@ semigroups: setwise products on bit-mask subsets, cancellativity
 classification by brute force and by the singleton rule, isomorphism
 lifting and restriction, and exhaustive small-order catalog probes."""
 
-from .cancellation import (BRUTE_FORCE, CASE1, CASE2, CancellationWitness,
+from .cancellation import (CASE1, CASE2, CancellationWitness,
                            cancellative_elements_bruteforce,
-                           find_witness_bruteforce, is_cancellative_in,
                            singleton_cancellative_elements, verify_witness,
                            witness_noncancellative)
 from .catalog import (CatalogEntry, associative_tables, canonical_tables,

@@ -16,11 +16,10 @@ from typing import Any
 import numpy as np
 
 from .errors import PreconditionViolated, TheoremViolation
-from .power import SubsetElement, bits, mask_product
+from .power import SubsetElement, _as_mask, bits, mask_product
 
 CASE1 = "Case1"
 CASE2 = "Case2"
-BRUTE_FORCE = "BruteForce"
 
 
 @dataclass(frozen=True)
@@ -50,17 +49,6 @@ class CancellationWitness:
             "lhs": encode(self.lhs),
             "rhs": encode(self.rhs),
         }
-
-
-def is_cancellative_in(member, family):
-    """Brute-force cancellativity of one member inside a product-closed family:
-    both X -> member*X and X -> X*member must be injective on the family.
-    """
-    mask = member.mask if isinstance(member, SubsetElement) else int(member)
-    S = family.semigroup
-    size = len(family.masks)
-    return (len({mask_product(S, mask, x) for x in family.masks}) == size
-            and len({mask_product(S, x, mask) for x in family.masks}) == size)
 
 
 def cancellative_elements_bruteforce(family):
@@ -118,7 +106,7 @@ def witness_noncancellative(subset, family):
     if not family.is_downward_complete:
         raise PreconditionViolated(
             "NotDownwardComplete: family must be downward complete")
-    amask = subset.mask if isinstance(subset, SubsetElement) else int(subset)
+    amask = _as_mask(S, subset)
     if amask.bit_count() < 2:
         raise PreconditionViolated("subset must have at least two elements")
     if amask not in family:
@@ -164,28 +152,6 @@ def witness_noncancellative(subset, family):
         SubsetElement(S, rhs_mask),
         tag,
     )
-
-
-def find_witness_bruteforce(member, family):
-    """Scan the family for any pair the member maps to the same left product.
-
-    Independent of the constructive route; returns None when the member
-    is left cancellative in the family.
-    """
-    mask = member.mask if isinstance(member, SubsetElement) else int(member)
-    S = family.semigroup
-    seen = {}
-    for x in family.masks:
-        p = mask_product(S, mask, x)
-        if p in seen:
-            return CancellationWitness(
-                SubsetElement(S, mask),
-                SubsetElement(S, seen[p]),
-                SubsetElement(S, x),
-                BRUTE_FORCE,
-            )
-        seen[p] = x
-    return None
 
 
 def verify_witness(witness, family=None):

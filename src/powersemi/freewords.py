@@ -26,6 +26,14 @@ def _check_word_set(words, label):
     return out
 
 
+def _check_letters(letters):
+    out = frozenset(letters)
+    if not out or any(not isinstance(a, int) or a < 0 for a in out):
+        raise PreconditionViolated(
+            "letters must be a non-empty set of non-negative integers")
+    return out
+
+
 def word_product(xs, ys):
     """All concatenations x + y with x in xs and y in ys, deduplicated."""
     xs = _check_word_set(xs, "left factor")
@@ -41,11 +49,7 @@ def letters_cancellation_consistent(letters, ys1, ys2):
     the given letters. The result should always be True; a False return
     would be a finding, not a bug in the caller.
     """
-    letters = frozenset(letters)
-    if not letters or any(not isinstance(a, int) or a < 0 for a in letters):
-        raise PreconditionViolated(
-            "letters must be a non-empty set of non-negative integers")
-    x_words = {(a,) for a in letters}
+    x_words = {(a,) for a in _check_letters(letters)}
     sets_equal = frozenset(map(tuple, ys1)) == frozenset(map(tuple, ys2))
     left_equal = word_product(x_words, ys1) == word_product(x_words, ys2)
     right_equal = word_product(ys1, x_words) == word_product(ys2, x_words)
@@ -61,7 +65,7 @@ def leading_letter_disjoint(letters, ys1, ys2):
     Each {b}*ys2 is built once, indexed by word, so the check is linear in
     the number of letters.
     """
-    letters = set(letters)
+    letters = _check_letters(letters)
     ys1 = _check_word_set(ys1, "first word set")
     ys2 = _check_word_set(ys2, "second word set")
     leading = {}  # word -> every letter b with word in {b}*ys2

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionViolated, TheoremViolation
-from .power import bits, build_power_semigroup
+from .power import bits, build_power_semigroup, mask_of
 
 
 class Morphism:
@@ -320,13 +320,8 @@ def lift_isomorphism(morphism):
         raise PreconditionViolated("map is not a verified isomorphism")
     power_source = build_power_semigroup(morphism.source)
     power_target = build_power_semigroup(morphism.target)
-    n = morphism.source.order
-    lifted = []
-    for mask in range(1, 1 << n):
-        image = 0
-        for x in bits(mask):
-            image |= 1 << morphism.mapping[x]
-        lifted.append(image - 1)
+    lifted = [mask_of(morphism.mapping[x] for x in bits(mask)) - 1
+              for mask in range(1, 1 << morphism.source.order)]
     big = Morphism(power_source, power_target, lifted)
     if not big.is_isomorphism:
         raise TheoremViolation("lift of an isomorphism failed verification")

@@ -4,17 +4,18 @@ Subsets of a carrier {0, ..., n-1} are bit masks: bit i set means element
 i belongs to the subset. The full power semigroup of S lists all non-zero
 masks in ascending order, so element k corresponds to mask k + 1.
 
-Products come from three places. `mask_product` multiplies two masks in
-Python, for single products. `build_power_semigroup` fills the full power
-table by a bit-DP in numpy. `family_products` multiplies every mask of one
-list by every mask of another, in numpy steps over the carrier, for any
-carrier order up to 64; a `SubsetFamily` holds the matrix of its members'
-products, 8 bytes per product, and answers closure, materialization and
-cancellativity from it.
+Products come from two places. `mask_product` multiplies two masks in
+Python, for single products. `family_products` multiplies every mask of
+one list by every mask of another, in numpy steps over the carrier, for
+any carrier order up to 64: `build_power_semigroup` runs it on all masks,
+and a `SubsetFamily` holds the matrix of its members' products, 8 bytes
+per product, and answers closure, materialization and cancellativity
+from it.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -22,13 +23,12 @@ import numpy as np
 
 from .errors import (AmbientMismatch, IndexOutOfRange, OrderCapExceeded,
                      PreconditionViolated)
-from .semigroups import FiniteSemigroup
+from .semigroups import MAX_ORDER, FiniteSemigroup
 
 # Full materialization of the power semigroup is allowed for carriers up
-# to this order (63 elements): an order-n power table has about 4**n cells,
-# and re-validating its associativity holds two uint8 temporaries of about
-# 8**n entries each (250 KB at order 6, 2 MB at order 7, 1 GB at order 10).
-POWER_CAP_MAX = 6
+# to this order: the power table of an order-n carrier is a FiniteSemigroup
+# of 2**n - 1 elements, so 2**n - 1 <= MAX_ORDER (63 <= 64, 127 > 64).
+POWER_CAP_MAX = MAX_ORDER.bit_length() - 1
 
 # A SubsetFamily holds the matrix of its member products, 8 * k**2 bytes
 # for k members: 32 MiB at this ceiling, which an order-11 full family
@@ -91,26 +91,27 @@ def mask_product(semigroup, xmask, ymask):
 def family_products(semigroup, xs, ys):
     """The uint64 matrix whose entry (a, b) is the mask of xs[a] * ys[b].
 
-    The bit-DP of build_power_semigroup restricted to the listed masks:
-    first the masks of {i} * ys[b] for every carrier element i, by OR-ing
-    1 << i*j into every column whose ys[b] holds bit j; then xs[a] * ys[b]
-    as the OR of {i} * ys[b] over the bits i of xs[a]. That is 2n numpy
-    steps for a carrier of order n, each accumulating in place, so memory
-    is the result plus O(n * (len(xs) + len(ys))) scratch.
+    The package's one vectorised setwise product, a bit-DP over the
+    listed masks: first the masks of {i} * ys[b] for every carrier
+    element i, as the OR of 1 << i*j over the bits j of ys[b]; then
+    xs[a] * ys[b] as the OR of {i} * ys[b] over the bits i of xs[a]. Each
+    step is one masked OR-reduction over a broadcast view, so memory is
+    the result plus O(n * (len(xs) + len(ys))) scratch for a carrier of
+    order n.
     """
     n = semigroup.order
     shifts = np.arange(n, dtype=np.uint64)[:, None]
     xbits = (np.asarray(xs, dtype=np.uint64) >> shifts & 1).astype(bool)
     ybits = (np.asarray(ys, dtype=np.uint64) >> shifts & 1).astype(bool)
     images = np.left_shift(np.uint64(1), semigroup.table.astype(np.uint64))
-    singles = np.zeros((n, ybits.shape[1]), dtype=np.uint64)
-    out = np.zeros((xbits.shape[1], ybits.shape[1]), dtype=np.uint64)
-    for j in range(n):
-        np.bitwise_or(singles, images[:, j, None], out=singles,
-                      where=ybits[j])
-    for i in range(n):
-        np.bitwise_or(out, singles[i], out=out, where=xbits[i, :, None])
-    return out
+    kx, ky = xbits.shape[1], ybits.shape[1]
+    # singles[i, b] is the mask of {i} * ys[b].
+    singles = np.bitwise_or.reduce(
+        np.broadcast_to(images[:, :, None], (n, n, ky)), axis=1,
+        where=ybits[None], initial=0)
+    return np.bitwise_or.reduce(
+        np.broadcast_to(singles[:, None], (n, kx, ky)), axis=0,
+        where=xbits[:, :, None], initial=0)
 
 
 class SubsetElement:
@@ -119,13 +120,8 @@ class SubsetElement:
     __slots__ = ("semigroup", "mask")
 
     def __init__(self, semigroup, mask):
-        mask = int(mask)
-        if mask <= 0 or mask >= (1 << semigroup.order):
-            raise IndexOutOfRange(
-                f"mask {mask} is not a non-empty subset of a carrier "
-                f"of order {semigroup.order}")
         self.semigroup = semigroup
-        self.mask = mask
+        self.mask = _as_mask(semigroup, mask)
 
     @classmethod
     def from_elements(cls, semigroup, elements):
@@ -155,6 +151,24 @@ class SubsetElement:
         return f"SubsetElement({{{', '.join(map(str, self.elements()))}}})"
 
 
+def _as_mask(semigroup, x):
+    """The mask of x, an integer or a SubsetElement over the semigroup;
+    IndexOutOfRange or AmbientMismatch for anything else."""
+    if isinstance(x, SubsetElement):
+        if x.semigroup != semigroup:
+            raise AmbientMismatch("subset lives over a different ambient")
+        return x.mask
+    try:
+        mask = operator.index(x)
+    except TypeError:
+        raise IndexOutOfRange(f"mask {x!r} is not an integer") from None
+    if not 0 < mask < 1 << semigroup.order:
+        raise IndexOutOfRange(
+            f"mask {mask} is not a non-empty subset of a carrier "
+            f"of order {semigroup.order}")
+    return mask
+
+
 def setwise_product(x, y):
     """The subset {a*b : a in x, b in y}; both over the same ambient."""
     if x.semigroup != y.semigroup:
@@ -167,28 +181,12 @@ def build_power_semigroup(semigroup):
 
     The result has order 2**n - 1; its element k is the subset with mask
     k + 1, so the singleton {i} sits at index 2**i - 1. The table is
-    built by a bit-DP over masks. Splitting a mask as Y = Y' + 2**j, with
-    j its top bit, gives {i} * Y = ({i} * Y') | {i*j}; that fills the
-    singleton rows one block of columns 2**j .. 2**(j+1) - 1 at a time.
-    Then X * Y = (X' * Y) | ({j} * Y) fills the rows block by block the
-    same way: 2n numpy steps in all, none per cell. Construction
+    family_products over all masks 1 .. 2**n - 1, and construction
     re-validates associativity of the setwise product mechanically.
     """
-    n = semigroup.order
-    _check_cap(n)
-    size = 1 << n
-    # singles[i, Y] is the mask of {i} * Y, prod[X, Y] that of X * Y;
-    # the empty mask 0 seeds both and is dropped at the end.
-    singles = np.zeros((n, size), dtype=np.int64)
-    images = np.left_shift(1, semigroup.table)
-    prod = np.zeros((size, size), dtype=np.int64)
-    for j in range(n):
-        low, high = 1 << j, 2 << j
-        singles[:, low:high] = singles[:, :low] | images[:, j, None]
-    for j in range(n):
-        low, high = 1 << j, 2 << j
-        prod[low:high] = prod[:low] | singles[j]
-    return FiniteSemigroup(prod[1:, 1:] - 1)
+    _check_cap(semigroup.order)
+    masks = np.arange(1, 1 << semigroup.order, dtype=np.uint64)
+    return FiniteSemigroup(family_products(semigroup, masks, masks) - 1)
 
 
 @dataclass(frozen=True)
@@ -225,14 +223,9 @@ class SubsetFamily:
                  "is_downward_complete", "_materialized")
 
     def __init__(self, semigroup, masks):
-        full = 1 << semigroup.order
-        cleaned = sorted({int(m) for m in masks})
+        cleaned = sorted({_as_mask(semigroup, m) for m in masks})
         if not cleaned:
             raise IndexOutOfRange("a subset family must be non-empty")
-        if cleaned[0] <= 0 or cleaned[-1] >= full:
-            bad = cleaned[0] if cleaned[0] <= 0 else cleaned[-1]
-            raise IndexOutOfRange(
-                f"mask {bad} is not a non-empty subset of the carrier")
         _check_family_size(len(cleaned))
         self.semigroup = semigroup
         self.masks = cleaned
@@ -260,12 +253,14 @@ class SubsetFamily:
         return self.masks[a], self.masks[b], int(self.products[a, b])
 
     def __contains__(self, mask):
-        if isinstance(mask, SubsetElement):
-            mask = mask.mask
-        i = bisect_left(self.masks, mask)
-        return i < len(self.masks) and self.masks[i] == mask
+        try:
+            self.index(mask)
+        except IndexOutOfRange:
+            return False
+        return True
 
     def index(self, mask):
+        mask = _as_mask(self.semigroup, mask)
         i = bisect_left(self.masks, mask)
         if i == len(self.masks) or self.masks[i] != mask:
             raise IndexOutOfRange(f"mask {mask} is not a member")
@@ -349,11 +344,7 @@ def downward_complete_closure(semigroup, generators=()):
     fixpoint is reached. Idempotent and monotone in the generator set.
     """
     fresh = {1 << x for x in range(semigroup.order)}
-    for g in generators:
-        mask = g.mask if isinstance(g, SubsetElement) else int(g)
-        if mask <= 0 or mask >= (1 << semigroup.order):
-            raise IndexOutOfRange(f"generator mask {mask} outside the carrier")
-        fresh.add(mask)
+    fresh.update(_as_mask(semigroup, g) for g in generators)
     members = set()
     while fresh:
         for m in fresh:

@@ -36,6 +36,12 @@ class FiniteSemigroup:
         except OverflowError:
             raise IndexOutOfRange("a table entry does not fit in 64 bits, "
                                   "so it is outside the carrier")
+        except (TypeError, ValueError):
+            arr = None
+        # np.array truncates floats and parses digit strings silently.
+        if arr is None or np.asarray(table).dtype.kind not in "iu":
+            raise IndexOutOfRange("table entries must be integers, in rows "
+                                  "of equal length")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise IndexOutOfRange(
                 f"expected a non-empty square table, got shape {arr.shape}")

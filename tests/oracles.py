@@ -1,14 +1,16 @@
 """Brute-force oracles the tests compare the library against.
 
-Each one tries every candidate map, so it is independent of the pruned
-isomorphism search and feasible only at tiny orders.
+The isomorphism oracles try every candidate map, so they are independent
+of the pruned isomorphism search and feasible only at tiny orders. The
+cancellation oracles multiply one member by every member with scalar
+`mask_product`, independent of the family's product matrix.
 """
 
 from itertools import permutations, product
 
 import numpy as np
 
-from powersemi import Morphism
+from powersemi import CancellationWitness, Morphism, SubsetElement, mask_product
 
 
 def _bruteforce_isomorphisms(source, target):
@@ -46,3 +48,34 @@ def homomorphisms(source, target, surjective_only=False):
         morphism = Morphism(source, target, mapping)
         if morphism.is_homomorphism:
             yield morphism
+
+
+def is_cancellative_in(mask, family):
+    """Brute-force cancellativity of one member inside a product-closed family:
+    both X -> mask*X and X -> X*mask must be injective on the family.
+    """
+    S = family.semigroup
+    size = len(family.masks)
+    return (len({mask_product(S, mask, x) for x in family.masks}) == size
+            and len({mask_product(S, x, mask) for x in family.masks}) == size)
+
+
+def find_witness_bruteforce(mask, family):
+    """Scan the family for any pair the member maps to the same left product.
+
+    Independent of the constructive route; returns None when the member
+    is left cancellative in the family.
+    """
+    S = family.semigroup
+    seen = {}
+    for x in family.masks:
+        p = mask_product(S, mask, x)
+        if p in seen:
+            return CancellationWitness(
+                SubsetElement(S, mask),
+                SubsetElement(S, seen[p]),
+                SubsetElement(S, x),
+                "BruteForce",
+            )
+        seen[p] = x
+    return None

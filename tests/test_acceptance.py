@@ -15,15 +15,15 @@ from powersemi import (CASE1, CASE2, FiniteSemigroup, Morphism,
                        all_isomorphisms, build_power_semigroup,
                        cancellative_preservation_check, cancellativity_campaign,
                        equality_campaign, find_isomorphism, fingerprint,
-                       full_family, global_iso_probe, is_cancellative_in,
-                       lift_isomorphism, mask_product, NumericalMonoid,
+                       full_family, global_iso_probe, lift_isomorphism,
+                       mask_product, NumericalMonoid,
                        restrict_isomorphism, singleton_characterization_check,
                        verify_witness, verify_commutativity_transfer,
                        witness_campaign, witness_noncancellative)
 from powersemi.catalog import associative_tables
 from powersemi import zoo
 
-from oracles import homomorphisms, isomorphic_bruteforce
+from oracles import homomorphisms, is_cancellative_in, isomorphic_bruteforce
 
 
 def FIXED_TIMER():

@@ -4,12 +4,13 @@ import powersemi.catalog as catalog_module
 from powersemi import (CASE1, CASE2, PreconditionViolated, SubsetFamily,
                        all_congruences, cancellative_elements_bruteforce,
                        congruence_family, congruence_from_partition,
-                       find_witness_bruteforce, full_family,
-                       is_cancellative_in, mask_of, mask_product,
+                       full_family, mask_of, mask_product,
                        singleton_cancellative_elements,
                        singleton_characterization_check, singleton_family,
                        verify_witness, witness_noncancellative)
 from powersemi import zoo
+
+from oracles import find_witness_bruteforce, is_cancellative_in
 
 
 def masks_of(members):

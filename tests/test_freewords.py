@@ -57,6 +57,15 @@ def test_letters_must_be_valid():
         letters_cancellation_consistent({-1}, {(A,)}, {(A,)})
 
 
+@pytest.mark.parametrize("check", [letters_cancellation_consistent,
+                                   leading_letter_disjoint])
+@pytest.mark.parametrize("letters", [[], ["a"], [-1], [A, 1.5]],
+                         ids=["empty", "string", "negative", "float"])
+def test_both_letter_checks_reject_invalid_letters(check, letters):
+    with pytest.raises(PreconditionViolated):
+        check(letters, {(A,)}, {(B,)})
+
+
 words = st.lists(st.integers(0, 3), min_size=1, max_size=5).map(tuple)
 word_sets = st.frozensets(words, min_size=1, max_size=6)
 

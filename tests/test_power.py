@@ -1,17 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersemi import (FAMILY_MAX, POWER_CAP_MAX, AmbientMismatch,
-                       OrderCapExceeded, SubsetElement, SubsetFamily,
+from powersemi import (FAMILY_MAX, MAX_ORDER, POWER_CAP_MAX, AmbientMismatch,
+                       IndexOutOfRange, OrderCapExceeded, SubsetElement,
+                       SubsetFamily,
                        all_congruences, build_power_semigroup,
                        congruence_from_partition, congruence_family,
                        downward_complete_closure, downward_completeness,
                        family_products, family_report, full_family, mask_of,
                        mask_product, setwise_product, singleton_family,
-                       submasks)
+                       submasks, witness_noncancellative)
 from powersemi import zoo
 
 
@@ -58,6 +60,57 @@ def test_empty_subset_rejected():
         SubsetElement(zoo.cyclic_group(2), 0)
 
 
+Z3 = zoo.cyclic_group(3)
+
+# Every public way a mask enters the package, over z3.
+MASK_TAKERS = {
+    "SubsetElement": lambda mask: SubsetElement(Z3, mask),
+    "SubsetFamily": lambda mask: SubsetFamily(Z3, [mask, 2]),
+    "downward_complete_closure":
+        lambda mask: downward_complete_closure(Z3, [mask]),
+    "witness_noncancellative":
+        lambda mask: witness_noncancellative(mask, full_family(Z3)),
+}
+
+REJECTED_MASKS = {
+    "float": (1.5, IndexOutOfRange),
+    "float_above_a_member": (3.7, IndexOutOfRange),
+    "integral_float": (3.0, IndexOutOfRange),
+    "string": ("3", IndexOutOfRange),
+    "none": (None, IndexOutOfRange),
+    "empty": (0, IndexOutOfRange),
+    "negative": (-1, IndexOutOfRange),
+    "beyond_carrier": (8, IndexOutOfRange),
+    "foreign_ambient": (SubsetElement(zoo.cyclic_group(2), 3),
+                        AmbientMismatch),
+}
+
+
+@pytest.mark.parametrize("take", MASK_TAKERS.values(), ids=MASK_TAKERS)
+@pytest.mark.parametrize("mask,error", REJECTED_MASKS.values(),
+                         ids=REJECTED_MASKS)
+def test_mask_inputs_are_rejected(take, mask, error):
+    with pytest.raises(error):
+        take(mask)
+
+
+def test_masks_accept_integers_and_subsets_over_the_same_ambient():
+    fam = SubsetFamily(Z3, [np.uint64(3), SubsetElement(Z3, 5), 1])
+    assert fam.masks == [1, 3, 5]
+    assert SubsetElement(Z3, np.int8(6)).mask == 6
+    assert witness_noncancellative(SubsetElement(Z3, 3), full_family(Z3)) \
+        == witness_noncancellative(3, full_family(Z3))
+
+
+def test_membership_of_masks_outside_the_family():
+    fam = full_family(Z3)
+    assert SubsetElement(Z3, 5) in fam
+    for outside in (0, 8, 1.5, "3"):
+        assert outside not in fam
+    with pytest.raises(AmbientMismatch):
+        SubsetElement(zoo.cyclic_group(2), 3) in fam
+
+
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 3), (3, 7), (4, 15), (5, 31)])
 def test_power_semigroup_order(n, expected):
     sgr = zoo.null_semigroup(n)
@@ -82,6 +135,10 @@ def test_power_table_of_z2_against_direct_oracle():
 
 def test_materialization_cap():
     assert build_power_semigroup(zoo.null_semigroup(POWER_CAP_MAX)).order == 63
+
+
+def test_materialization_cap_is_largest_power_table_within_max_order():
+    assert (1 << POWER_CAP_MAX) - 1 <= MAX_ORDER < (1 << POWER_CAP_MAX + 1) - 1
 
 
 def test_cap_above_ceiling_is_rejected():
@@ -260,9 +317,12 @@ def test_family_membership_and_indexing():
     assert 8 not in fam
 
 
-def test_as_semigroup_matches_build_power_semigroup():
-    z3 = zoo.cyclic_group(3)
-    assert full_family(z3).as_semigroup() == build_power_semigroup(z3)
+def test_as_semigroup_matches_build_power_semigroup(catalog):
+    carriers = [zoo.cyclic_group(3), zoo.null_semigroup(6), zoo.cyclic_group(6)]
+    carriers += [entry.semigroup for entries in catalog.values()
+                 for entry in entries]
+    for sgr in carriers:
+        assert full_family(sgr).as_semigroup() == build_power_semigroup(sgr)
 
 
 def random_masks(rng, order, count):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import powersemi.semigroups as semigroups_module
@@ -61,6 +62,22 @@ def test_rejects_out_of_range_entries_and_bad_shapes():
 def test_entries_beyond_64_bits_are_out_of_range(entry):
     with pytest.raises(IndexOutOfRange):
         FiniteSemigroup([[0, entry], [0, 0]])
+
+
+@pytest.mark.parametrize("table", [[[0.7]], [[0.0, 1.0], [1.0, 0.0]],
+                                   [["0"]], [[None]],
+                                   [[0, 0.5], [0, 0]], np.array([[0.0]])],
+                         ids=["float", "integral_float", "string", "none",
+                              "one_float_entry", "float_array"])
+def test_non_integer_entries_are_out_of_range(table):
+    with pytest.raises(IndexOutOfRange):
+        FiniteSemigroup(table)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+def test_integer_arrays_are_accepted(dtype):
+    sgr = FiniteSemigroup(np.array([[0, 1], [1, 0]], dtype=dtype))
+    assert sgr == zoo.cyclic_group(2)
 
 
 def test_order_cap_is_sixty_four():
