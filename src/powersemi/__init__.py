@@ -28,7 +28,7 @@ from .power import (FAMILY_MAX, POWER_CAP_MAX, CompletenessCertificate,
                     SubsetElement, SubsetFamily, bits, build_power_semigroup,
                     congruence_family, downward_complete_closure,
                     downward_completeness, family_products, family_report,
-                    full_family, mask_of, mask_product, setwise_product,
+                    full_family, mask_of, setwise_product,
                     singleton_family, submasks)
 from .semigroups import (MAX_ORDER, Congruence, FiniteSemigroup,
                          all_congruences, congruence_from_partition,

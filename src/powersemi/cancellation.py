@@ -15,8 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import PreconditionViolated, TheoremViolation
-from .power import SubsetElement, _as_mask, bits, mask_product
+from .errors import IndexOutOfRange, PreconditionViolated, TheoremViolation
+from .power import SubsetElement, _as_mask, bits
 
 CASE1 = "Case1"
 CASE2 = "Case2"
@@ -97,8 +97,10 @@ def witness_noncancellative(subset, family):
     * otherwise a, b are the two smallest elements of A and the witness
       is (A, A*A, A*A minus {a*b}); b*b then always survives in the rhs.
 
-    Either way multiplier * lhs == multiplier * rhs on both sides, which
-    is re-checked before returning.
+    Every setwise product is read from the family's product matrix.
+    Before returning, the construction re-checks that both sides are
+    distinct members and that multiplier * lhs == multiplier * rhs on
+    both sides; a failure raises TheoremViolation.
     """
     S = family.semigroup
     if not S.commutative:
@@ -109,9 +111,13 @@ def witness_noncancellative(subset, family):
     amask = _as_mask(S, subset)
     if amask.bit_count() < 2:
         raise PreconditionViolated("subset must have at least two elements")
-    if amask not in family:
-        raise PreconditionViolated("subset is not a member of the family")
+    try:
+        i = family.index(amask)
+    except IndexOutOfRange:
+        raise PreconditionViolated(
+            "subset is not a member of the family") from None
 
+    products = family.products
     rows = S.rows
     elems = list(bits(amask))
     hit = None
@@ -130,7 +136,7 @@ def witness_noncancellative(subset, family):
         tag = CASE1
     else:
         a, b = elems[0], elems[1]
-        square = mask_product(S, amask, amask)
+        square = int(products[i, i])
         lhs_mask = square
         rhs_mask = square & ~(1 << rows[a][b])
         tag = CASE2
@@ -141,9 +147,13 @@ def witness_noncancellative(subset, family):
 
     if lhs_mask == rhs_mask:
         raise TheoremViolation(f"{tag} witness for mask {amask} has equal sides")
-    if (mask_product(S, amask, lhs_mask) != mask_product(S, amask, rhs_mask)
-            or mask_product(S, lhs_mask, amask)
-            != mask_product(S, rhs_mask, amask)):
+    try:
+        lhs, rhs = family.index(lhs_mask), family.index(rhs_mask)
+    except IndexOutOfRange:
+        raise TheoremViolation(
+            f"{tag} witness for mask {amask} leaves the family") from None
+    if (products[i, lhs] != products[i, rhs]
+            or products[lhs, i] != products[rhs, i]):
         raise TheoremViolation(
             f"{tag} witness for mask {amask} does not equalize products")
     return CancellationWitness(
@@ -154,21 +164,18 @@ def witness_noncancellative(subset, family):
     )
 
 
-def verify_witness(witness, family=None):
-    """Re-check a finite-carrier witness from scratch.
+def verify_witness(witness, family):
+    """Re-check a finite-carrier witness against a family's product matrix.
 
-    Confirms lhs != rhs, equal left products, and membership of both
-    sides whenever a downward-complete family containing the multiplier
-    is supplied.
+    True iff the multiplier and both sides are members of the family,
+    the sides differ, and multiplier * lhs == multiplier * rhs there;
+    False otherwise. A witness over another ambient raises
+    AmbientMismatch.
     """
-    mult, lhs, rhs = witness.multiplier, witness.lhs, witness.rhs
-    S = mult.semigroup
-    if lhs.mask == rhs.mask:
+    try:
+        i, lhs, rhs = [family.index(s) for s in
+                       (witness.multiplier, witness.lhs, witness.rhs)]
+    except IndexOutOfRange:
         return False
-    if mask_product(S, mult.mask, lhs.mask) != mask_product(S, mult.mask, rhs.mask):
-        return False
-    if family is not None and family.is_downward_complete \
-            and mult.mask in family:
-        if lhs.mask not in family or rhs.mask not in family:
-            return False
-    return True
+    products = family.products
+    return lhs != rhs and bool(products[i, lhs] == products[i, rhs])

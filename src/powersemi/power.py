@@ -4,13 +4,12 @@ Subsets of a carrier {0, ..., n-1} are bit masks: bit i set means element
 i belongs to the subset. The full power semigroup of S lists all non-zero
 masks in ascending order, so element k corresponds to mask k + 1.
 
-Products come from two places. `mask_product` multiplies two masks in
-Python, for single products. `family_products` multiplies every mask of
-one list by every mask of another, in numpy steps over the carrier, for
-any carrier order up to 64: `build_power_semigroup` runs it on all masks,
-and a `SubsetFamily` holds the matrix of its members' products, 8 bytes
-per product, and answers closure, materialization and cancellativity
-from it.
+Products come from one place. `family_products` multiplies every mask
+of one list by every mask of another, in numpy steps over the carrier,
+for any carrier order up to 64: `build_power_semigroup` runs it on all
+masks, `setwise_product` on one pair, and a `SubsetFamily` holds the
+matrix of its members' products, 8 bytes per product, and answers
+closure, materialization, cancellativity and witnesses from it.
 """
 
 from __future__ import annotations
@@ -69,23 +68,6 @@ def submasks(mask):
     while sub:
         yield sub
         sub = (sub - 1) & mask
-
-
-def mask_product(semigroup, xmask, ymask):
-    """Mask of {x*y : x in X, y in Y} for masks X, Y over the semigroup."""
-    rows = semigroup.rows
-    out = 0
-    xm = xmask
-    while xm:
-        xlow = xm & -xm
-        row = rows[xlow.bit_length() - 1]
-        xm ^= xlow
-        ym = ymask
-        while ym:
-            ylow = ym & -ym
-            out |= 1 << row[ylow.bit_length() - 1]
-            ym ^= ylow
-    return out
 
 
 def family_products(semigroup, xs, ys):
@@ -161,7 +143,10 @@ def _as_mask(semigroup, x):
     try:
         mask = operator.index(x)
     except TypeError:
-        raise IndexOutOfRange(f"mask {x!r} is not an integer") from None
+        mask = None
+    # bool is an int subclass; reject it as FiniteSemigroup rejects a bool table.
+    if mask is None or isinstance(x, bool):
+        raise IndexOutOfRange(f"mask {x!r} is not an integer")
     if not 0 < mask < 1 << semigroup.order:
         raise IndexOutOfRange(
             f"mask {mask} is not a non-empty subset of a carrier "
@@ -173,7 +158,8 @@ def setwise_product(x, y):
     """The subset {a*b : a in x, b in y}; both over the same ambient."""
     if x.semigroup != y.semigroup:
         raise AmbientMismatch("operands live over different ambient semigroups")
-    return SubsetElement(x.semigroup, mask_product(x.semigroup, x.mask, y.mask))
+    product = family_products(x.semigroup, [x.mask], [y.mask])
+    return SubsetElement(x.semigroup, int(product[0, 0]))
 
 
 def build_power_semigroup(semigroup):
@@ -215,8 +201,8 @@ class SubsetFamily:
     family_products (8 * k**2 bytes for k members, at most FAMILY_MAX
     of them) and, from it, the
     closure and downward-completeness flags; the matrix also serves
-    as_semigroup and the brute-force cancellativity classifier. Instances
-    are immutable afterwards.
+    as_semigroup, the brute-force cancellativity classifier and the
+    witnesses. Instances are immutable afterwards.
     """
 
     __slots__ = ("semigroup", "masks", "products", "is_subsemigroup",
@@ -265,9 +251,6 @@ class SubsetFamily:
         if i == len(self.masks) or self.masks[i] != mask:
             raise IndexOutOfRange(f"mask {mask} is not a member")
         return i
-
-    def members(self):
-        return [SubsetElement(self.semigroup, m) for m in self.masks]
 
     def __iter__(self):
         return iter(self.masks)

@@ -51,9 +51,11 @@ class FiniteSemigroup:
                 f"order {n} exceeds the supported maximum of {MAX_ORDER}")
         if arr.min() < 0 or arr.max() >= n:
             i, j = np.argwhere((arr < 0) | (arr >= n))[0]
+            # Read the entry from the input: a uint64 entry >= 2**63 wraps
+            # to a negative one in the int64 copy.
+            entry = int(np.asarray(table)[i, j])
             raise IndexOutOfRange(
-                f"entry {int(arr[i, j])} at ({int(i)}, {int(j)}) "
-                f"is outside [0, {n})")
+                f"entry {entry} at ({int(i)}, {int(j)}) is outside [0, {n})")
         # (i*j)*k == i*(j*k) for every triple, all at once, on uint8
         # temporaries: entries are below MAX_ORDER, so the copy is exact.
         small = arr.astype(np.uint8)
@@ -82,11 +84,6 @@ class FiniteSemigroup:
     def _check_element(self, a):
         if not 0 <= a < self.order:
             raise IndexOutOfRange(f"element {a} outside [0, {self.order})")
-
-    def mul(self, x, y):
-        self._check_element(x)
-        self._check_element(y)
-        return self.rows[x][y]
 
     def is_left_cancellative(self, a):
         """True iff x -> a*x is injective (row of a has no repeats)."""
@@ -128,9 +125,9 @@ class FiniteSemigroup:
         return first, step - first
 
     def __eq__(self, other):
-        return (isinstance(other, FiniteSemigroup)
-                and self.order == other.order
-                and np.array_equal(self.table, other.table))
+        return self is other or (isinstance(other, FiniteSemigroup)
+                                 and self.order == other.order
+                                 and np.array_equal(self.table, other.table))
 
     def __hash__(self):
         return self._hash

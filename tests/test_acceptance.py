@@ -16,14 +16,15 @@ from powersemi import (CASE1, CASE2, FiniteSemigroup, Morphism,
                        cancellative_preservation_check, cancellativity_campaign,
                        equality_campaign, find_isomorphism, fingerprint,
                        full_family, global_iso_probe, lift_isomorphism,
-                       mask_product, NumericalMonoid,
+                       NumericalMonoid,
                        restrict_isomorphism, singleton_characterization_check,
                        verify_witness, verify_commutativity_transfer,
                        witness_campaign, witness_noncancellative)
 from powersemi.catalog import associative_tables
 from powersemi import zoo
 
-from oracles import homomorphisms, is_cancellative_in, isomorphic_bruteforce
+from oracles import (homomorphisms, is_cancellative_in, isomorphic_bruteforce,
+                     mask_product)
 
 
 def FIXED_TIMER():

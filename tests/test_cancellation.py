@@ -1,16 +1,17 @@
 import pytest
 
 import powersemi.catalog as catalog_module
-from powersemi import (CASE1, CASE2, PreconditionViolated, SubsetFamily,
+from powersemi import (CASE1, CASE2, AmbientMismatch, CancellationWitness,
+                       PreconditionViolated, SubsetElement, SubsetFamily,
                        all_congruences, cancellative_elements_bruteforce,
                        congruence_family, congruence_from_partition,
-                       full_family, mask_of, mask_product,
+                       full_family, mask_of,
                        singleton_cancellative_elements,
                        singleton_characterization_check, singleton_family,
                        verify_witness, witness_noncancellative)
 from powersemi import zoo
 
-from oracles import find_witness_bruteforce, is_cancellative_in
+from oracles import find_witness_bruteforce, is_cancellative_in, mask_product
 
 
 def masks_of(members):
@@ -119,6 +120,37 @@ def test_witnesses_sound_on_all_nonsingleton_subsets(catalog):
                 # an independent scan must also find some collision
                 brute = find_witness_bruteforce(mask, fam)
                 assert brute is not None and verify_witness(brute, fam)
+
+
+def witness_of(semigroup, multiplier, lhs, rhs):
+    return CancellationWitness(*(SubsetElement(semigroup, m)
+                                 for m in (multiplier, lhs, rhs)), CASE1)
+
+
+Z3 = zoo.cyclic_group(3)
+# {0, 1, 2} absorbs every subset of z3, so it maps {0} and {1} to itself.
+ABSORBED = witness_of(Z3, 0b111, 0b001, 0b010)
+
+
+def test_verify_witness_accepts_a_collision_in_the_full_family():
+    assert verify_witness(ABSORBED, full_family(Z3))
+
+
+@pytest.mark.parametrize("witness,family", [
+    (witness_of(Z3, 0b111, 0b001, 0b001), full_family(Z3)),
+    (ABSORBED, SubsetFamily(Z3, [0b001, 0b111])),
+    (ABSORBED, singleton_family(Z3)),
+    (witness_of(Z3, 0b001, 0b001, 0b010), full_family(Z3)),
+], ids=["equal_sides", "side_not_a_member", "multiplier_not_a_member",
+        "left_products_differ"])
+def test_verify_witness_rejects(witness, family):
+    assert verify_witness(witness, family) is False
+
+
+def test_verify_witness_rejects_a_witness_over_another_ambient():
+    z2 = zoo.cyclic_group(2)
+    with pytest.raises(AmbientMismatch):
+        verify_witness(witness_of(z2, 0b11, 0b01, 0b10), full_family(Z3))
 
 
 def test_witness_is_deterministic():

@@ -1,5 +1,6 @@
 """The package surface that scripts outside the library rely on: the
-demos run to completion, and every name the benchmark imports exists."""
+demos run to completion, every name the benchmark imports exists, and
+no check in the package is an `assert` that `python -O` strips."""
 
 import ast
 import os
@@ -45,3 +46,12 @@ def test_benchmark_api_is_exported():
     api = benchmark_api()
     assert api
     assert [name for name in api if not hasattr(powersemi, name)] == []
+
+
+def test_package_has_no_assert_statements():
+    """Re-checks of proved facts raise errors that survive python -O."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "powersemi").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

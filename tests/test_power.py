@@ -12,9 +12,11 @@ from powersemi import (FAMILY_MAX, MAX_ORDER, POWER_CAP_MAX, AmbientMismatch,
                        congruence_from_partition, congruence_family,
                        downward_complete_closure, downward_completeness,
                        family_products, family_report, full_family, mask_of,
-                       mask_product, setwise_product, singleton_family,
+                       setwise_product, singleton_family,
                        submasks, witness_noncancellative)
 from powersemi import zoo
+
+from oracles import mask_product
 
 
 def int_set_product(rows, xs, ys):
@@ -78,6 +80,7 @@ REJECTED_MASKS = {
     "integral_float": (3.0, IndexOutOfRange),
     "string": ("3", IndexOutOfRange),
     "none": (None, IndexOutOfRange),
+    "bool": (True, IndexOutOfRange),
     "empty": (0, IndexOutOfRange),
     "negative": (-1, IndexOutOfRange),
     "beyond_carrier": (8, IndexOutOfRange),

@@ -58,10 +58,16 @@ def test_rejects_out_of_range_entries_and_bad_shapes():
         FiniteSemigroup([[-1, 0], [0, 0]])
 
 
-@pytest.mark.parametrize("entry", [2**63, 99999999999999999999, -2**63 - 1])
+@pytest.mark.parametrize("entry", [
+    2**63, 99999999999999999999, -2**63 - 1,
+    pytest.param(np.array([[0, 2**63], [0, 0]], dtype=np.uint64),
+                 id="uint64_array")])
 def test_entries_beyond_64_bits_are_out_of_range(entry):
-    with pytest.raises(IndexOutOfRange):
-        FiniteSemigroup([[0, entry], [0, 0]])
+    table = entry if isinstance(entry, np.ndarray) else [[0, entry], [0, 0]]
+    # The message names the entry as given, not its int64 wrap-around.
+    with pytest.raises(IndexOutOfRange,
+                       match=r"64 bits|entry 9223372036854775808 at"):
+        FiniteSemigroup(table)
 
 
 @pytest.mark.parametrize("table", [[[0.7]], [[0.0, 1.0], [1.0, 0.0]],
