@@ -153,44 +153,49 @@ def _check_order(n, long_running):
             "(CLI: --long-running) to opt in")
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(n, up_to_isomorphism, long_running):
+def labeled_tables(n, long_running=False):
+    """Every associative table of order n, each validated by
+    FiniteSemigroup, as lists of rows in lexicographic order. Builds no
+    catalog entries or fingerprints."""
     _check_order(n, long_running)
-    if up_to_isomorphism:
-        tables = canonical_tables(n)
-    else:
-        tables = associative_tables(n)
-    semigroups = [FiniteSemigroup(table) for table in tables]
-    entries = [CatalogEntry(sgr, (n, idx), fp) for idx, (sgr, fp)
-               in enumerate(zip(semigroups, fingerprints(semigroups)))]
-    if up_to_isomorphism:
-        _verify_pairwise_distinct(entries)
-    return tuple(entries)
+    return [FiniteSemigroup(table).rows for table in associative_tables(n)]
 
 
-def _verify_pairwise_distinct(entries):
-    buckets = {}
-    for entry in entries:
-        buckets.setdefault(entry.fingerprint, []).append(entry)
-    for bucket in buckets.values():
-        for a, b in combinations(bucket, 2):
-            found = find_isomorphism(a.semigroup, b.semigroup)
-            if found is not None:
-                raise TheoremViolation(
-                    f"catalog entries {a.canonical_id} and {b.canonical_id} "
-                    "are isomorphic; enumeration is broken")
-
-
-def enumerate_semigroups(n, up_to_isomorphism=True, long_running=False):
-    """All semigroups of order n, one per isomorphism class by default.
+def enumerate_semigroups(n, long_running=False):
+    """All semigroups of order n, one per isomorphism class.
 
     A representative is the lexicographically least table of its
     relabeling orbit, found by pruning the table search (lex-leader
     symmetry breaking). Entries are sorted by their table encoding, and
     pairwise non-isomorphism of the output is re-verified during
-    construction.
+    construction. Each order is built once per process.
     """
-    return list(_enumerate_cached(n, up_to_isomorphism, long_running))
+    _check_order(n, long_running)
+    return list(_catalog(n))
+
+
+@lru_cache(maxsize=None)
+def _catalog(n):
+    semigroups = [FiniteSemigroup(table) for table in canonical_tables(n)]
+    fps = fingerprints(semigroups)
+    for i, j, found in _same_fingerprint_pairs(semigroups, fps):
+        if found is not None:
+            raise TheoremViolation(f"catalog entries {(n, i)} and {(n, j)} "
+                                   "are isomorphic; enumeration is broken")
+    return tuple(CatalogEntry(sgr, (n, idx), fp)
+                 for idx, (sgr, fp) in enumerate(zip(semigroups, fps)))
+
+
+def _same_fingerprint_pairs(semigroups, fps):
+    """Yield (i, j, find_isomorphism's answer) for every pair i < j of
+    semigroups whose fingerprints fps[i] and fps[j] agree, in ascending
+    order."""
+    buckets = {}
+    for idx, fp in enumerate(fps):
+        buckets.setdefault(fp, []).append(idx)
+    for i, j in sorted(pair for bucket in buckets.values()
+                       for pair in combinations(bucket, 2)):
+        yield i, j, find_isomorphism(semigroups[i], semigroups[j])
 
 
 def global_iso_probe(n, long_running=False, entries=None,
@@ -210,33 +215,24 @@ def global_iso_probe(n, long_running=False, entries=None,
     """
     start = timer()
     if entries is None:
-        entries = enumerate_semigroups(n, True, long_running)
+        entries = enumerate_semigroups(n, long_running)
     powers = [entry.power_semigroup() for entry in entries]
     total_pairs = len(entries) * (len(entries) - 1) // 2
-    buckets = {}
-    for idx, power_fp in enumerate(fingerprints(powers)):
-        buckets.setdefault(power_fp, []).append(idx)
-    survivors = sorted((i, j) for bucket in buckets.values()
-                       for i, j in combinations(bucket, 2))
-    counterexamples = []
-    for i, j in survivors:
-        found = find_isomorphism(powers[i], powers[j])
-        if found is None:
-            continue
-        counterexamples.append({
-            "left": list(entries[i].canonical_id),
-            "right": list(entries[j].canonical_id),
-            "left_table": entries[i].semigroup.rows,
-            "right_table": entries[j].semigroup.rows,
-            "power_map": list(found.mapping),
-        })
+    pairs = list(_same_fingerprint_pairs(powers, fingerprints(powers)))
+    counterexamples = [{
+        "left": list(entries[i].canonical_id),
+        "right": list(entries[j].canonical_id),
+        "left_table": entries[i].semigroup.rows,
+        "right_table": entries[j].semigroup.rows,
+        "power_map": list(found.mapping),
+    } for i, j, found in pairs if found is not None]
     elapsed_ms = int(round((timer() - start) * 1000))
     return {
         "order": n,
         "classes": len(entries),
         "pairs_checked": total_pairs,
         "counterexamples": counterexamples,
-        "pruned_by_fingerprint": total_pairs - len(survivors),
+        "pruned_by_fingerprint": total_pairs - len(pairs),
         "elapsed_ms": elapsed_ms,
     }
 
@@ -257,7 +253,7 @@ def singleton_characterization_check(n, seed=0, closures_per_semigroup=3,
     commutative_count = 0
     families_checked = 0
     for order in range(1, n + 1):
-        for entry in enumerate_semigroups(order, True, long_running):
+        for entry in enumerate_semigroups(order, long_running):
             sgr = entry.semigroup
             if not sgr.commutative:
                 continue

@@ -196,9 +196,9 @@ def _cmd_restrict(args):
     left = _load_semigroup(args.table)
     right = _load_semigroup(args.other)
     check_restriction_hypotheses(left, right)
-    power_left = build_power_semigroup(left)
-    power_right = build_power_semigroup(right)
-    found = find_isomorphism(power_left, power_right)
+    left_family, right_family = full_family(left), full_family(right)
+    found = find_isomorphism(left_family.as_semigroup(),
+                             right_family.as_semigroup())
     report = {
         "power_isomorphic": found is not None,
         "power_map": None if found is None else list(found.mapping),
@@ -208,8 +208,7 @@ def _cmd_restrict(args):
     if found is None:
         return report, EXIT_OK
     try:
-        small = restrict_isomorphism(found, full_family(left),
-                                     full_family(right))
+        small = restrict_isomorphism(found, left_family, right_family)
     except TheoremViolation as exc:
         report["theorem_violation"] = str(exc)
         return report, EXIT_FINDING
@@ -218,14 +217,16 @@ def _cmd_restrict(args):
 
 
 def _cmd_enumerate(args):
-    entries = _catalog.enumerate_semigroups(
-        args.order, up_to_isomorphism=not args.labeled,
-        long_running=args.long_running)
+    if args.labeled:
+        tables = _catalog.labeled_tables(args.order, args.long_running)
+    else:
+        tables = [entry.semigroup.rows for entry in
+                  _catalog.enumerate_semigroups(args.order, args.long_running)]
     return {
         "order": args.order,
         "up_to_isomorphism": not args.labeled,
-        "classes": len(entries),
-        "tables": [entry.semigroup.rows for entry in entries],
+        "classes": len(tables),
+        "tables": tables,
     }, EXIT_OK
 
 

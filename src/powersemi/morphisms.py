@@ -116,18 +116,17 @@ def _distinct_counts(values):
     return (ordered[..., 1:] != ordered[..., :-1]).sum(axis=-1) + 1
 
 
-def _profile_rows(tables):
-    """The element_profiles columns of every table of a (k, n, n) stack,
-    as a (k, n, 6) integer array (idempotency as 0/1).
+def _profile_rows(t):
+    """The element_profiles columns of every table of a (k, n, n) stack
+    of uint8 tables, as FiniteSemigroup stores them, as a (k, n, 6)
+    integer array (idempotency as 0/1).
 
-    Entries are below MAX_ORDER, so uint8 holds them exactly. The
-    powers a, a**2, ..., a**(n+1) of every element come from doubling the
-    known prefix, a**(m+j) = a**m * a**j, one flat gather per doubling.
+    The powers a, a**2, ..., a**(n+1) of every element come from doubling
+    the known prefix, a**(m+j) = a**m * a**j, one flat gather per doubling.
     The first n powers cover the cyclic subsemigroup of a, whose size is
     index + period - 1; with that size s, a**(s+1) = a**index, so index is
     the least m with a**m = a**(s+1).
     """
-    t = np.asarray(tables, dtype=np.uint8)
     k, n, _ = t.shape
     flat = t.reshape(-1)
     first_cell = (np.arange(k, dtype=np.intp) * (n * n))[:, None, None]
@@ -184,8 +183,7 @@ def fingerprints(semigroups):
         per_chunk = max(1, _BATCH_CELLS // (n * n))
         for start in range(0, len(group), per_chunk):
             chunk = group[start:start + per_chunk]
-            stack = np.stack([s.table for s in chunk], dtype=np.uint8,
-                             casting="unsafe")
+            stack = np.stack([s.table for s in chunk])
             for semigroup, (idem, *rest) in zip(
                     chunk, _profile_rows(stack).transpose(0, 2, 1).tolist()):
                 semigroup._profiles = tuple(zip(map(bool, idem), *rest))

@@ -23,8 +23,9 @@ _BATCH_FLAGS = 1 << 18
 class FiniteSemigroup:
     """A validated semigroup on {0, ..., n-1}.
 
-    Construction rejects tables that are not associative. Instances are
-    immutable afterwards and safe to share across threads.
+    Construction rejects tables that are not associative. ``table`` is a
+    read-only uint8 array. Instances are immutable afterwards and safe to
+    share across threads.
     """
 
     __slots__ = ("table", "rows", "order", "commutative", "identity",
@@ -56,23 +57,23 @@ class FiniteSemigroup:
             entry = int(np.asarray(table)[i, j])
             raise IndexOutOfRange(
                 f"entry {entry} at ({int(i)}, {int(j)}) is outside [0, {n})")
-        # (i*j)*k == i*(j*k) for every triple, all at once, on uint8
-        # temporaries: entries are below MAX_ORDER, so the copy is exact.
+        # Entries are below MAX_ORDER, so the table is kept as an exact
+        # uint8 copy. (i*j)*k == i*(j*k) for every triple, all at once.
         small = arr.astype(np.uint8)
         lhs = small[small, :]
         rhs = small[:, small]
         if not np.array_equal(lhs, rhs):
             i, j, k = np.argwhere(lhs != rhs)[0]
             raise NonAssociative(int(i), int(j), int(k))
-        arr.setflags(write=False)
-        self.table = arr
-        self.rows = arr.tolist()  # plain lists for fast scalar access
+        small.setflags(write=False)
+        self.table = small
+        self.rows = small.tolist()  # plain lists for fast scalar access
         self.order = n
-        self.commutative = bool(np.array_equal(arr, arr.T))
+        self.commutative = bool(np.array_equal(small, small.T))
         self.identity = self._find_identity()
         self._profiles = None
         self._fingerprint = None
-        self._hash = hash((n, arr.tobytes()))
+        self._hash = hash((n, small.tobytes()))
 
     def _find_identity(self):
         want = np.arange(self.order)

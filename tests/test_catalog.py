@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import powersemi.catalog as catalog_module
-from powersemi import (OrderUnsupported, associative_tables,
+from powersemi import (OrderUnsupported, TheoremViolation, associative_tables,
                        build_power_semigroup, canonical_tables,
                        enumerate_semigroups, find_isomorphism,
                        global_iso_probe, singleton_characterization_check)
@@ -174,6 +174,30 @@ def test_canonical_ids_are_stable(catalog):
         [e.canonical_id for e in catalog[3]]
     assert [e.semigroup.rows for e in again] == \
         [e.semigroup.rows for e in catalog[3]]
+
+
+def test_each_order_is_built_once():
+    plain = enumerate_semigroups(4)
+    opted_in = enumerate_semigroups(4, long_running=True)
+    assert len(plain) == len(opted_in)
+    assert all(a is b for a, b in zip(plain, opted_in))
+
+
+def test_catalog_rejects_isomorphic_tables(monkeypatch):
+    # Two labelings of the two-element chain, one per class by mistake.
+    monkeypatch.setattr(catalog_module, "canonical_tables",
+                        lambda n: iter([[[0, 0], [0, 1]], [[0, 1], [1, 1]]]))
+    with pytest.raises(TheoremViolation, match=r"\(2, 0\) and \(2, 1\)"):
+        catalog_module._catalog.__wrapped__(2)
+
+
+def test_catalog_and_power_tables_are_read_only_uint8(catalog):
+    for entries in catalog.values():
+        for entry in entries:
+            for table in (entry.semigroup.table,
+                          entry.power_semigroup().table):
+                assert table.dtype == np.uint8
+                assert not table.flags.writeable
 
 
 def test_probe_order_two():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersemi import TheoremViolation, format_table
+from powersemi import TheoremViolation, associative_tables, format_table
 from powersemi import cli as cli_module
 from powersemi import zoo
 from powersemi.cli import build_parser, run
@@ -240,8 +240,19 @@ def test_enumerate_subcommand(tables, capsys):
     assert report["classes"] == 8
 
 
+def test_enumerate_labeled_lists_every_associative_table(capsys):
+    code, report = invoke(capsys, "enumerate", "--order", "3", "--labeled")
+    assert code == 0
+    assert report["up_to_isomorphism"] is False
+    assert report["classes"] == 113  # OEIS A023814
+    assert report["tables"] == list(associative_tables(3))
+
+
 def test_enumerate_order_five_needs_opt_in(capsys):
     code, report = invoke(capsys, "enumerate", "--order", "5")
+    assert code == 2
+    assert report["error"]["type"] == "OrderUnsupported"
+    code, report = invoke(capsys, "enumerate", "--order", "5", "--labeled")
     assert code == 2
     assert report["error"]["type"] == "OrderUnsupported"
 
