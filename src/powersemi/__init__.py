@@ -26,12 +26,13 @@ from .numerical import (NumericalMonoid, equality_campaign, random_member_set,
                         random_monoid, witness_campaign)
 from .power import (FAMILY_MAX, POWER_CAP_MAX, CompletenessCertificate,
                     SubsetElement, SubsetFamily, bits, build_power_semigroup,
-                    congruence_family, downward_complete_closure,
-                    downward_completeness, family_products, family_report,
-                    full_family, mask_of, setwise_product,
-                    singleton_family, submasks)
+                    build_power_semigroups, congruence_family,
+                    downward_complete_closure, downward_completeness,
+                    family_products, family_report, full_family, mask_of,
+                    setwise_product, singleton_family, submasks)
 from .semigroups import (MAX_ORDER, Congruence, FiniteSemigroup,
                          all_congruences, congruence_from_partition,
-                         format_table, parse_table, read_table)
+                         format_table, parse_table, read_table,
+                         semigroups_from_stack)
 
 __version__ = "0.1.0"

@@ -9,14 +9,18 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 
+import numpy as np
+
 from .cancellation import (cancellative_elements_bruteforce,
                            singleton_cancellative_elements)
 from .errors import OrderUnsupported, TheoremViolation
 from .morphisms import (IsoFingerprint, find_isomorphism, fingerprint,
                         fingerprints)
-from .power import (build_power_semigroup, congruence_family,
-                    downward_complete_closure, full_family)
-from .semigroups import FiniteSemigroup, all_congruences
+from .power import (build_power_semigroup, build_power_semigroups,
+                    congruence_family, downward_complete_closure,
+                    full_family)
+from .semigroups import (FiniteSemigroup, all_congruences,
+                         semigroups_from_stack)
 
 ENUM_MAX = 5
 
@@ -154,11 +158,12 @@ def _check_order(n, long_running):
 
 
 def labeled_tables(n, long_running=False):
-    """Every associative table of order n, each validated by
-    FiniteSemigroup, as lists of rows in lexicographic order. Builds no
-    catalog entries or fingerprints."""
+    """Every associative table of order n, validated together by
+    semigroups_from_stack, as lists of rows in lexicographic order.
+    Builds no catalog entries or fingerprints."""
     _check_order(n, long_running)
-    return [FiniteSemigroup(table).rows for table in associative_tables(n)]
+    tables = np.array(list(associative_tables(n)))
+    return [semigroup.rows for semigroup in semigroups_from_stack(tables)]
 
 
 def enumerate_semigroups(n, long_running=False):
@@ -176,7 +181,7 @@ def enumerate_semigroups(n, long_running=False):
 
 @lru_cache(maxsize=None)
 def _catalog(n):
-    semigroups = [FiniteSemigroup(table) for table in canonical_tables(n)]
+    semigroups = semigroups_from_stack(np.array(list(canonical_tables(n))))
     fps = fingerprints(semigroups)
     for i, j, found in _same_fingerprint_pairs(semigroups, fps):
         if found is not None:
@@ -208,14 +213,19 @@ def global_iso_probe(n, long_running=False, entries=None,
     exhaustively by find_isomorphism, and the CLI turns any finding into
     exit code 1.
 
-    The power tables are fingerprinted in one batch by fingerprints, so
-    each power semigroup, cached on its entry, also caches its element
-    profiles and fingerprint; only pairs whose fingerprints agree are
-    searched.
+    The power tables not yet cached on their entries are built in
+    stacks by build_power_semigroups and fingerprinted in one batch by
+    fingerprints, so each power semigroup, cached on its entry, also
+    caches its element profiles and fingerprint; only pairs whose
+    fingerprints agree are searched.
     """
     start = timer()
     if entries is None:
         entries = enumerate_semigroups(n, long_running)
+    missing = [entry for entry in entries if entry._power is None]
+    built = build_power_semigroups(entry.semigroup for entry in missing)
+    for entry, power in zip(missing, built):
+        entry._power = power
     powers = [entry.power_semigroup() for entry in entries]
     total_pairs = len(entries) * (len(entries) - 1) // 2
     pairs = list(_same_fingerprint_pairs(powers, fingerprints(powers)))

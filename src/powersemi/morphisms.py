@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import PreconditionViolated, TheoremViolation
 from .power import bits, build_power_semigroup, mask_of
+from .semigroups import _BATCH_CELLS
 
 
 class Morphism:
@@ -78,13 +79,6 @@ class IsoFingerprint(NamedTuple):
     has_identity: bool
     idempotent_count: int
     profiles: tuple
-
-
-# fingerprints profiles at most this many table cells at once. The
-# kernel's temporaries take up to about 8 bytes per cell, so a chunk stays
-# near 1 MB however many tables a catalog passes; chunks eight times larger
-# ran no faster and left the process's peak RSS about 5 MB higher.
-_BATCH_CELLS = 1 << 16
 
 
 def element_profiles(semigroup):
@@ -160,7 +154,7 @@ def fingerprint(semigroup):
             semigroup.order,
             semigroup.commutative,
             semigroup.identity is not None,
-            len(semigroup.idempotents()),
+            sum(profile[0] for profile in profiles),
             tuple(sorted(profiles)),
         )
     return semigroup._fingerprint

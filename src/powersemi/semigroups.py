@@ -19,16 +19,25 @@ MAX_ORDER = 64
 # quadruple flags (n**4 per partition), a few MB of temporaries.
 _BATCH_FLAGS = 1 << 18
 
+# Batched table work keeps its temporaries near 8 * _BATCH_CELLS bytes
+# however many tables a caller passes. The fingerprint kernel takes up to
+# about 8 bytes per table cell, so it profiles _BATCH_CELLS cells at once
+# (chunks eight times larger ran no faster and left the process's peak
+# RSS about 5 MB higher); re-checking the associativity of an order-n
+# table gathers n uint8 entries per side for each of its cells.
+_BATCH_CELLS = 1 << 16
+
 
 class FiniteSemigroup:
     """A validated semigroup on {0, ..., n-1}.
 
     Construction rejects tables that are not associative. ``table`` is a
-    read-only uint8 array. Instances are immutable afterwards and safe to
+    read-only uint8 array and ``rows`` the same table as plain lists,
+    built on first use. Instances are immutable afterwards and safe to
     share across threads.
     """
 
-    __slots__ = ("table", "rows", "order", "commutative", "identity",
+    __slots__ = ("table", "order", "commutative", "identity", "_rows",
                  "_profiles", "_fingerprint", "_hash")
 
     def __init__(self, table):
@@ -40,47 +49,41 @@ class FiniteSemigroup:
         except (TypeError, ValueError):
             arr = None
         # np.array truncates floats and parses digit strings silently.
-        if arr is None or np.asarray(table).dtype.kind not in "iu":
+        raw = None if arr is None else np.asarray(table)
+        if raw is None or raw.dtype.kind not in "iu":
             raise IndexOutOfRange("table entries must be integers, in rows "
                                   "of equal length")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise IndexOutOfRange(
                 f"expected a non-empty square table, got shape {arr.shape}")
-        n = arr.shape[0]
-        if n > MAX_ORDER:
-            raise IndexOutOfRange(
-                f"order {n} exceeds the supported maximum of {MAX_ORDER}")
-        if arr.min() < 0 or arr.max() >= n:
-            i, j = np.argwhere((arr < 0) | (arr >= n))[0]
-            # Read the entry from the input: a uint64 entry >= 2**63 wraps
-            # to a negative one in the int64 copy.
-            entry = int(np.asarray(table)[i, j])
-            raise IndexOutOfRange(
-                f"entry {entry} at ({int(i)}, {int(j)}) is outside [0, {n})")
-        # Entries are below MAX_ORDER, so the table is kept as an exact
-        # uint8 copy. (i*j)*k == i*(j*k) for every triple, all at once.
-        small = arr.astype(np.uint8)
-        lhs = small[small, :]
-        rhs = small[:, small]
-        if not np.array_equal(lhs, rhs):
-            i, j, k = np.argwhere(lhs != rhs)[0]
-            raise NonAssociative(int(i), int(j), int(k))
-        small.setflags(write=False)
-        self.table = small
-        self.rows = small.tolist()  # plain lists for fast scalar access
-        self.order = n
-        self.commutative = bool(np.array_equal(small, small.T))
-        self.identity = self._find_identity()
+        if arr.shape[0] > MAX_ORDER:
+            raise IndexOutOfRange(f"order {arr.shape[0]} exceeds the "
+                                  f"supported maximum of {MAX_ORDER}")
+        # The input itself, not its int64 copy, is validated: a uint64
+        # entry >= 2**63 wraps to a negative one in the copy.
+        tables, commutative, identities = _validate(raw[None])
+        # A copy, not a view that would keep the stack of one alive: about
+        # 150 bytes less per instance.
+        table = tables[0].copy()
+        table.setflags(write=False)
+        self._install(table, commutative[0], identities[0])
+
+    def _install(self, table, commutative, identity):
+        self.table = table
+        self.order = table.shape[0]
+        self.commutative = commutative
+        self.identity = identity
+        self._rows = None
         self._profiles = None
         self._fingerprint = None
-        self._hash = hash((n, small.tobytes()))
+        self._hash = hash((self.order, table.tobytes()))
 
-    def _find_identity(self):
-        want = np.arange(self.order)
-        t = self.table
-        found = np.flatnonzero((t == want).all(axis=1) &
-                               (t.T == want).all(axis=1))
-        return int(found[0]) if found.size else None
+    @property
+    def rows(self):
+        """The table as plain lists, for fast scalar access."""
+        if self._rows is None:
+            self._rows = self.table.tolist()
+        return self._rows
 
     def _check_element(self, a):
         if not 0 <= a < self.order:
@@ -106,7 +109,8 @@ class FiniteSemigroup:
         return all(self.is_cancellative(a) for a in range(self.order))
 
     def idempotents(self):
-        return [x for x in range(self.order) if self.rows[x][x] == x]
+        rows = self.rows
+        return [x for x in range(self.order) if rows[x][x] == x]
 
     def index_and_period(self, a):
         """(index, period) of the cyclic subsemigroup generated by a.
@@ -115,12 +119,13 @@ class FiniteSemigroup:
         {a, a**2, ...} has index + period - 1 elements.
         """
         self._check_element(a)
+        rows = self.rows
         seen = {}
         x = a
         step = 1
         while x not in seen:
             seen[x] = step
-            x = self.rows[x][a]
+            x = rows[x][a]
             step += 1
         first = seen[x]
         return first, step - first
@@ -135,6 +140,67 @@ class FiniteSemigroup:
 
     def __repr__(self):
         return f"FiniteSemigroup(order={self.order})"
+
+
+def _validate(stack):
+    """Validate a (k, n, n) stack of integer tables, 1 <= n <= MAX_ORDER.
+
+    Raises IndexOutOfRange for the first entry outside [0, n) and
+    NonAssociative for the first triple (i, j, l), in row-major order,
+    with (i*j)*l != i*(j*l), both in the first table that has one.
+    Returns the tables as one read-only uint8 array, then each table's
+    commutativity flag and identity element (None if it has none).
+    """
+    k, n, _ = stack.shape
+    # Read as unsigned of the same width and byte order, a negative entry
+    # is at least 2**(bits - 1), so one bound catches both ends.
+    unsigned = stack.view(stack.dtype.str.replace("i", "u"))
+    if stack.size and unsigned.max() >= n:
+        t, i, j = np.argwhere(unsigned >= n)[0]
+        raise IndexOutOfRange(f"entry {int(stack[t, i, j])} at "
+                              f"({int(i)}, {int(j)}) is outside [0, {n})")
+    # Entries are below MAX_ORDER, so the tables are kept as an exact
+    # uint8 copy. Row t*n + x of the flattened tables is row x of table
+    # t, and likewise for the columns, so one row gather per side gives
+    # lhs[t, i, j, l] = (i*j)*l and rhs[t, j, l, i] = i*(j*l).
+    tables = stack.astype(np.uint8)
+    columns = np.ascontiguousarray(tables.transpose(0, 2, 1))
+    products = np.arange(0, k * n, n, dtype=np.intp)[:, None, None] + tables
+    lhs = np.take(tables.reshape(k * n, n), products, axis=0)
+    rhs = np.take(columns.reshape(k * n, n), products,
+                  axis=0).transpose(0, 3, 1, 2)
+    if (lhs != rhs).any():
+        _, i, j, l = np.argwhere(lhs != rhs)[0]
+        raise NonAssociative(int(i), int(j), int(l))
+    tables.setflags(write=False)
+    commutative = (tables == columns).all(axis=(1, 2)).tolist()
+    elements = np.arange(n, dtype=np.uint8)
+    neutral = ((tables == elements) & (columns == elements)).all(axis=2)
+    identities = [row.index(True) if True in row else None
+                  for row in neutral.tolist()]
+    return tables, commutative, identities
+
+
+def semigroups_from_stack(stack):
+    """One FiniteSemigroup per table of a (k, n, n) integer array.
+
+    The tables are validated together, with the same checks and errors
+    as FiniteSemigroup applies to one table; each instance's ``table``
+    is a read-only view of one uint8 copy of the stack.
+    """
+    stack = np.asarray(stack)
+    if stack.dtype.kind not in "iu" or stack.ndim != 3 or \
+            stack.shape[1] != stack.shape[2] or \
+            not 0 < stack.shape[1] <= MAX_ORDER:
+        raise IndexOutOfRange(
+            f"expected a stack of square integer tables of order 1 to "
+            f"{MAX_ORDER}, got {stack.dtype} of shape {stack.shape}")
+    semigroups = []
+    for table, commutative, identity in zip(*_validate(stack)):
+        semigroup = object.__new__(FiniteSemigroup)
+        semigroup._install(table, commutative, identity)
+        semigroups.append(semigroup)
+    return semigroups
 
 
 class Congruence:

@@ -5,14 +5,16 @@ of the pruned isomorphism search and feasible only at tiny orders.
 `mask_product` multiplies two masks in plain Python, one product at a
 time, independent of the package's `family_products`. The cancellation
 oracles multiply one member by every member with it, independent of the
-family's product matrix.
+family's product matrix. `semigroup_state` lists what a FiniteSemigroup
+exposes, so two construction paths can be compared field by field.
 """
 
 from itertools import permutations, product
 
 import numpy as np
 
-from powersemi import CancellationWitness, Morphism, SubsetElement
+from powersemi import (CancellationWitness, Morphism, SubsetElement,
+                       fingerprint)
 
 
 def mask_product(semigroup, xmask, ymask):
@@ -30,6 +32,15 @@ def mask_product(semigroup, xmask, ymask):
             out |= 1 << row[ylow.bit_length() - 1]
             ym ^= ylow
     return out
+
+
+def semigroup_state(semigroup):
+    """The table (dtype, bytes, writeability), order, commutativity flag,
+    identity, hash, rows and fingerprint of a FiniteSemigroup."""
+    table = semigroup.table
+    return (table.dtype, table.shape, table.tobytes(), table.flags.writeable,
+            semigroup.order, semigroup.commutative, semigroup.identity,
+            hash(semigroup), semigroup.rows, fingerprint(semigroup))
 
 
 def _bruteforce_isomorphisms(source, target):

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import powersemi.catalog as catalog_module
-from powersemi import (OrderUnsupported, TheoremViolation, associative_tables,
+from powersemi import (CatalogEntry, FiniteSemigroup, OrderUnsupported,
+                       TheoremViolation, associative_tables,
                        build_power_semigroup, canonical_tables,
                        enumerate_semigroups, find_isomorphism,
                        global_iso_probe, singleton_characterization_check)
 
-from oracles import all_automorphisms_bruteforce, isomorphic_bruteforce
+from oracles import (all_automorphisms_bruteforce, isomorphic_bruteforce,
+                     semigroup_state)
 
 
 def naive_is_associative(rows, n):
@@ -281,3 +283,18 @@ def test_group_entries_of_small_orders(catalog):
                 for x in range(sgr.order):
                     assert any(sgr.rows[x][y] == e == sgr.rows[y][x]
                                for y in range(sgr.order))
+
+
+def test_catalog_semigroups_equal_one_at_a_time_construction(catalog):
+    for n, entries in catalog.items():
+        assert [semigroup_state(e.semigroup) for e in entries] == \
+            [semigroup_state(FiniteSemigroup(t)) for t in canonical_tables(n)]
+
+
+def test_probe_builds_no_rows_for_pruned_power_tables():
+    entries = [CatalogEntry(e.semigroup, e.canonical_id, e.fingerprint)
+               for e in enumerate_semigroups(4)]
+    report = global_iso_probe(4, entries=entries)
+    assert report["pruned_by_fingerprint"] == report["pairs_checked"]
+    assert all(entry._power._rows is None for entry in entries)
+    assert all(entry.power_semigroup() is entry._power for entry in entries)

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import powersemi.power as power_module
 from powersemi import (FAMILY_MAX, MAX_ORDER, POWER_CAP_MAX, AmbientMismatch,
-                       IndexOutOfRange, OrderCapExceeded, SubsetElement,
-                       SubsetFamily,
+                       CatalogEntry, FiniteSemigroup, IndexOutOfRange,
+                       OrderCapExceeded, SubsetElement, SubsetFamily,
                        all_congruences, build_power_semigroup,
+                       build_power_semigroups, enumerate_semigroups,
+                       global_iso_probe,
                        congruence_from_partition, congruence_family,
                        downward_complete_closure, downward_completeness,
                        family_products, family_report, full_family, mask_of,
@@ -16,7 +19,7 @@ from powersemi import (FAMILY_MAX, MAX_ORDER, POWER_CAP_MAX, AmbientMismatch,
                        submasks, witness_noncancellative)
 from powersemi import zoo
 
-from oracles import mask_product
+from oracles import mask_product, semigroup_state
 
 
 def int_set_product(rows, xs, ys):
@@ -318,6 +321,75 @@ def test_family_membership_and_indexing():
     fam = full_family(zoo.cyclic_group(3))
     assert 5 in fam and fam.index(5) == 4
     assert 8 not in fam
+
+
+def test_family_index_is_each_members_position():
+    fam = downward_complete_closure(zoo.cyclic_group(4), [5])
+    assert [fam.index(m) for m in fam.masks] == list(range(len(fam)))
+    assert fam.index(np.uint64(fam.masks[-1])) == len(fam) - 1
+    for outside in sorted(set(range(1, 16)) - set(fam.masks)):
+        with pytest.raises(IndexOutOfRange, match="is not a member"):
+            fam.index(outside)
+    with pytest.raises(IndexOutOfRange, match="not an integer"):
+        fam.index(True)
+
+
+def one_at_a_time_power(carrier):
+    """The power semigroup built by the one-table constructor."""
+    masks = np.arange(1, 1 << carrier.order, dtype=np.uint64)
+    return FiniteSemigroup(family_products(carrier, masks, masks) - 1)
+
+
+@pytest.mark.parametrize("cells", [None, 1000], ids=["default", "small_stacks"])
+def test_batched_power_tables_equal_one_at_a_time(catalog, monkeypatch, cells):
+    # Orders 1-4 shuffled together, so stacks of several orders interleave
+    # in the input; with 1000 cells the order-4 tables come two at a time.
+    if cells is not None:
+        monkeypatch.setattr(power_module, "_BATCH_CELLS", cells)
+    carriers = [e.semigroup for entries in catalog.values() for e in entries]
+    random.Random(4).shuffle(carriers)
+    powers = build_power_semigroups(carriers)
+    assert len(powers) == len(carriers) == 218
+    for carrier, power in zip(carriers, powers):
+        want = semigroup_state(one_at_a_time_power(carrier))
+        assert semigroup_state(power) == want
+        assert semigroup_state(build_power_semigroup(carrier)) == want
+
+
+def test_batched_power_build_checks_the_cap_of_every_carrier():
+    with pytest.raises(OrderCapExceeded):
+        build_power_semigroups([zoo.cyclic_group(2),
+                                zoo.null_semigroup(POWER_CAP_MAX + 1)])
+    assert build_power_semigroups([]) == []
+
+
+def test_power_builds_with_a_function_in_place_of_the_class(monkeypatch):
+    # A traced benchmark run replaces the FiniteSemigroup binding of the
+    # power module with a plain wrapper function: every build must still
+    # work, singly, in batch and inside the probe.
+    wrapped = []
+
+    def wrapper(table):
+        wrapped.append(1)
+        return FiniteSemigroup(table)
+
+    carriers = [zoo.cyclic_group(3), zoo.min_chain(4), zoo.left_zero(2)]
+    want = [semigroup_state(one_at_a_time_power(c)) for c in carriers]
+    entries = enumerate_semigroups(3)
+    report = global_iso_probe(3, entries=[
+        CatalogEntry(e.semigroup, e.canonical_id, e.fingerprint)
+        for e in entries])
+    monkeypatch.setattr(power_module, "FiniteSemigroup", wrapper)
+    assert [semigroup_state(build_power_semigroup(c))
+            for c in carriers] == want
+    assert [semigroup_state(p)
+            for p in build_power_semigroups(carriers)] == want
+    assert full_family(carriers[0]).as_semigroup().order == 7
+    assert wrapped == [1]
+    traced = global_iso_probe(3, entries=[
+        CatalogEntry(e.semigroup, e.canonical_id, e.fingerprint)
+        for e in entries])
+    assert {**traced, "elapsed_ms": 0} == {**report, "elapsed_ms": 0}
 
 
 def test_as_semigroup_matches_build_power_semigroup(catalog):

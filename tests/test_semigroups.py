@@ -1,14 +1,22 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import powersemi
 import powersemi.semigroups as semigroups_module
-from powersemi import (FiniteSemigroup, IndexOutOfRange, NonAssociative,
-                       NotCompatible, all_congruences,
-                       congruence_from_partition, format_table, parse_table)
+from powersemi import (MAX_ORDER, FiniteSemigroup, IndexOutOfRange,
+                       NonAssociative, NotCompatible, all_congruences,
+                       congruence_from_partition, format_table, parse_table,
+                       semigroups_from_stack)
 from powersemi import zoo
 from powersemi.semigroups import _label_vectors
+
+from oracles import semigroup_state
 
 
 def naive_is_associative(rows, n):
@@ -80,7 +88,7 @@ def test_non_integer_entries_are_out_of_range(table):
         FiniteSemigroup(table)
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, ">i8"])
 def test_integer_arrays_are_accepted(dtype):
     sgr = FiniteSemigroup(np.array([[0, 1], [1, 0]], dtype=dtype))
     assert sgr == zoo.cyclic_group(2)
@@ -220,6 +228,138 @@ def test_table_is_read_only():
     sgr = zoo.cyclic_group(2)
     with pytest.raises(ValueError):
         sgr.table[0, 0] = 1
+
+
+# Two non-associative order-3 tables. The first fails first at (2, 2, 1)
+# and the second at (0, 0, 1), which holds in the first table, so a
+# validator that took the row-major first triple over all tables would
+# blame the wrong table.
+NON_ASSOCIATIVE_3 = ([[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+                     [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+def order3_stack_with(tables, at):
+    """The 24 order-3 catalog tables with the given tables inserted from
+    position at onwards, one every other slot."""
+    stack = [e.semigroup.rows for e in powersemi.enumerate_semigroups(3)]
+    for offset, table in enumerate(tables):
+        stack.insert(at + 2 * offset, table)
+    return np.array(stack)
+
+
+def test_stacked_tables_equal_one_at_a_time(catalog):
+    for entries in catalog.values():
+        tables = np.stack([e.semigroup.table for e in entries])
+        for dtype in (np.int64, np.uint8, np.uint64):
+            batch = semigroups_from_stack(tables.astype(dtype))
+            assert [semigroup_state(s) for s in batch] == \
+                [semigroup_state(FiniteSemigroup(t)) for t in tables]
+    assert semigroups_from_stack(np.zeros((0, 2, 2), dtype=np.int64)) == []
+
+
+def test_stack_reports_the_first_failing_triple_of_the_first_bad_table():
+    first, second = NON_ASSOCIATIVE_3
+    with pytest.raises(NonAssociative) as single:
+        FiniteSemigroup(first)
+    with pytest.raises(NonAssociative) as other:
+        FiniteSemigroup(second)
+    assert single.value.triple != other.value.triple
+    with pytest.raises(NonAssociative) as info:
+        semigroups_from_stack(order3_stack_with(NON_ASSOCIATIVE_3, 11))
+    i, j, k = info.value.triple
+    assert first[first[i][j]][k] != first[i][first[j][k]]
+    assert info.value.triple == single.value.triple == (2, 2, 1)
+
+
+@pytest.mark.parametrize("entry", [3, -1, 2**63], ids=["above", "negative",
+                                                        "beyond_int64"])
+def test_stack_with_an_entry_outside_the_carrier_is_rejected(entry):
+    bad = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    bad[1][2] = entry
+    dtype = np.uint64 if entry > 0 else np.int64
+    stack = order3_stack_with([bad], 7).astype(dtype)
+    with pytest.raises(IndexOutOfRange,
+                       match=rf"entry {entry} at \(1, 2\) is outside \[0, 3\)"):
+        semigroups_from_stack(stack)
+
+
+@pytest.mark.parametrize("stack", [
+    np.zeros((2, 2), dtype=np.int64), np.zeros((1, 2, 3), dtype=np.int64),
+    np.zeros((1, 0, 0), dtype=np.int64), np.zeros((1, 2, 2)),
+    np.zeros((1, 2, 2), dtype=bool),
+    np.zeros((1, MAX_ORDER + 1, MAX_ORDER + 1), dtype=np.int64)],
+    ids=["flat", "not_square", "empty_tables", "float", "bool", "too_large"])
+def test_stack_of_the_wrong_shape_or_type_is_rejected(stack):
+    with pytest.raises(IndexOutOfRange, match="expected a stack"):
+        semigroups_from_stack(stack)
+
+
+# Run under `python -O`, where assert statements are stripped: a corrupted
+# stack must still be rejected by the stacked validator.
+CORRUPTED_STACK_SCRIPT = """
+import numpy as np
+from powersemi import (IndexOutOfRange, NonAssociative, enumerate_semigroups,
+                       semigroups_from_stack)
+if __debug__:
+    raise SystemExit("expected to run under python -O")
+good = [e.semigroup.rows for e in enumerate_semigroups(3)]
+bad = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+try:
+    semigroups_from_stack(np.array(good[:11] + [bad] + good[11:]))
+except NonAssociative as exc:
+    i, j, k = exc.triple
+    if bad[bad[i][j]][k] == bad[i][bad[j][k]]:
+        raise SystemExit(f"triple {exc.triple} holds in the bad table")
+else:
+    raise SystemExit("a non-associative table was accepted")
+try:
+    semigroups_from_stack(np.array(good[:5] + [[[0, 0, 0], [0, 0, 3],
+                                                 [0, 0, 0]]] + good[5:]))
+except IndexOutOfRange:
+    pass
+else:
+    raise SystemExit("an entry outside the carrier was accepted")
+print("ok")
+"""
+
+
+def test_corrupted_stack_raises_under_optimize():
+    src = str(Path(powersemi.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_STACK_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def scalar_flags(rows):
+    """Oracle: commutativity, the identity (or None) and the number of
+    idempotents, by scanning the rows."""
+    n = len(rows)
+    commutative = all(rows[i][j] == rows[j][i]
+                      for i in range(n) for j in range(n))
+    identity = next((e for e in range(n)
+                     if all(rows[e][x] == x == rows[x][e] for x in range(n))),
+                    None)
+    return commutative, identity, sum(rows[x][x] == x for x in range(n))
+
+
+def test_flags_match_a_scalar_scan(catalog):
+    # right_zero has every element as a left identity and no identity.
+    carriers = [e.semigroup for entries in catalog.values() for e in entries]
+    carriers += [zoo.right_zero(3), zoo.left_zero(3), zoo.cyclic_group(5)]
+    for sgr in carriers + powersemi.build_power_semigroups(carriers):
+        assert (sgr.commutative, sgr.identity,
+                powersemi.fingerprint(sgr).idempotent_count) \
+            == scalar_flags(sgr.rows)
+
+
+def test_rows_are_built_on_first_use():
+    sgr = FiniteSemigroup(np.array([[0, 1], [1, 0]], dtype=np.uint8))
+    assert sgr._rows is None
+    assert sgr.rows == [[0, 1], [1, 0]] and sgr.rows is sgr.rows
 
 
 def scalar_incompatible_quadruple(rows, labels):
