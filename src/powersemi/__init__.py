@@ -18,8 +18,8 @@ from .freewords import (cancellativity_campaign, leading_letter_disjoint,
                         letters_cancellation_consistent, word_product)
 from .morphisms import (IsoFingerprint, Morphism, all_isomorphisms,
                         cancellative_preservation_check,
-                        describe_fingerprint_mismatch, element_profiles,
-                        find_isomorphism, fingerprint, fingerprints,
+                        describe_fingerprint_mismatch, find_isomorphism,
+                        fingerprint, fingerprints,
                         lift_isomorphism, restrict_isomorphism,
                         verify_commutativity_transfer)
 from .numerical import (NumericalMonoid, equality_campaign, random_member_set,

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from .errors import IndexOutOfRange, PreconditionViolated, TheoremViolation
 from .power import SubsetElement, _as_mask, bits
+from .semigroups import _distinct_counts
 
 CASE1 = "Case1"
 CASE2 = "Case2"
@@ -55,15 +54,14 @@ def cancellative_elements_bruteforce(family):
     """All members that are cancellative inside the family; the oracle route.
 
     Member a is cancellative iff row a (X -> a*X) and column a (X -> X*a)
-    of the family's product matrix hold no repeated value, checked for
-    all members at once by sorting the rows and the columns.
+    of the family's product matrix hold as many distinct values as the
+    family has members, counted for all members at once.
     """
     if not family.is_subsemigroup:
         raise PreconditionViolated("family is not closed under products")
-    by_row = np.sort(family.products, axis=1)
-    by_column = np.sort(family.products, axis=0)
-    cancellative = ((by_row[:, 1:] != by_row[:, :-1]).all(axis=1)
-                    & (by_column[1:] != by_column[:-1]).all(axis=0))
+    k = len(family.masks)
+    cancellative = ((_distinct_counts(family.products) == k)
+                    & (_distinct_counts(family.products.T) == k))
     return {SubsetElement(family.semigroup, m)
             for m, ok in zip(family.masks, cancellative.tolist()) if ok}
 

@@ -86,7 +86,7 @@ def _parse_mask(semigroup, text):
 
 
 def _select_family(semigroup, args):
-    if getattr(args, "congruence", None):
+    if args.congruence is not None:
         labels = _parse_elements(args.congruence)
         try:
             cong = congruence_from_partition(semigroup, labels)
@@ -96,7 +96,7 @@ def _select_family(semigroup, args):
         except WorkbenchError as exc:
             raise UsageError(str(exc))
         return congruence_family(cong)
-    if getattr(args, "generators", None) is not None:
+    if args.generators is not None:
         masks = []
         for chunk in args.generators.split(";"):
             if chunk.strip() == "":
@@ -345,11 +345,12 @@ def build_parser():
              "construct a non-cancellativity witness for a subset")):
         p = add(name, func, help_text)
         p.add_argument("--table", required=True)
-        p.add_argument("--generators",
-                       help="semicolon-separated element lists, e.g. '0,2;1,3'; "
-                            "the downward-complete closure is used")
-        p.add_argument("--congruence",
-                       help="comma-separated block labels, one per element")
+        choice = p.add_mutually_exclusive_group()
+        choice.add_argument("--generators", help="semicolon-separated element "
+                            "lists, e.g. '0,2;1,3'; the downward-complete "
+                            "closure is used")
+        choice.add_argument("--congruence", help="comma-separated block "
+                            "labels, one per element")
         if name == "witness":
             p.add_argument("--set", required=True,
                            help="comma-separated elements of the subset")

@@ -1,5 +1,8 @@
 """Homomorphisms between finite semigroups, isomorphism search, and the
-transfer of isomorphisms to and from power semigroups."""
+transfer of isomorphisms to and from power semigroups.
+
+Fingerprints and the search read the per-element profiles that
+FiniteSemigroup computes and caches."""
 
 from __future__ import annotations
 
@@ -8,8 +11,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionViolated, TheoremViolation
-from .power import bits, build_power_semigroup, mask_of
-from .semigroups import _BATCH_CELLS
+from .power import _integer, bits, build_power_semigroup, mask_of
+from .semigroups import fill_profiles
 
 
 class Morphism:
@@ -23,7 +26,9 @@ class Morphism:
                  "is_injective", "is_surjective")
 
     def __init__(self, source, target, mapping):
-        mapping = tuple(int(v) for v in mapping)
+        mapping = tuple(map(_integer, mapping))
+        if None in mapping:
+            raise PreconditionViolated("map images must be integers")
         if len(mapping) != source.order:
             raise PreconditionViolated(
                 f"map has {len(mapping)} entries for a source of order "
@@ -81,75 +86,11 @@ class IsoFingerprint(NamedTuple):
     profiles: tuple
 
 
-def element_profiles(semigroup):
-    """Per-element invariant: idempotency, cycle index/period, image sizes,
-    and how many elements the element commutes with.
-
-    Computed by a Python loop over the one table and cached on the
-    instance (``_profiles``); fingerprints fills the same cache for many
-    tables at once.
-    """
-    if semigroup._profiles is None:
-        n = semigroup.order
-        rows = semigroup.rows
-        profiles = []
-        for x in range(n):
-            row = rows[x]
-            col = [rows[y][x] for y in range(n)]
-            commuting = sum(1 for y in range(n) if row[y] == rows[y][x])
-            index, period = semigroup.index_and_period(x)
-            profiles.append((row[x] == x, index, period,
-                             len(set(row)), len(set(col)), commuting))
-        semigroup._profiles = tuple(profiles)
-    return semigroup._profiles
-
-
-def _distinct_counts(values):
-    """How many distinct entries each line along the last axis holds."""
-    ordered = np.sort(values, axis=-1)
-    return (ordered[..., 1:] != ordered[..., :-1]).sum(axis=-1) + 1
-
-
-def _profile_rows(t):
-    """The element_profiles columns of every table of a (k, n, n) stack
-    of uint8 tables, as FiniteSemigroup stores them, as a (k, n, 6)
-    integer array (idempotency as 0/1).
-
-    The powers a, a**2, ..., a**(n+1) of every element come from doubling
-    the known prefix, a**(m+j) = a**m * a**j, one flat gather per doubling.
-    The first n powers cover the cyclic subsemigroup of a, whose size is
-    index + period - 1; with that size s, a**(s+1) = a**index, so index is
-    the least m with a**m = a**(s+1).
-    """
-    k, n, _ = t.shape
-    flat = t.reshape(-1)
-    first_cell = (np.arange(k, dtype=np.intp) * (n * n))[:, None, None]
-    powers = np.empty((k, n, n + 1), dtype=np.uint8)
-    powers[:, :, 0] = np.arange(n)
-    known = 1
-    while known <= n:
-        step = min(known, n + 1 - known)
-        last = powers[:, :, known - 1:known].astype(np.intp)
-        cells = first_cell + last * n + powers[:, :, :step]
-        powers[:, :, known:known + step] = flat[cells]
-        known += step
-    size = _distinct_counts(powers[:, :, :n])
-    cycle_start = np.take_along_axis(powers, size[:, :, None], axis=2)
-    index = (powers[:, :, :n] == cycle_start).argmax(axis=2) + 1
-    diag = np.arange(n)
-    return np.stack([t[:, diag, diag] == diag,
-                     index,
-                     size - index + 1,
-                     _distinct_counts(t),
-                     _distinct_counts(t.transpose(0, 2, 1)),
-                     (t == t.transpose(0, 2, 1)).sum(axis=2)], axis=2)
-
-
 def fingerprint(semigroup):
     """Isomorphism-invariant fingerprint, cached on the instance
-    (``_fingerprint``), built from the cached element_profiles."""
+    (``_fingerprint``), built from the semigroup's profiles."""
     if semigroup._fingerprint is None:
-        profiles = element_profiles(semigroup)
+        profiles = semigroup.profiles
         semigroup._fingerprint = IsoFingerprint(
             semigroup.order,
             semigroup.commutative,
@@ -161,26 +102,10 @@ def fingerprint(semigroup):
 
 
 def fingerprints(semigroups):
-    """The fingerprint of each semigroup, equal to what fingerprint gives.
-
-    For a catalog: the profiles of the tables not yet profiled are
-    computed by one vectorised kernel per order, in chunks of at most
-    _BATCH_CELLS table cells, and cached on each instance as the same
-    tuples element_profiles returns.
-    """
+    """The fingerprint of each semigroup, equal to what fingerprint gives,
+    with the profiles of a catalog computed in batches by fill_profiles."""
     semigroups = list(semigroups)
-    by_order = {}
-    for semigroup in semigroups:
-        if semigroup._profiles is None:
-            by_order.setdefault(semigroup.order, []).append(semigroup)
-    for n, group in by_order.items():
-        per_chunk = max(1, _BATCH_CELLS // (n * n))
-        for start in range(0, len(group), per_chunk):
-            chunk = group[start:start + per_chunk]
-            stack = np.stack([s.table for s in chunk])
-            for semigroup, (idem, *rest) in zip(
-                    chunk, _profile_rows(stack).transpose(0, 2, 1).tolist()):
-                semigroup._profiles = tuple(zip(map(bool, idem), *rest))
+    fill_profiles(semigroups)
     return [fingerprint(semigroup) for semigroup in semigroups]
 
 
@@ -212,8 +137,8 @@ def _mapping_search(source, target):
     if fingerprint(source) != fingerprint(target):
         return
     n = source.order
-    s_prof = element_profiles(source)
-    t_prof = element_profiles(target)
+    s_prof = source.profiles
+    t_prof = target.profiles
     candidates = {x: [y for y in range(n) if t_prof[y] == s_prof[x]]
                   for x in range(n)}
     order = sorted(range(n),
@@ -392,18 +317,14 @@ def verify_commutativity_transfer(morphism, source_family, target_family):
 
 
 def cancellative_preservation_check(morphism):
-    """True iff every element and its image share left/right cancellativity.
+    """True iff every element and its image share the sizes of their rows
+    and of their columns, hence left/right cancellativity.
 
-    Always true for an isomorphism; the check recomputes both status
-    vectors instead of assuming the statement.
+    Always true for an isomorphism; the check compares the two profile
+    columns instead of assuming the statement.
     """
     if not morphism.is_isomorphism:
         raise PreconditionViolated("map is not a verified isomorphism")
-    source, target = morphism.source, morphism.target
-    for a in range(source.order):
-        b = morphism.mapping[a]
-        if source.is_left_cancellative(a) != target.is_left_cancellative(b):
-            return False
-        if source.is_right_cancellative(a) != target.is_right_cancellative(b):
-            return False
-    return True
+    source, target = morphism.source.profiles, morphism.target.profiles
+    return all(source[a][3:5] == target[b][3:5]
+               for a, b in enumerate(morphism.mapping))

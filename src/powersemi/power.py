@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (AmbientMismatch, IndexOutOfRange, OrderCapExceeded,
                      PreconditionViolated)
 from .semigroups import (_BATCH_CELLS, MAX_ORDER, FiniteSemigroup,
-                         semigroups_from_stack)
+                         _table_stacks, semigroups_from_stack)
 
 # Full materialization of the power semigroup is allowed for carriers up
 # to this order: the power table of an order-n carrier is a FiniteSemigroup
@@ -142,6 +142,15 @@ class SubsetElement:
         return f"SubsetElement({{{', '.join(map(str, self.elements()))}}})"
 
 
+def _integer(x):
+    """x as an int if it is an integer but not a bool, else None, where
+    int() would truncate floats and parse strings."""
+    try:
+        return None if isinstance(x, bool) else operator.index(x)
+    except TypeError:
+        return None
+
+
 def _as_mask(semigroup, x):
     """The mask of x, an integer or a SubsetElement over the semigroup;
     IndexOutOfRange or AmbientMismatch for anything else."""
@@ -152,13 +161,8 @@ def _as_mask(semigroup, x):
             raise AmbientMismatch("subset lives over a different ambient")
         return x.mask
     else:
-        try:
-            mask = operator.index(x)
-        except TypeError:
-            mask = None
-        # bool is an int subclass; reject it as FiniteSemigroup rejects a
-        # bool table.
-        if mask is None or isinstance(x, bool):
+        mask = _integer(x)
+        if mask is None:
             raise IndexOutOfRange(f"mask {x!r} is not an integer")
     if not 0 < mask < 1 << semigroup.order:
         raise IndexOutOfRange(
@@ -191,29 +195,24 @@ def build_power_semigroups(semigroups):
     """build_power_semigroup of each carrier, in the order given.
 
     Carriers of one order are multiplied by _stacked_products and
-    re-validated by semigroups_from_stack together, in stacks whose
-    associativity re-check gathers at most 8 * _BATCH_CELLS entries per
-    side, m**3 for each power table of order m (17 order-5 power tables
-    per stack). That keeps a stack's gathers within a 2 MB cache: stacks
-    of 68, the count that fills _BATCH_CELLS table cells, took 1.8 times
-    as long (89 against 50 ms for the 1,915 order-5 carriers, 2-core
-    Xeon VM).
+    re-validated by semigroups_from_stack together, in stacks from
+    _table_stacks whose associativity re-check gathers at most
+    8 * _BATCH_CELLS entries per side, m**3 for each power table of
+    order m (17 order-5 power tables per stack). That keeps a stack's
+    gathers within a 2 MB cache: stacks of 68, the count that fills
+    _BATCH_CELLS table cells, took 1.8 times as long (89 against 50 ms
+    for the 1,915 order-5 carriers, 2-core Xeon VM).
     """
     semigroups = list(semigroups)
-    by_order = {}
-    for position, semigroup in enumerate(semigroups):
+    for semigroup in semigroups:
         _check_cap(semigroup.order)
-        by_order.setdefault(semigroup.order, []).append(position)
     powers = [None] * len(semigroups)
-    for n, positions in by_order.items():
-        masks = np.arange(1, 1 << n, dtype=np.uint64)
-        per_chunk = max(1, 8 * _BATCH_CELLS // len(masks) ** 3)
-        for start in range(0, len(positions), per_chunk):
-            chunk = positions[start:start + per_chunk]
-            tables = np.stack([semigroups[p].table for p in chunk])
-            products = _stacked_products(tables, masks, masks)
-            for p, power in zip(chunk, semigroups_from_stack(products - 1)):
-                powers[p] = power
+    for positions, tables in _table_stacks(semigroups, lambda n: max(
+            1, 8 * _BATCH_CELLS // ((1 << n) - 1) ** 3)):
+        masks = np.arange(1, 1 << tables.shape[1], dtype=np.uint64)
+        products = _stacked_products(tables, masks, masks)
+        for p, power in zip(positions, semigroups_from_stack(products - 1)):
+            powers[p] = power
     return powers
 
 

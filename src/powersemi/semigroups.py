@@ -1,10 +1,13 @@
 """Finite semigroups presented by explicit Cayley tables.
 
 Elements are the indices 0..n-1 and ``table[i][j]`` is the product i*j.
+The per-element profiles are computed here, for one table or a batch,
+and the scalar queries read them.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import islice
 
 import numpy as np
@@ -20,11 +23,11 @@ MAX_ORDER = 64
 _BATCH_FLAGS = 1 << 18
 
 # Batched table work keeps its temporaries near 8 * _BATCH_CELLS bytes
-# however many tables a caller passes. The fingerprint kernel takes up to
-# about 8 bytes per table cell, so it profiles _BATCH_CELLS cells at once
-# (chunks eight times larger ran no faster and left the process's peak
-# RSS about 5 MB higher); re-checking the associativity of an order-n
-# table gathers n uint8 entries per side for each of its cells.
+# however many tables a caller passes. _profile_rows takes up to about 8
+# bytes per table cell, so fill_profiles profiles _BATCH_CELLS cells at
+# once (chunks eight times larger ran no faster and left the process's
+# peak RSS about 5 MB higher); re-checking the associativity of an
+# order-n table gathers n uint8 entries per side for each of its cells.
 _BATCH_CELLS = 1 << 16
 
 
@@ -33,8 +36,8 @@ class FiniteSemigroup:
 
     Construction rejects tables that are not associative. ``table`` is a
     read-only uint8 array and ``rows`` the same table as plain lists,
-    built on first use. Instances are immutable afterwards and safe to
-    share across threads.
+    built on first use, as are the ``profiles``. Instances are immutable
+    afterwards and safe to share across threads.
     """
 
     __slots__ = ("table", "order", "commutative", "identity", "_rows",
@@ -85,19 +88,42 @@ class FiniteSemigroup:
             self._rows = self.table.tolist()
         return self._rows
 
-    def _check_element(self, a):
+    @property
+    def profiles(self):
+        """Per element a, cached: a*a == a, the index and period of a,
+        the numbers of distinct a*x and of distinct x*a, and how many
+        elements commute with a. fill_profiles fills the same cache for
+        many tables at once."""
+        if self._profiles is None:
+            rows = self.rows
+            profiles = []
+            for a, (row, col) in enumerate(zip(rows, zip(*rows))):
+                # seen[x] = m for x = a**m, until the first repeated power.
+                seen = {}
+                x = a
+                while x not in seen:
+                    seen[x] = len(seen) + 1
+                    x = rows[x][a]
+                index = seen[x]
+                profiles.append((row[a] == a, index, len(seen) + 1 - index,
+                                 len(set(row)), len(set(col)),
+                                 sum(map(operator.eq, row, col))))
+            self._profiles = tuple(profiles)
+        return self._profiles
+
+    def _profile_of(self, a):
+        # Range-checked: a bare profiles[-1] would answer for the last one.
         if not 0 <= a < self.order:
             raise IndexOutOfRange(f"element {a} outside [0, {self.order})")
+        return self.profiles[a]
 
     def is_left_cancellative(self, a):
         """True iff x -> a*x is injective (row of a has no repeats)."""
-        self._check_element(a)
-        return len(set(self.rows[a])) == self.order
+        return self._profile_of(a)[3] == self.order
 
     def is_right_cancellative(self, a):
         """True iff x -> x*a is injective (column of a has no repeats)."""
-        self._check_element(a)
-        return len({row[a] for row in self.rows}) == self.order
+        return self._profile_of(a)[4] == self.order
 
     def is_cancellative(self, a):
         return self.is_left_cancellative(a) and self.is_right_cancellative(a)
@@ -109,8 +135,7 @@ class FiniteSemigroup:
         return all(self.is_cancellative(a) for a in range(self.order))
 
     def idempotents(self):
-        rows = self.rows
-        return [x for x in range(self.order) if rows[x][x] == x]
+        return [x for x, profile in enumerate(self.profiles) if profile[0]]
 
     def index_and_period(self, a):
         """(index, period) of the cyclic subsemigroup generated by a.
@@ -118,17 +143,7 @@ class FiniteSemigroup:
         index is the least m with a**m = a**(m + period); the subsemigroup
         {a, a**2, ...} has index + period - 1 elements.
         """
-        self._check_element(a)
-        rows = self.rows
-        seen = {}
-        x = a
-        step = 1
-        while x not in seen:
-            seen[x] = step
-            x = rows[x][a]
-            step += 1
-        first = seen[x]
-        return first, step - first
+        return self._profile_of(a)[1:3]
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FiniteSemigroup)
@@ -201,6 +216,71 @@ def semigroups_from_stack(stack):
         semigroup._install(table, commutative, identity)
         semigroups.append(semigroup)
     return semigroups
+
+
+def _table_stacks(semigroups, per_stack):
+    """Yield the positions of at most per_stack(n) semigroups of one order
+    n in a list, and their tables as one (k, n, n) array."""
+    by_order = {}
+    for position, semigroup in enumerate(semigroups):
+        by_order.setdefault(semigroup.order, []).append(position)
+    for n, positions in by_order.items():
+        size = per_stack(n)
+        for start in range(0, len(positions), size):
+            chunk = positions[start:start + size]
+            yield chunk, np.stack([semigroups[p].table for p in chunk])
+
+
+def fill_profiles(semigroups):
+    """Cache the profiles of the semigroups not yet profiled, equal to
+    what the profiles property gives, computed by _profile_rows on
+    stacks of up to _BATCH_CELLS table cells."""
+    pending = [s for s in semigroups if s._profiles is None]
+    for positions, tables in _table_stacks(
+            pending, lambda n: max(1, _BATCH_CELLS // (n * n))):
+        columns = _profile_rows(tables).transpose(0, 2, 1).tolist()
+        for p, (idempotent, *rest) in zip(positions, columns):
+            pending[p]._profiles = tuple(zip(map(bool, idempotent), *rest))
+
+
+def _distinct_counts(values):
+    """How many distinct entries each line along the last axis holds."""
+    ordered = np.sort(values, axis=-1)
+    return (ordered[..., 1:] != ordered[..., :-1]).sum(axis=-1) + 1
+
+
+def _profile_rows(t):
+    """The profile columns of every table of a (k, n, n) stack of uint8
+    tables, as a (k, n, 6) integer array (idempotency as 0/1).
+
+    The powers a, a**2, ..., a**(n+1) of every element come from doubling
+    the known prefix, a**(m+j) = a**m * a**j, one flat gather per doubling.
+    The first n powers cover the cyclic subsemigroup of a, whose size is
+    index + period - 1; with that size s, a**(s+1) = a**index, so index is
+    the least m with a**m = a**(s+1).
+    """
+    k, n, _ = t.shape
+    flat = t.reshape(-1)
+    first_cell = (np.arange(k, dtype=np.intp) * (n * n))[:, None, None]
+    powers = np.empty((k, n, n + 1), dtype=np.uint8)
+    powers[:, :, 0] = np.arange(n)
+    known = 1
+    while known <= n:
+        step = min(known, n + 1 - known)
+        last = powers[:, :, known - 1:known].astype(np.intp)
+        cells = first_cell + last * n + powers[:, :, :step]
+        powers[:, :, known:known + step] = flat[cells]
+        known += step
+    size = _distinct_counts(powers[:, :, :n])
+    cycle_start = np.take_along_axis(powers, size[:, :, None], axis=2)
+    index = (powers[:, :, :n] == cycle_start).argmax(axis=2) + 1
+    diag = np.arange(n)
+    return np.stack([t[:, diag, diag] == diag,
+                     index,
+                     size - index + 1,
+                     _distinct_counts(t),
+                     _distinct_counts(t.transpose(0, 2, 1)),
+                     (t == t.transpose(0, 2, 1)).sum(axis=2)], axis=2)
 
 
 class Congruence:

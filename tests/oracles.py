@@ -7,6 +7,8 @@ time, independent of the package's `family_products`. The cancellation
 oracles multiply one member by every member with it, independent of the
 family's product matrix. `semigroup_state` lists what a FiniteSemigroup
 exposes, so two construction paths can be compared field by field.
+`scalar_element_queries` answers the scalar queries by pairwise scans of
+the rows, independent of the cached per-element profiles.
 """
 
 from itertools import permutations, product
@@ -41,6 +43,25 @@ def semigroup_state(semigroup):
     return (table.dtype, table.shape, table.tobytes(), table.flags.writeable,
             semigroup.order, semigroup.commutative, semigroup.identity,
             hash(semigroup), semigroup.rows, fingerprint(semigroup))
+
+
+def scalar_element_queries(rows):
+    """Per element a, by plain scans: whether a*x != a*y and x*a != y*a
+    for all x != y, whether a*a == a, and (index, period) of the powers
+    a, a**2, ..., listed until the first repeat, a**index."""
+    n = len(rows)
+    pairs = [(x, y) for x in range(n) for y in range(x)]
+    out = []
+    for a in range(n):
+        left = all(rows[a][x] != rows[a][y] for x, y in pairs)
+        right = all(rows[x][a] != rows[y][a] for x, y in pairs)
+        powers = [a]
+        while (following := rows[powers[-1]][a]) not in powers:
+            powers.append(following)
+        index = powers.index(following) + 1
+        out.append((left, right, rows[a][a] == a,
+                    (index, len(powers) + 1 - index)))
+    return out
 
 
 def _bruteforce_isomorphisms(source, target):

@@ -156,6 +156,33 @@ def test_family_above_the_ceiling_exits_2(choice, tmp_path, capsys):
     assert report["error"]["type"] == "OrderCapExceeded"
 
 
+@pytest.mark.parametrize("command", ["family", "cancellatives", "witness"])
+def test_empty_congruence_is_a_usage_error(command, tables, capsys):
+    # An empty label list is a partition of no elements, not "no
+    # congruence given": it must not fall back to the full family.
+    extra = ["--set", "0,1"] if command == "witness" else []
+    code, report = invoke(capsys, command, "--table", tables["z4"],
+                          "--congruence", "", *extra)
+    assert code == 2
+    assert report["error"] == {"type": "UsageError",
+                               "message": "expected 4 labels, got 0"}
+
+
+@pytest.mark.parametrize("command", ["family", "cancellatives", "witness"])
+def test_congruence_and_generators_together_are_a_usage_error(command, tables,
+                                                              capsys):
+    extra = ["--set", "0,1"] if command == "witness" else []
+    with pytest.raises(SystemExit) as info:
+        run([command, "--table", tables["z4"], "--congruence", "0,1,0,1",
+             "--generators", "0,2", *extra])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "UsageError"
+    assert "not allowed with argument" in error["message"]
+    assert "Traceback" not in captured.err
+
+
 def test_iso_negative_with_mismatch_reason(tables, capsys):
     code, report = invoke(capsys, "iso", "--table", tables["z4"],
                           "--other", tables["klein"])

@@ -5,19 +5,19 @@ import sys
 from itertools import combinations, permutations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import powersemi
-import powersemi.morphisms as morphisms_module
+import powersemi.semigroups as semigroups_module
 
 from powersemi import (FiniteSemigroup, Morphism, PreconditionViolated,
                        SubsetFamily, all_isomorphisms, build_power_semigroup,
                        cancellative_preservation_check,
-                       describe_fingerprint_mismatch, element_profiles,
-                       enumerate_semigroups, find_isomorphism, fingerprint,
-                       fingerprints, full_family, lift_isomorphism,
-                       restrict_isomorphism, singleton_family,
-                       verify_commutativity_transfer)
+                       describe_fingerprint_mismatch, enumerate_semigroups,
+                       find_isomorphism, fingerprint, fingerprints,
+                       full_family, lift_isomorphism, restrict_isomorphism,
+                       singleton_family, verify_commutativity_transfer)
 from powersemi import zoo
 
 from oracles import (all_automorphisms_bruteforce, homomorphisms,
@@ -43,6 +43,25 @@ def test_morphism_flags():
     assert collapse.is_homomorphism and not collapse.is_injective
     broken = Morphism(z3, z3, [0, 1, 1])
     assert not broken.is_homomorphism
+
+
+@pytest.mark.parametrize("images", [[0, 1.9, 2], [0, 1.0, 2], [0, "1", 2],
+                                    [0, None, 2], [0, True, 2],
+                                    [0, np.True_, 2], [0, np.float64(1), 2]],
+                         ids=["float", "integral-float", "string", "none",
+                              "bool", "numpy-bool", "numpy-float"])
+def test_morphism_rejects_non_integer_images(images):
+    z3 = zoo.cyclic_group(3)
+    with pytest.raises(PreconditionViolated, match="must be integers"):
+        Morphism(z3, z3, images)
+
+
+def test_morphism_accepts_numpy_integer_images():
+    z3 = zoo.cyclic_group(3)
+    for images in (np.array([0, 2, 1]), [np.int64(0), np.uint8(2), 1]):
+        morphism = Morphism(z3, z3, images)
+        assert morphism.mapping == (0, 2, 1) and morphism.is_isomorphism
+        assert [type(v) for v in morphism.mapping] == [int, int, int]
 
 
 def test_find_isomorphism_identity_case():
@@ -105,14 +124,14 @@ PROFILE_TYPES = [bool, int, int, int, int, int]
 
 def assert_batch_matches_loop(semigroups):
     """fingerprints on fresh copies gives, for each table, the profiles
-    and fingerprint the Python loop of element_profiles gives on another
-    fresh copy, with the same types, in input order."""
+    and fingerprint the Python loop of the profiles property gives on
+    another fresh copy, with the same types, in input order."""
     batch = [FiniteSemigroup(s.rows) for s in semigroups]
     found = fingerprints(batch)
     assert len(found) == len(batch)
     for sgr, copy, fp in zip(semigroups, batch, found):
         single = FiniteSemigroup(sgr.rows)
-        loop = element_profiles(single)
+        loop = single.profiles
         assert copy._profiles == loop
         for got, want in zip(copy._profiles, loop):
             assert [type(v) for v in got] == [type(v) for v in want] \
@@ -128,7 +147,7 @@ def test_profile_kernel_matches_loop_on_catalog_and_power_tables():
                 for e in enumerate_semigroups(n, long_running=True)]
     powers = [build_power_semigroup(s) for s in carriers]
     assert len(carriers) + len(powers) == 4266
-    per_chunk = morphisms_module._BATCH_CELLS // 31 ** 2
+    per_chunk = semigroups_module._BATCH_CELLS // 31 ** 2
     assert 1915 > per_chunk and 1915 % per_chunk
     mixed = [s for pair in zip(carriers, powers) for s in pair]
     assert_batch_matches_loop(mixed)
@@ -154,8 +173,8 @@ def test_profile_kernel_matches_loop_on_seeded_relabelings():
 def test_profiles_are_cached_and_read_by_the_search():
     sgr = zoo.min_chain(4)
     other = relabel(sgr, [2, 0, 3, 1])
-    profiles = element_profiles(sgr)
-    assert element_profiles(sgr) is profiles
+    profiles = sgr.profiles
+    assert sgr.profiles is profiles
     assert fingerprints([sgr]) == [fingerprint(sgr)]
     assert sgr._profiles is profiles
     assert find_isomorphism(sgr, other) is not None

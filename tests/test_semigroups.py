@@ -14,9 +14,9 @@ from powersemi import (MAX_ORDER, FiniteSemigroup, IndexOutOfRange,
                        congruence_from_partition, format_table, parse_table,
                        semigroups_from_stack)
 from powersemi import zoo
-from powersemi.semigroups import _label_vectors
+from powersemi.semigroups import _label_vectors, fill_profiles
 
-from oracles import semigroup_state
+from oracles import scalar_element_queries, semigroup_state
 
 
 def naive_is_associative(rows, n):
@@ -354,6 +354,36 @@ def test_flags_match_a_scalar_scan(catalog):
         assert (sgr.commutative, sgr.identity,
                 powersemi.fingerprint(sgr).idempotent_count) \
             == scalar_flags(sgr.rows)
+
+
+def test_scalar_queries_match_scalar_scans(catalog):
+    # Every carrier of orders 1-4 and its power table, each answered
+    # twice: from profiles the loop computed and from profiles that
+    # fill_profiles computed for all tables at once.
+    carriers = [e.semigroup for entries in catalog.values() for e in entries]
+    powers = powersemi.build_power_semigroups(carriers)
+    tables = [s.rows for s in carriers + powers]
+    by_loop = [FiniteSemigroup(rows) for rows in tables]
+    by_batch = [FiniteSemigroup(rows) for rows in tables]
+    fill_profiles(by_batch)
+    assert all(s._profiles is not None for s in by_batch)
+    assert all(s._profiles is None for s in by_loop)
+    for rows, loop, batch in zip(tables, by_loop, by_batch):
+        want = scalar_element_queries(rows)
+        for sgr in (loop, batch):
+            n = sgr.order
+            got = [(sgr.is_left_cancellative(a), sgr.is_right_cancellative(a),
+                    a in sgr.idempotents(), sgr.index_and_period(a))
+                   for a in range(n)]
+            assert got == want
+            assert sgr.is_cancellative_semigroup() == all(
+                left and right for left, right, _, _ in want)
+            for query in (sgr.is_left_cancellative, sgr.is_right_cancellative,
+                          sgr.is_cancellative, sgr.index_and_period):
+                for outside in (-1, n):
+                    with pytest.raises(IndexOutOfRange):
+                        query(outside)
+        assert loop._profiles == batch._profiles
 
 
 def test_rows_are_built_on_first_use():
