@@ -66,6 +66,16 @@ def cancellative_elements_bruteforce(family):
             for m, ok in zip(family.masks, cancellative.tolist()) if ok}
 
 
+def _require_rule_hypotheses(family):
+    """Raise PreconditionViolated unless the singleton rule's hypotheses
+    hold: a commutative carrier, then a downward-complete family."""
+    if not family.semigroup.commutative:
+        raise PreconditionViolated("NotCommutative: carrier must be commutative")
+    if not family.is_downward_complete:
+        raise PreconditionViolated(
+            "NotDownwardComplete: family must be downward complete")
+
+
 def singleton_cancellative_elements(family):
     """Predicted cancellative members: singletons of carrier-cancellative elements.
 
@@ -73,12 +83,8 @@ def singleton_cancellative_elements(family):
     anything else is rejected. No product of non-singleton members is
     inspected, which is the entire point of the rule.
     """
+    _require_rule_hypotheses(family)
     S = family.semigroup
-    if not S.commutative:
-        raise PreconditionViolated("NotCommutative: carrier must be commutative")
-    if not family.is_downward_complete:
-        raise PreconditionViolated(
-            "NotDownwardComplete: family must be downward complete")
     return {SubsetElement(S, 1 << u) for u in range(S.order)
             if S.is_cancellative(u)}
 
@@ -100,12 +106,8 @@ def witness_noncancellative(subset, family):
     distinct members and that multiplier * lhs == multiplier * rhs on
     both sides; a failure raises TheoremViolation.
     """
+    _require_rule_hypotheses(family)
     S = family.semigroup
-    if not S.commutative:
-        raise PreconditionViolated("NotCommutative: carrier must be commutative")
-    if not family.is_downward_complete:
-        raise PreconditionViolated(
-            "NotDownwardComplete: family must be downward complete")
     amask = _as_mask(S, subset)
     if amask.bit_count() < 2:
         raise PreconditionViolated("subset must have at least two elements")

@@ -15,11 +15,12 @@ import traceback
 
 from . import catalog as _catalog
 from . import freewords as _freewords
-from .cancellation import (cancellative_elements_bruteforce,
+from .cancellation import (_require_rule_hypotheses,
+                           cancellative_elements_bruteforce,
                            singleton_cancellative_elements,
                            witness_noncancellative)
-from .errors import (NonAssociative, NotCompatible, TheoremViolation,
-                     WorkbenchError)
+from .errors import (NonAssociative, NotCompatible, PreconditionViolated,
+                     TheoremViolation, WorkbenchError)
 from .morphisms import (check_restriction_hypotheses,
                         describe_fingerprint_mismatch, find_isomorphism,
                         fingerprint, lift_isomorphism, restrict_isomorphism)
@@ -69,8 +70,12 @@ def _load_semigroup(path):
 
 
 def _parse_elements(text):
+    """The integers of a comma-separated list; a blank text is the empty
+    list, and an empty or blank token in a non-empty one is an error."""
+    if text.strip() == "":
+        return []
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
 
@@ -145,14 +150,14 @@ def _cmd_cancellatives(args):
         "singleton_rule": None,
         "agree": None,
     }
-    code = EXIT_OK
-    if sgr.commutative and family.is_downward_complete:
-        rule = sorted(m.mask for m in singleton_cancellative_elements(family))
-        report["singleton_rule"] = rule
-        report["agree"] = rule == brute
-        if not report["agree"]:
-            code = EXIT_FINDING
-    return report, code
+    try:
+        _require_rule_hypotheses(family)
+    except PreconditionViolated:
+        return report, EXIT_OK
+    rule = sorted(m.mask for m in singleton_cancellative_elements(family))
+    report["singleton_rule"] = rule
+    report["agree"] = rule == brute
+    return report, EXIT_OK if report["agree"] else EXIT_FINDING
 
 
 def _cmd_witness(args):

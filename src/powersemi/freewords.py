@@ -12,25 +12,32 @@ from __future__ import annotations
 import random
 
 from .errors import PreconditionViolated
+from .power import _integer
+
+
+def _letter(a, message):
+    x = _integer(a)
+    if x is None or x < 0:
+        raise PreconditionViolated(message)
+    return x
 
 
 def _check_word_set(words, label):
-    out = frozenset(tuple(w) for w in words)
+    out = frozenset(
+        tuple(_letter(a, "letters must be non-negative integers") for a in w)
+        for w in words)
     if not out:
         raise PreconditionViolated(f"{label} must be a non-empty set of words")
-    for w in out:
-        if len(w) == 0:
-            raise PreconditionViolated("words must be non-empty")
-        if any(not isinstance(a, int) or a < 0 for a in w):
-            raise PreconditionViolated("letters must be non-negative integers")
+    if () in out:
+        raise PreconditionViolated("words must be non-empty")
     return out
 
 
 def _check_letters(letters):
-    out = frozenset(letters)
-    if not out or any(not isinstance(a, int) or a < 0 for a in out):
-        raise PreconditionViolated(
-            "letters must be a non-empty set of non-negative integers")
+    message = "letters must be a non-empty set of non-negative integers"
+    out = frozenset(_letter(a, message) for a in letters)
+    if not out:
+        raise PreconditionViolated(message)
     return out
 
 

@@ -15,10 +15,18 @@ from math import gcd
 
 from .cancellation import CASE2, CancellationWitness
 from .errors import NonMemberInput, PreconditionViolated, TheoremViolation
+from .power import _integer
 
 # The membership table holds min(gens) * max(gens) + min(gens) + 1 entries;
 # generators that need more are rejected rather than allocated.
 HORIZON_MAX = 10 ** 6
+
+
+def _member_integer(v):
+    x = _integer(v)
+    if x is None:
+        raise NonMemberInput(f"{v!r} is not a member of the monoid")
+    return x
 
 
 class NumericalMonoid:
@@ -34,9 +42,10 @@ class NumericalMonoid:
     __slots__ = ("generators", "gaps", "frobenius", "_member", "_horizon")
 
     def __init__(self, generators):
-        gens = sorted({int(g) for g in generators})
-        if not gens or gens[0] < 1:
+        gens = {_integer(g) for g in generators}
+        if not gens or None in gens or min(gens) < 1:
             raise ValueError("generators must be positive integers")
+        gens = sorted(gens)
         g = gcd(*gens)
         if g != 1:
             raise ValueError(
@@ -76,7 +85,7 @@ class NumericalMonoid:
         return x in self
 
     def _validate_members(self, xs, label):
-        out = frozenset(int(v) for v in xs)
+        out = frozenset(map(_member_integer, xs))
         if not out:
             raise NonMemberInput(f"{label} must be a non-empty set")
         for v in out:

@@ -365,24 +365,26 @@ def singleton_family(semigroup):
 def downward_complete_closure(semigroup, generators=()):
     """Least downward-complete subsemigroup containing the generators.
 
-    Iterates from all singletons plus the generators, closing under
-    non-empty subsets of members and under setwise products until a
-    fixpoint is reached. Idempotent and monotone in the generator set.
+    Iterates from all singletons plus the generators: each round adds
+    the non-empty subsets of the fresh masks and builds the SubsetFamily
+    of all members so far; the first round whose family is closed under
+    products is the result, and otherwise its non-member products are
+    the next fresh masks. Idempotent and monotone in the generator set.
     """
     fresh = {1 << x for x in range(semigroup.order)}
     fresh.update(_as_mask(semigroup, g) for g in generators)
     members = set()
-    while fresh:
+    while True:
         for m in fresh:
             # Every member's subsets join the closure, so each count
             # bounds its size from below.
             _check_family_size((1 << m.bit_count()) - 1)
             members.update(submasks(m))
             _check_family_size(len(members))
-        snapshot = list(members)
-        products = family_products(semigroup, snapshot, snapshot)
-        fresh = set(np.unique(products).tolist()) - members
-    return SubsetFamily(semigroup, members)
+        family = SubsetFamily(semigroup, members)
+        if family.is_subsemigroup:
+            return family
+        fresh = set(family.products.ravel().tolist()) - members
 
 
 def congruence_family(congruence):

@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersemi import TheoremViolation, associative_tables, format_table
+from powersemi import (PreconditionViolated, SubsetFamily, TheoremViolation,
+                       associative_tables, downward_complete_closure,
+                       format_table, full_family,
+                       singleton_cancellative_elements,
+                       witness_noncancellative)
 from powersemi import cli as cli_module
 from powersemi import zoo
 from powersemi.cli import build_parser, run
@@ -166,6 +170,68 @@ def test_empty_congruence_is_a_usage_error(command, tables, capsys):
     assert code == 2
     assert report["error"] == {"type": "UsageError",
                                "message": "expected 4 labels, got 0"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--table", "z4", "--congruence", "0,,1,0,1"],
+    ["family", "--table", "z4", "--congruence", "0,1,0,1,"],
+    ["family", "--table", "z4", "--generators", "0,,2;1,3"],
+    ["cancellatives", "--table", "z4", "--generators", "0,2; ,1"],
+    ["witness", "--table", "z3", "--set", "0,,1"],
+    ["witness", "--table", "z3", "--set", ",0,1"],
+    ["nm", "--gens", "3,,5"],
+    ["nm-witness", "--gens", "3,5", "--set", "3, ,5"],
+], ids=["congruence-double", "congruence-trailing", "generators-double",
+        "generators-blank", "set-double", "set-leading", "nm-gens",
+        "nm-witness-set"])
+def test_empty_token_in_a_list_is_a_usage_error(argv, tables, capsys):
+    code, report = invoke(capsys, *[tables.get(a, a) for a in argv])
+    assert code == 2
+    assert report["error"]["type"] == "UsageError"
+    assert report["error"]["message"].startswith(
+        "expected comma-separated integers")
+
+
+def test_blank_generator_chunks_are_still_skipped(tables, capsys):
+    _, plain = invoke(capsys, "family", "--table", tables["z4"],
+                      "--generators", "0,2;1,3")
+    code, spaced = invoke(capsys, "family", "--table", tables["z4"],
+                          "--generators", ";0,2;; ;1,3;")
+    assert code == 0
+    assert spaced == plain
+
+
+def _hypothesis_failure(check, *args):
+    try:
+        check(*args)
+    except PreconditionViolated as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("make, mask, message", [
+    (lambda: full_family(zoo.left_zero(2)), 0b11,
+     "NotCommutative: carrier must be commutative"),
+    (lambda: SubsetFamily(zoo.cyclic_group(3), [0b111]), 0b111,
+     "NotDownwardComplete: family must be downward complete"),
+    (lambda: downward_complete_closure(zoo.cyclic_group(4), [0b11]), 0b11,
+     None),
+], ids=["left-zero2-full", "z3-whole-set-only", "z4-closure"])
+def test_rule_witness_and_cancellatives_test_the_same_hypotheses(
+        make, mask, message, tmp_path, monkeypatch, capsys):
+    family = make()
+    assert _hypothesis_failure(singleton_cancellative_elements,
+                               family) == message
+    assert _hypothesis_failure(witness_noncancellative, mask,
+                               family) == message
+    path = tmp_path / "carrier.tbl"
+    path.write_text(format_table(family.semigroup))
+    monkeypatch.setattr(cli_module, "_select_family",
+                        lambda semigroup, args: family)
+    code, report = invoke(capsys, "cancellatives", "--table", str(path))
+    assert code == 0
+    assert (report["singleton_rule"] is None) == (message is not None)
+    assert (report["agree"] is None) == (message is not None)
 
 
 @pytest.mark.parametrize("command", ["family", "cancellatives", "witness"])

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,11 +60,31 @@ def test_letters_must_be_valid():
 
 @pytest.mark.parametrize("check", [letters_cancellation_consistent,
                                    leading_letter_disjoint])
-@pytest.mark.parametrize("letters", [[], ["a"], [-1], [A, 1.5]],
-                         ids=["empty", "string", "negative", "float"])
+@pytest.mark.parametrize("letters", [[], ["a"], [-1], [A, 1.5], [True],
+                                     [np.True_]],
+                         ids=["empty", "string", "negative", "float", "bool",
+                              "numpy-bool"])
 def test_both_letter_checks_reject_invalid_letters(check, letters):
     with pytest.raises(PreconditionViolated):
         check(letters, {(A,)}, {(B,)})
+
+
+@pytest.mark.parametrize("letter", [True, np.True_, 1.0, "0", None],
+                         ids=["bool", "numpy-bool", "float", "string", "none"])
+def test_word_sets_refuse_non_integer_letters(letter):
+    with pytest.raises(PreconditionViolated):
+        word_product([(letter,)], [(A,)])
+    with pytest.raises(PreconditionViolated):
+        word_product([(A,)], [(B, letter)])
+    with pytest.raises(PreconditionViolated):
+        leading_letter_disjoint([A], {(letter,)}, {(B,)})
+
+
+def test_numpy_integer_letters_are_letters():
+    assert word_product([(np.int64(1),)], [(np.int32(0),)]) == {(1, 0)}
+    letters = [np.int64(A), np.uint8(B)]
+    assert letters_cancellation_consistent(letters, {(A,)}, {(B,)})
+    assert leading_letter_disjoint(letters, {(np.int64(A),)}, {(B,)})
 
 
 words = st.lists(st.integers(0, 3), min_size=1, max_size=5).map(tuple)

@@ -2,6 +2,7 @@ import json
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +60,35 @@ def test_generator_validation():
         NumericalMonoid((0, 3))
     with pytest.raises(ValueError):
         NumericalMonoid(())
+
+
+@pytest.mark.parametrize("gens", [[2.7, 3], [3.0, 5], ["3", 5], [True, 3],
+                                  [None, 3], [np.float64(3.0), 5]],
+                         ids=["float", "integral-float", "string", "bool",
+                              "none", "numpy-float"])
+def test_generators_must_be_integers(gens):
+    with pytest.raises(ValueError, match="generators must be positive integers"):
+        NumericalMonoid(gens)
+
+
+@pytest.mark.parametrize("member", [3.5, 3.0, "3", True, None],
+                         ids=["float", "integral-float", "string", "bool",
+                              "none"])
+def test_members_must_be_integers(member):
+    monoid = NumericalMonoid([3, 5])
+    with pytest.raises(NonMemberInput):
+        monoid.sumset([member], [5])
+    with pytest.raises(NonMemberInput):
+        monoid.sumset([5], [member])
+    with pytest.raises(NonMemberInput):
+        monoid.witness_noncancellative([member, 5])
+
+
+def test_numpy_integers_are_generators_and_members():
+    monoid = NumericalMonoid([np.int64(5), np.int32(3)])
+    assert monoid.generators == (3, 5)
+    assert all(type(g) is int for g in monoid.generators)
+    assert monoid.sumset([np.int64(3)], [np.uint8(5)]) == {8}
 
 
 def test_equality_by_gap_sets():

@@ -505,6 +505,22 @@ def test_closure_matches_scalar_fixpoint(catalog):
                 scalar_closure(sgr, gens)
 
 
+def test_closure_multiplies_each_member_list_once(monkeypatch):
+    # Each round is one SubsetFamily; the closed round is the result and
+    # is not rebuilt.
+    sizes = []
+    products = power_module.family_products
+
+    def counted(semigroup, xs, ys):
+        sizes.append(len(xs))
+        return products(semigroup, xs, ys)
+
+    monkeypatch.setattr(power_module, "family_products", counted)
+    fam = downward_complete_closure(zoo.cyclic_group(4), [0b11])
+    assert sizes == [5, 10, 15]
+    assert len(fam) == 15 and fam.is_downward_complete
+
+
 def test_closure_of_full_mask_on_null9():
     fam = downward_complete_closure(zoo.null_semigroup(9), [(1 << 9) - 1])
     assert fam.masks == list(range(1, 1 << 9))
