@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import traceback
 
 from . import catalog as _catalog
 from . import freewords as _freewords
-from .cancellation import (_require_rule_hypotheses,
-                           cancellative_elements_bruteforce,
+from .cancellation import (cancellative_elements_bruteforce,
                            singleton_cancellative_elements,
                            witness_noncancellative)
-from .errors import (NonAssociative, NotCompatible, PreconditionViolated,
-                     TheoremViolation, WorkbenchError)
+from .errors import (IndexOutOfRange, NonAssociative, NotCompatible,
+                     PreconditionViolated, TheoremViolation, WorkbenchError)
 from .morphisms import (check_restriction_hypotheses,
                         describe_fingerprint_mismatch, find_isomorphism,
                         fingerprint, lift_isomorphism, restrict_isomorphism)
@@ -45,12 +45,12 @@ FREE_CHECK_MAX = 64
 # closures per semigroup only repeat families.
 TRIALS_MAX = 100_000
 CLOSURES_MAX = 1000
+# An integer token of a text option; int() also reads `1_0` and `٣`.
+INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
-class UsageError(Exception):
-    def __init__(self, message, extra=None):
-        super().__init__(message)
-        self.extra = extra or {}
+class UsageError(WorkbenchError):
+    """A text option that the CLI's own checks reject."""
 
 
 def _load_semigroup(path):
@@ -60,24 +60,24 @@ def _load_semigroup(path):
         raise UsageError(f"cannot read table file {path}: {exc}")
     except ValueError as exc:
         raise UsageError(f"malformed table file {path}: {exc}")
-    try:
-        return FiniteSemigroup(rows)
-    except NonAssociative as exc:
-        raise UsageError(str(exc), {"type": "NonAssociative",
-                                    "triple": list(exc.triple)})
-    except WorkbenchError as exc:
-        raise UsageError(str(exc), {"type": type(exc).__name__})
+    return FiniteSemigroup(rows)
+
+
+def _integer_token(text):
+    """The integer of a token that is INTEGER_TOKEN once stripped, else None."""
+    token = text.strip()
+    return int(token) if INTEGER_TOKEN.fullmatch(token) else None
 
 
 def _parse_elements(text):
     """The integers of a comma-separated list; a blank text is the empty
-    list, and an empty or blank token in a non-empty one is an error."""
+    list, and any other token in a non-empty one is an error."""
     if text.strip() == "":
         return []
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
+    values = [_integer_token(tok) for tok in text.split(",")]
+    if None in values:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _parse_mask(semigroup, text):
@@ -95,10 +95,7 @@ def _select_family(semigroup, args):
         labels = _parse_elements(args.congruence)
         try:
             cong = congruence_from_partition(semigroup, labels)
-        except NotCompatible as exc:
-            raise UsageError(str(exc), {"type": "NotCompatible",
-                                        "quadruple": list(exc.quadruple)})
-        except WorkbenchError as exc:
+        except IndexOutOfRange as exc:  # a label count that is not the order
             raise UsageError(str(exc))
         return congruence_family(cong)
     if args.generators is not None:
@@ -151,10 +148,9 @@ def _cmd_cancellatives(args):
         "agree": None,
     }
     try:
-        _require_rule_hypotheses(family)
+        rule = sorted(m.mask for m in singleton_cancellative_elements(family))
     except PreconditionViolated:
         return report, EXIT_OK
-    rule = sorted(m.mask for m in singleton_cancellative_elements(family))
     report["singleton_rule"] = rule
     report["agree"] = rule == brute
     return report, EXIT_OK if report["agree"] else EXIT_FINDING
@@ -294,17 +290,15 @@ class _Parser(argparse.ArgumentParser):
     """argparse that also reports a rejected argv as a JSON error report."""
 
     def error(self, message):
-        _emit({"schema_version": SCHEMA_VERSION,
-               "error": {"type": "UsageError", "message": message}}, None)
+        _emit(_failure(UsageError(message))[0], None)
         super().error(message)
 
 
 def _int_in(low, high=None):
     """argparse type: an integer in [low, high], or at least low."""
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
+        value = _integer_token(text)
+        if value is None:
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
         if value < low or (high is not None and value > high):
             span = f"at least {low}" if high is None else f"in [{low}, {high}]"
@@ -412,7 +406,8 @@ def build_parser():
 
 
 def _emit(report, args):
-    text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **report},
+                      indent=2) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -421,15 +416,18 @@ def _emit(report, args):
 
 
 def _failure(exc):
-    """Error report, exit code and stderr text for an exception of a run:
-    exit 1 for a TheoremViolation finding, 2 for a usage error, and 3 with
-    the traceback for any exception the package does not raise on purpose."""
-    usage = isinstance(exc, UsageError)
-    kind = "UsageError" if usage else type(exc).__name__
-    error = {"type": kind, "message": str(exc), **(exc.extra if usage else {})}
+    """Error report (class name, message, and the witness of a
+    NonAssociative or NotCompatible), exit code and stderr text for an
+    exception: exit 1 for a TheoremViolation finding, 2 for any other
+    WorkbenchError, and 3 with the traceback for any other exception."""
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, NonAssociative):
+        error["triple"] = list(exc.triple)
+    if isinstance(exc, NotCompatible):
+        error["quadruple"] = list(exc.quadruple)
     if isinstance(exc, TheoremViolation):
         code, complaint = EXIT_FINDING, f"theorem violation: {exc}"
-    elif usage or isinstance(exc, WorkbenchError):
+    elif isinstance(exc, WorkbenchError):
         code, complaint = EXIT_USAGE, f"error: {exc}"
     else:
         code = EXIT_INTERNAL
@@ -446,11 +444,11 @@ def run(argv=None):
     except Exception as exc:
         report, code, complaint = _failure(exc)
     try:
-        _emit({"schema_version": SCHEMA_VERSION, **report}, args)
+        _emit(report, args)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         report, code, complaint = _failure(
             UsageError(f"cannot write report to {args.out}: {exc}"))
-        _emit({"schema_version": SCHEMA_VERSION, **report}, None)
+        _emit(report, None)
     if complaint is not None:
         print(complaint, file=sys.stderr)
     return code

@@ -44,10 +44,6 @@ class OrderUnsupported(WorkbenchError):
 class PreconditionViolated(WorkbenchError):
     """An operation was invoked outside its documented hypotheses."""
 
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
-
 
 class TheoremViolation(WorkbenchError):
     """A runtime re-verification of a proved guarantee failed.

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersemi import (PreconditionViolated, SubsetFamily, TheoremViolation,
-                       associative_tables, downward_complete_closure,
-                       format_table, full_family,
+from powersemi import (AmbientMismatch, IndexOutOfRange, NonAssociative,
+                       NonMemberInput, NotCompatible, OrderCapExceeded,
+                       OrderUnsupported, PreconditionViolated, SubsetFamily,
+                       TheoremViolation, WorkbenchError, associative_tables,
+                       downward_complete_closure, format_table, full_family,
                        singleton_cancellative_elements,
                        witness_noncancellative)
 from powersemi import cli as cli_module
@@ -190,6 +192,30 @@ def test_empty_token_in_a_list_is_a_usage_error(argv, tables, capsys):
     assert report["error"]["type"] == "UsageError"
     assert report["error"]["message"].startswith(
         "expected comma-separated integers")
+
+
+@pytest.mark.parametrize("argv", [
+    ["nm", "--gens", "1_0,3"],
+    ["nm", "--gens", "\u0663,5"],
+    ["witness", "--table", "z3", "--set", "0,1_0"],
+    ["family", "--table", "z4", "--congruence", "0,1,0,1.0"],
+], ids=["nm-underscore", "nm-arabic-indic-digit", "set-underscore",
+        "congruence-float"])
+def test_token_that_is_not_an_ascii_integer_is_a_usage_error(argv, tables,
+                                                            capsys):
+    code, report = invoke(capsys, *[tables.get(a, a) for a in argv])
+    assert code == 2
+    assert report["error"] == {
+        "type": "UsageError",
+        "message": f"expected comma-separated integers, got {argv[-1]!r}"}
+
+
+def test_signs_and_surrounding_blanks_still_parse(capsys):
+    _, plain = invoke(capsys, "nm", "--gens", "3,5", "--member", "8")
+    for gens, member in ((" 3, 5", "+8"), ("+3,+5 ", " 8 ")):
+        code, report = invoke(capsys, "nm", "--gens", gens, "--member", member)
+        assert code == 0
+        assert report == plain
 
 
 def test_blank_generator_chunks_are_still_skipped(tables, capsys):
@@ -484,6 +510,51 @@ def test_internal_error_exits_3_with_json_error(monkeypatch, capsys):
         "RuntimeError: unexpected state\ninternal error: unexpected state\n")
 
 
+ERROR_PATH_CASES = [
+    (IndexOutOfRange("entry 5 at (0, 1) is outside [0, 2)"), {}),
+    (NonAssociative(0, 1, 1), {"triple": [0, 1, 1]}),
+    (NotCompatible(0, 2, 1, 1), {"quadruple": [0, 2, 1, 1]}),
+    (AmbientMismatch("subset lives over a different ambient"), {}),
+    (OrderCapExceeded("order 7 is above the cap"), {}),
+    (OrderUnsupported("order 6 is outside 1..5"), {}),
+    (PreconditionViolated("carrier must be cancellative"), {}),
+    (TheoremViolation("probe map fails re-verification"), {}),
+    (NonMemberInput("4 is not a member of the monoid"), {}),
+    (cli_module.UsageError("element set must be non-empty"), {}),
+]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_error_path_cases_cover_every_workbench_error():
+    assert ({type(exc) for exc, _ in ERROR_PATH_CASES}
+            == set(_subclasses(WorkbenchError)))
+
+
+@pytest.mark.parametrize("exc, witness", ERROR_PATH_CASES,
+                         ids=[type(exc).__name__ for exc, _ in ERROR_PATH_CASES])
+def test_every_package_error_keeps_its_type_in_the_report(exc, witness,
+                                                          monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_module._catalog, "global_iso_probe", fail)
+    code = run(["probe", "--order", "2"])
+    captured = capsys.readouterr()
+    finding = isinstance(exc, TheoremViolation)
+    assert code == (1 if finding else 2)
+    error = json.loads(captured.out)["error"]
+    assert list(error) == ["type", "message", *witness]
+    assert error == {"type": type(exc).__name__, "message": str(exc),
+                     **witness}
+    prefix = "theorem violation: " if finding else "error: "
+    assert captured.err == f"{prefix}{exc}\n"
+
+
 def test_module_entry_point(tables):
     proc = subprocess.run(
         [sys.executable, "-m", "powersemi", "validate", "--table",
@@ -505,9 +576,10 @@ def test_module_entry_point(tables):
     ["free-check", "--max-set-size", "65"],
     ["free-check", "--trials", "100001"],
     ["prop1-check", "--order", "2", "--closures", "1001"],
+    ["free-check", "--trials", "1_000"],
 ], ids=["alphabet", "member", "trials", "closures", "power-cap", "probe-cap",
         "alphabet-max", "max-word-len-max", "max-set-size-max", "trials-max",
-        "closures-max"])
+        "closures-max", "trials-underscore"])
 def test_rejected_argv_exits_2_with_json_error(argv, tables, capsys):
     argv = [tables.get(arg, arg) for arg in argv]
     with pytest.raises(SystemExit) as info:

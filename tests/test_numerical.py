@@ -84,11 +84,25 @@ def test_members_must_be_integers(member):
         monoid.witness_noncancellative([member, 5])
 
 
+@pytest.mark.parametrize("value", [3.5, 6.0, 100.0, "3", True, False, None],
+                         ids=["float", "integral-float", "float-past-horizon",
+                              "string", "true", "false", "none"])
+def test_non_integers_are_not_members(value):
+    monoid = NumericalMonoid([3, 5])
+    assert value not in monoid
+    with pytest.raises(ValueError,
+                       match="membership is defined on non-negative integers"):
+        monoid.membership(value)
+
+
 def test_numpy_integers_are_generators_and_members():
     monoid = NumericalMonoid([np.int64(5), np.int32(3)])
     assert monoid.generators == (3, 5)
     assert all(type(g) is int for g in monoid.generators)
     assert monoid.sumset([np.int64(3)], [np.uint8(5)]) == {8}
+    assert np.int64(6) in monoid and np.uint8(7) not in monoid
+    assert monoid.membership(np.int32(100))
+    assert not monoid.membership(np.int64(4))
 
 
 def test_equality_by_gap_sets():
