@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import traceback
 
@@ -28,7 +27,8 @@ from .numerical import NumericalMonoid
 from .power import (build_power_semigroup, congruence_family,
                     downward_complete_closure, family_report, full_family,
                     mask_of)
-from .semigroups import FiniteSemigroup, congruence_from_partition, read_table
+from .semigroups import (FiniteSemigroup, congruence_from_partition,
+                         integer_token, read_table)
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -45,8 +45,6 @@ FREE_CHECK_MAX = 64
 # closures per semigroup only repeat families.
 TRIALS_MAX = 100_000
 CLOSURES_MAX = 1000
-# An integer token of a text option; int() also reads `1_0` and `٣`.
-INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
 class UsageError(WorkbenchError):
@@ -63,18 +61,12 @@ def _load_semigroup(path):
     return FiniteSemigroup(rows)
 
 
-def _integer_token(text):
-    """The integer of a token that is INTEGER_TOKEN once stripped, else None."""
-    token = text.strip()
-    return int(token) if INTEGER_TOKEN.fullmatch(token) else None
-
-
 def _parse_elements(text):
     """The integers of a comma-separated list; a blank text is the empty
     list, and any other token in a non-empty one is an error."""
     if text.strip() == "":
         return []
-    values = [_integer_token(tok) for tok in text.split(",")]
+    values = [integer_token(tok) for tok in text.split(",")]
     if None in values:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
     return values
@@ -246,16 +238,8 @@ def _cmd_prop1_check(args):
     return report, code
 
 
-def _make_monoid(text):
-    gens = _parse_elements(text)
-    try:
-        return NumericalMonoid(gens)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def _cmd_nm(args):
-    monoid = _make_monoid(args.gens)
+    monoid = NumericalMonoid(_parse_elements(args.gens))
     report = {
         "generators": list(monoid.generators),
         "frobenius": monoid.frobenius,
@@ -270,7 +254,7 @@ def _cmd_nm(args):
 
 
 def _cmd_nm_witness(args):
-    monoid = _make_monoid(args.gens)
+    monoid = NumericalMonoid(_parse_elements(args.gens))
     subset = _parse_elements(args.set)
     witness = monoid.witness_noncancellative(subset)
     report = witness.report()
@@ -294,13 +278,14 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
-def _int_in(low, high=None):
-    """argparse type: an integer in [low, high], or at least low."""
+def _int_in(low=None, high=None):
+    """argparse type: an integer in [low, high], at least low, or any."""
     def parse(text):
-        value = _integer_token(text)
+        value = integer_token(text)
         if value is None:
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-        if value < low or (high is not None and value > high):
+        if low is not None and (value < low
+                                or (high is not None and value > high)):
             span = f"at least {low}" if high is None else f"in [{low}, {high}]"
             raise argparse.ArgumentTypeError(f"{value} is not {span}")
         return value
@@ -310,9 +295,9 @@ def _int_in(low, high=None):
 def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--out", help="write the JSON report here instead of stdout")
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_int_in(), default=0,
                         help="seed for any randomized part of the run")
-    common.add_argument("--jobs", type=int, default=1,
+    common.add_argument("--jobs", type=_int_in(), default=1,
                         help="accepted for compatibility; has no effect")
     common.add_argument("--long-running", action="store_true",
                         dest="long_running",
@@ -364,21 +349,22 @@ def build_parser():
         p.add_argument("--table", required=True, help="first Cayley table file")
         p.add_argument("--other", required=True, help="second Cayley table file")
 
-    p = add("enumerate", _cmd_enumerate,
-            "enumerate all semigroups of one order")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--labeled", action="store_true",
-                   help="emit all labeled tables instead of one per class")
-
-    p = add("probe", _cmd_probe,
-            "compare power semigroups of all non-isomorphic pairs of one order")
-    p.add_argument("--order", type=int, required=True)
-
-    p = add("prop1-check", _cmd_prop1_check,
-            "verify the two cancellativity classifiers agree over the catalog")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--closures", type=_int_in(0, CLOSURES_MAX), default=3,
-                   help="seeded random closures per semigroup")
+    for name, func, help_text in (
+            ("enumerate", _cmd_enumerate,
+             "enumerate all semigroups of one order"),
+            ("probe", _cmd_probe, "compare power semigroups of all "
+             "non-isomorphic pairs of one order"),
+            ("prop1-check", _cmd_prop1_check, "verify the two "
+             "cancellativity classifiers agree over the catalog")):
+        p = add(name, func, help_text)
+        p.add_argument("--order", type=_int_in(), required=True)
+        if name == "enumerate":
+            p.add_argument("--labeled", action="store_true", help="emit all "
+                           "labeled tables instead of one per class")
+        if name == "prop1-check":
+            p.add_argument("--closures", type=_int_in(0, CLOSURES_MAX),
+                           default=3,
+                           help="seeded random closures per semigroup")
 
     p = add("nm", _cmd_nm, "gap structure of a numerical monoid")
     p.add_argument("--gens", required=True,

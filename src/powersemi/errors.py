@@ -34,7 +34,8 @@ class AmbientMismatch(WorkbenchError):
 
 class OrderCapExceeded(WorkbenchError):
     """Materialization was requested above a ceiling: a power semigroup
-    above POWER_CAP_MAX, or a subset family above FAMILY_MAX members."""
+    above POWER_CAP_MAX, a subset family above FAMILY_MAX members, or a
+    numerical monoid's membership table above HORIZON_MAX entries."""
 
 
 class OrderUnsupported(WorkbenchError):

@@ -280,8 +280,9 @@ def restrict_isomorphism(morphism, source_family, target_family):
     two downward-complete families, both carriers cancellative, and at
     least one of them commutative. Under them every singleton must map to
     a singleton; the implementation verifies this element by element
-    instead of trusting it, raising TheoremViolation on any failure. The restriction x -> y with morphism({x}) = {y} is returned
-    as a verified isomorphism.
+    instead of trusting it, raising TheoremViolation on any failure. The
+    restriction x -> y with morphism({x}) = {y} is returned as a verified
+    isomorphism.
     """
     _check_family_isomorphism(morphism, source_family, target_family)
     H = source_family.semigroup

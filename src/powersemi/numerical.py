@@ -14,7 +14,8 @@ import random
 from math import gcd
 
 from .cancellation import CASE2, CancellationWitness
-from .errors import NonMemberInput, PreconditionViolated, TheoremViolation
+from .errors import (NonMemberInput, OrderCapExceeded, PreconditionViolated,
+                     TheoremViolation)
 from .power import _integer
 
 # The membership table holds min(gens) * max(gens) + min(gens) + 1 entries;
@@ -44,18 +45,18 @@ class NumericalMonoid:
     def __init__(self, generators):
         gens = {_integer(g) for g in generators}
         if not gens or None in gens or min(gens) < 1:
-            raise ValueError("generators must be positive integers")
+            raise PreconditionViolated("generators must be positive integers")
         gens = sorted(gens)
         g = gcd(*gens)
         if g != 1:
-            raise ValueError(
+            raise PreconditionViolated(
                 f"generators {gens} have gcd {g}; the complement in N "
                 "would be infinite")
         self.generators = tuple(gens)
         smallest, largest = gens[0], gens[-1]
         horizon = smallest * largest + smallest + 1
         if horizon > HORIZON_MAX:
-            raise ValueError(
+            raise OrderCapExceeded(
                 f"generators {gens} need a membership horizon of {horizon}, "
                 f"above the supported maximum of {HORIZON_MAX}")
         member = [False] * horizon
@@ -84,7 +85,8 @@ class NumericalMonoid:
         """True iff the non-negative integer x belongs to the monoid."""
         value = _integer(x)
         if value is None or value < 0:
-            raise ValueError("membership is defined on non-negative integers")
+            raise PreconditionViolated(
+                "membership is defined on non-negative integers")
         return value in self
 
     def _validate_members(self, xs, label):

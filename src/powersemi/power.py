@@ -154,16 +154,13 @@ def _integer(x):
 def _as_mask(semigroup, x):
     """The mask of x, an integer or a SubsetElement over the semigroup;
     IndexOutOfRange or AmbientMismatch for anything else."""
-    if type(x) is int:
-        mask = x
-    elif isinstance(x, SubsetElement):
+    if isinstance(x, SubsetElement):
         if x.semigroup != semigroup:
             raise AmbientMismatch("subset lives over a different ambient")
         return x.mask
-    else:
-        mask = _integer(x)
-        if mask is None:
-            raise IndexOutOfRange(f"mask {x!r} is not an integer")
+    mask = _integer(x)
+    if mask is None:
+        raise IndexOutOfRange(f"mask {x!r} is not an integer")
     if not 0 < mask < 1 << semigroup.order:
         raise IndexOutOfRange(
             f"mask {mask} is not a non-empty subset of a carrier "
@@ -343,10 +340,9 @@ def downward_completeness(family):
         missing = next(x for x in range(family.semigroup.order)
                        if not covered >> x & 1)
         return CompletenessCertificate(False, "coverage", (missing,))
-    members = set(family.masks)
     for m in family.masks:
         for sub in submasks(m):
-            if sub not in members:
+            if sub not in family._positions:
                 return CompletenessCertificate(False, "subsets", (m, sub))
     return CompletenessCertificate(True)
 

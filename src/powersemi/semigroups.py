@@ -8,6 +8,7 @@ and the scalar queries read them.
 from __future__ import annotations
 
 import operator
+import re
 from itertools import islice
 
 import numpy as np
@@ -253,24 +254,21 @@ def _profile_rows(t):
     """The profile columns of every table of a (k, n, n) stack of uint8
     tables, as a (k, n, 6) integer array (idempotency as 0/1).
 
-    The powers a, a**2, ..., a**(n+1) of every element come from doubling
-    the known prefix, a**(m+j) = a**m * a**j, one flat gather per doubling.
+    The powers a, a**2, ..., a**(n+1) of every element come one at a time,
+    a**(m+1) = a**m * a, one flat gather per power for the whole stack.
     The first n powers cover the cyclic subsemigroup of a, whose size is
     index + period - 1; with that size s, a**(s+1) = a**index, so index is
     the least m with a**m = a**(s+1).
     """
     k, n, _ = t.shape
     flat = t.reshape(-1)
-    first_cell = (np.arange(k, dtype=np.intp) * (n * n))[:, None, None]
+    first_cell = (np.arange(k, dtype=np.intp) * (n * n))[:, None]
+    elements = np.arange(n, dtype=np.intp)
     powers = np.empty((k, n, n + 1), dtype=np.uint8)
-    powers[:, :, 0] = np.arange(n)
-    known = 1
-    while known <= n:
-        step = min(known, n + 1 - known)
-        last = powers[:, :, known - 1:known].astype(np.intp)
-        cells = first_cell + last * n + powers[:, :, :step]
-        powers[:, :, known:known + step] = flat[cells]
-        known += step
+    powers[:, :, 0] = elements
+    for m in range(1, n + 1):
+        powers[:, :, m] = flat[first_cell + powers[:, :, m - 1].astype(np.intp)
+                               * n + elements]
     size = _distinct_counts(powers[:, :, :n])
     cycle_start = np.take_along_axis(powers, size[:, :, None], axis=2)
     index = (powers[:, :, :n] == cycle_start).argmax(axis=2) + 1
@@ -378,11 +376,23 @@ def all_congruences(semigroup):
     return found
 
 
+# An integer token of table text or of a CLI option; int() also reads
+# `1_0` and `٣`.
+INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def integer_token(text):
+    """The integer of a token that is INTEGER_TOKEN once stripped, else None."""
+    token = text.strip()
+    return int(token) if INTEGER_TOKEN.fullmatch(token) else None
+
+
 def parse_table(text):
     """Parse the Cayley-table text format into a list of rows.
 
     Line one holds n; the next n lines hold n space-separated indices,
-    row i listing the products i*j. '#' starts a comment.
+    row i listing the products i*j. '#' starts a comment. Every number
+    is an INTEGER_TOKEN.
     """
     lines = []
     for raw in text.splitlines():
@@ -391,9 +401,8 @@ def parse_table(text):
             lines.append(line)
     if not lines:
         raise ValueError("empty table text")
-    try:
-        n = int(lines[0])
-    except ValueError:
+    n = integer_token(lines[0])
+    if n is None:
         raise ValueError(f"first line must be the order, got {lines[0]!r}")
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
@@ -401,7 +410,9 @@ def parse_table(text):
         raise ValueError(f"expected {n} table rows, found {len(lines) - 1}")
     rows = []
     for line in lines[1:]:
-        row = [int(tok) for tok in line.split()]
+        row = [integer_token(tok) for tok in line.split()]
+        if None in row:
+            raise ValueError(f"table entries must be integers, got {line!r}")
         if len(row) != n:
             raise ValueError(f"expected {n} entries per row, got {len(row)}")
         rows.append(row)

@@ -1,8 +1,10 @@
 import pytest
 
+import powersemi.cancellation as cancellation_module
 import powersemi.catalog as catalog_module
 from powersemi import (CASE1, CASE2, AmbientMismatch, CancellationWitness,
                        PreconditionViolated, SubsetElement, SubsetFamily,
+                       TheoremViolation,
                        all_congruences, cancellative_elements_bruteforce,
                        congruence_family, congruence_from_partition,
                        full_family, mask_of,
@@ -158,6 +160,24 @@ def test_witness_is_deterministic():
     first = witness_noncancellative(0b1011, fam)
     second = witness_noncancellative(0b1011, fam)
     assert first == second
+
+
+def test_witness_that_fails_verify_witness_is_a_theorem_violation(
+        monkeypatch):
+    monkeypatch.setattr(cancellation_module, "verify_witness",
+                        lambda witness, family: False)
+    with pytest.raises(TheoremViolation, match="fails verify_witness"):
+        witness_noncancellative(0b011, full_family(Z3))
+
+
+def test_family_that_is_not_closed_has_no_cancellatives_to_classify():
+    # {0, 1} * {0, 1} = {0, 1, 2} is not a member.
+    family = SubsetFamily(Z3, [0b011])
+    assert not family.is_subsemigroup
+    with pytest.raises(PreconditionViolated, match="not closed"):
+        cancellative_elements_bruteforce(family)
+    with pytest.raises(PreconditionViolated, match="not closed"):
+        family.as_semigroup()
 
 
 def test_bruteforce_agrees_with_rule_over_small_catalog(catalog):

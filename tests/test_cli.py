@@ -284,6 +284,25 @@ def test_iso_negative_with_mismatch_reason(tables, capsys):
     assert report["fingerprint_mismatch"]
 
 
+@pytest.mark.parametrize("left, right, reason", [
+    (zoo.left_zero(2), zoo.min_chain(2), "only one side is commutative"),
+    (zoo.min_chain(4), zoo.null_semigroup(4), "only one side has an identity"),
+    (zoo.cyclic_group(4), zoo.min_chain(4), "idempotent counts 1 != 4"),
+], ids=["commutativity", "identity", "idempotents"])
+def test_iso_names_the_first_fingerprint_difference(left, right, reason,
+                                                    tmp_path, capsys):
+    paths = []
+    for name, semigroup in (("left", left), ("right", right)):
+        path = tmp_path / f"{name}.tbl"
+        path.write_text(format_table(semigroup))
+        paths.append(str(path))
+    code, report = invoke(capsys, "iso", "--table", paths[0],
+                          "--other", paths[1])
+    assert code == 0
+    assert report == {"schema_version": 1, "isomorphic": False, "map": None,
+                      "fingerprint_mismatch": reason}
+
+
 def test_iso_positive(tables, capsys):
     code, report = invoke(capsys, "iso", "--table", tables["z3"],
                           "--other", tables["z3"])
@@ -308,6 +327,16 @@ def test_restrict_round_trip(tables, capsys):
     assert report["theorem_violation"] is None
     restricted = report["restricted_map"]
     assert sorted(restricted) == [0, 1, 2]
+
+
+def test_restrict_reports_power_semigroups_that_are_not_isomorphic(tables,
+                                                                   capsys):
+    code, report = invoke(capsys, "restrict", "--table", tables["z4"],
+                          "--other", tables["klein"])
+    assert code == 0
+    assert report == {"schema_version": 1, "power_isomorphic": False,
+                      "power_map": None, "restricted_map": None,
+                      "theorem_violation": None}
 
 
 def test_restrict_rejects_non_cancellative_carrier(tables, capsys):
@@ -420,12 +449,24 @@ def test_nm_usage_error_on_bad_generators(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("gens, message", [
+    ("2,4", "generators [2, 4] have gcd 2; the complement in N would be "
+            "infinite"),
+    ("0,3", "generators must be positive integers"),
+], ids=["gcd", "zero"])
+def test_nm_bad_generators_keep_the_package_error_type(gens, message, capsys):
+    code, report = invoke(capsys, "nm", "--gens", gens)
+    assert code == 2
+    assert report["error"] == {"type": "PreconditionViolated",
+                               "message": message}
+
+
 def test_nm_rejects_generators_past_the_horizon_bound(capsys):
     start = time.perf_counter()
     code, report = invoke(capsys, "nm", "--gens", "2000,2001")
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert report["error"]["type"] == "UsageError"
+    assert report["error"]["type"] == "OrderCapExceeded"
 
 
 def test_nm_witness_subcommand(capsys):
@@ -577,9 +618,13 @@ def test_module_entry_point(tables):
     ["free-check", "--trials", "100001"],
     ["prop1-check", "--order", "2", "--closures", "1001"],
     ["free-check", "--trials", "1_000"],
+    ["enumerate", "--order", "\u0663"],
+    ["prop1-check", "--order", "2", "--seed", "1_0"],
+    ["probe", "--order", "2", "--jobs", "1_0"],
 ], ids=["alphabet", "member", "trials", "closures", "power-cap", "probe-cap",
         "alphabet-max", "max-word-len-max", "max-set-size-max", "trials-max",
-        "closures-max", "trials-underscore"])
+        "closures-max", "trials-underscore", "order-arabic-indic-digit",
+        "seed-underscore", "jobs-underscore"])
 def test_rejected_argv_exits_2_with_json_error(argv, tables, capsys):
     argv = [tables.get(arg, arg) for arg in argv]
     with pytest.raises(SystemExit) as info:

@@ -45,6 +45,17 @@ def test_morphism_flags():
     assert not broken.is_homomorphism
 
 
+@pytest.mark.parametrize("images, message", [
+    ([0, 1], "map has 2 entries for a source of order 3"),
+    ([0, 1, 3], "map image outside the target carrier"),
+], ids=["wrong-length", "image-out-of-range"])
+def test_morphism_rejects_a_map_that_does_not_fit_the_carriers(images,
+                                                               message):
+    z3 = zoo.cyclic_group(3)
+    with pytest.raises(PreconditionViolated, match=message):
+        Morphism(z3, z3, images)
+
+
 @pytest.mark.parametrize("images", [[0, 1.9, 2], [0, 1.0, 2], [0, "1", 2],
                                     [0, None, 2], [0, True, 2],
                                     [0, np.True_, 2], [0, np.float64(1), 2]],

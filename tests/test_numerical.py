@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powersemi import (CASE2, NonMemberInput, NumericalMonoid,
-                       PreconditionViolated, equality_campaign,
+                       OrderCapExceeded, PreconditionViolated,
+                       equality_campaign,
                        random_member_set, random_monoid, witness_campaign)
 
 
@@ -49,17 +50,23 @@ def test_zero_is_always_a_member():
 def test_membership_rejects_negatives():
     monoid = NumericalMonoid((2, 3))
     assert -1 not in monoid
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         monoid.membership(-1)
 
 
 def test_generator_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         NumericalMonoid((2, 4))  # gcd 2
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         NumericalMonoid((0, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         NumericalMonoid(())
+
+
+def test_generators_past_the_horizon_bound_exceed_the_cap():
+    with pytest.raises(OrderCapExceeded,
+                       match="need a membership horizon of 4004001"):
+        NumericalMonoid((2000, 2001))
 
 
 @pytest.mark.parametrize("gens", [[2.7, 3], [3.0, 5], ["3", 5], [True, 3],
@@ -67,7 +74,8 @@ def test_generator_validation():
                          ids=["float", "integral-float", "string", "bool",
                               "none", "numpy-float"])
 def test_generators_must_be_integers(gens):
-    with pytest.raises(ValueError, match="generators must be positive integers"):
+    with pytest.raises(PreconditionViolated,
+                       match="generators must be positive integers"):
         NumericalMonoid(gens)
 
 
@@ -90,7 +98,7 @@ def test_members_must_be_integers(member):
 def test_non_integers_are_not_members(value):
     monoid = NumericalMonoid([3, 5])
     assert value not in monoid
-    with pytest.raises(ValueError,
+    with pytest.raises(PreconditionViolated,
                        match="membership is defined on non-negative integers"):
         monoid.membership(value)
 

@@ -117,6 +117,11 @@ def test_membership_of_masks_outside_the_family():
         SubsetElement(zoo.cyclic_group(2), 3) in fam
 
 
+def test_empty_family_is_rejected():
+    with pytest.raises(IndexOutOfRange, match="must be non-empty"):
+        SubsetFamily(Z3, [])
+
+
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 3), (3, 7), (4, 15), (5, 31)])
 def test_power_semigroup_order(n, expected):
     sgr = zoo.null_semigroup(n)

@@ -211,7 +211,9 @@ def test_table_text_comments_and_blank_lines():
 
 
 @pytest.mark.parametrize("text", ["", "x", "2\n0 1", "2\n0 1 1\n1 0",
-                                  "0", "1\n0\n0"])
+                                  "0", "1\n0\n0", "\u0661\n0",
+                                  "0_1\n0",
+                                  "2\n0 \u0661\n1 0", "2\n0 1_0\n1 0"])
 def test_table_text_malformed(text):
     with pytest.raises(ValueError):
         parse_table(text)
