@@ -32,7 +32,6 @@ from .power import (FAMILY_MAX, POWER_CAP_MAX, CompletenessCertificate,
                     setwise_product, singleton_family, submasks)
 from .semigroups import (MAX_ORDER, Congruence, FiniteSemigroup,
                          all_congruences, congruence_from_partition,
-                         format_table, parse_table, read_table,
-                         semigroups_from_stack)
+                         format_table, parse_table, read_table)
 
 __version__ = "0.1.0"

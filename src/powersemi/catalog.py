@@ -19,8 +19,8 @@ from .morphisms import (IsoFingerprint, find_isomorphism, fingerprint,
 from .power import (build_power_semigroup, build_power_semigroups,
                     congruence_family, downward_complete_closure,
                     full_family)
-from .semigroups import (FiniteSemigroup, all_congruences,
-                         semigroups_from_stack)
+from .semigroups import (FiniteSemigroup, _semigroups_from_stack, _validate,
+                         all_congruences)
 
 ENUM_MAX = 5
 
@@ -158,12 +158,11 @@ def _check_order(n, long_running):
 
 
 def labeled_tables(n, long_running=False):
-    """Every associative table of order n, validated together by
-    semigroups_from_stack, as lists of rows in lexicographic order.
-    Builds no catalog entries or fingerprints."""
+    """Every associative table of order n, re-validated as one stack by
+    the checks FiniteSemigroup applies, as lists of rows in lexicographic
+    order. Builds no catalog entries or fingerprints."""
     _check_order(n, long_running)
-    tables = np.array(list(associative_tables(n)))
-    return [semigroup.rows for semigroup in semigroups_from_stack(tables)]
+    return _validate(np.array(list(associative_tables(n))))[0].tolist()
 
 
 def enumerate_semigroups(n, long_running=False):
@@ -181,7 +180,8 @@ def enumerate_semigroups(n, long_running=False):
 
 @lru_cache(maxsize=None)
 def _catalog(n):
-    semigroups = semigroups_from_stack(np.array(list(canonical_tables(n))))
+    semigroups = _semigroups_from_stack(
+        *_validate(np.array(list(canonical_tables(n)))))
     fps = fingerprints(semigroups)
     for i, j, found in _same_fingerprint_pairs(semigroups, fps):
         if found is not None:

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionViolated, TheoremViolation
-from .power import _integer, bits, build_power_semigroup, mask_of
+from .power import _integer, bits, build_power_semigroups, mask_of
 from .semigroups import fill_profiles
 
 
@@ -235,8 +235,8 @@ def lift_isomorphism(morphism):
     """
     if not morphism.is_isomorphism:
         raise PreconditionViolated("map is not a verified isomorphism")
-    power_source = build_power_semigroup(morphism.source)
-    power_target = build_power_semigroup(morphism.target)
+    power_source, power_target = build_power_semigroups(
+        [morphism.source, morphism.target])
     lifted = [mask_of(morphism.mapping[x] for x in bits(mask)) - 1
               for mask in range(1, 1 << morphism.source.order)]
     big = Morphism(power_source, power_target, lifted)

@@ -4,26 +4,27 @@ Subsets of a carrier {0, ..., n-1} are bit masks: bit i set means element
 i belongs to the subset. The full power semigroup of S lists all non-zero
 masks in ascending order, so element k corresponds to mask k + 1.
 
-Products come from one place. `family_products` multiplies every mask
-of one list by every mask of another, in numpy steps over the carrier,
-for any carrier order up to 64; its kernel runs on a stack of carriers
-at once. `build_power_semigroups` runs that kernel on all masks of many
-carriers, `setwise_product` on one pair, and a `SubsetFamily` holds the
-matrix of its members' products, 8 bytes per product, and answers
-closure, materialization, cancellativity and witnesses from it.
+Products come from one place. `family_products` multiplies every mask of
+one list by every mask of another, in numpy steps over the carrier, for
+any carrier order up to 64; its kernel runs on a stack of carriers at
+once. `build_power_semigroups` runs it on all masks of many carriers and
+proves each table by the setwise product's recurrence, `setwise_product`
+on one pair. A `SubsetFamily` holds its members' product matrix, 8 bytes
+per product, for closure, materialization, cancellativity and witnesses.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import (AmbientMismatch, IndexOutOfRange, OrderCapExceeded,
-                     PreconditionViolated)
+                     PreconditionViolated, TheoremViolation)
 from .semigroups import (_BATCH_CELLS, MAX_ORDER, FiniteSemigroup,
-                         _table_stacks, semigroups_from_stack)
+                         _semigroups_from_stack, _table_stacks)
 
 # Full materialization of the power semigroup is allowed for carriers up
 # to this order: the power table of an order-n carrier is a FiniteSemigroup
@@ -50,6 +51,8 @@ def _check_family_size(k):
 
 def bits(mask):
     """Yield the set bit positions of a mask, ascending."""
+    if mask < 0:
+        raise IndexOutOfRange(f"mask {mask} is negative")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -65,6 +68,8 @@ def mask_of(elements):
 
 def submasks(mask):
     """Yield every non-empty submask of mask, including mask itself."""
+    if mask < 0:
+        raise IndexOutOfRange(f"mask {mask} is negative")
     sub = mask
     while sub:
         yield sub
@@ -122,7 +127,8 @@ class SubsetElement:
         return tuple(bits(self.mask))
 
     def __contains__(self, x):
-        return bool(self.mask >> x & 1)
+        x = _integer(x)
+        return x is not None and x >= 0 and bool(self.mask >> x & 1)
 
     def __len__(self):
         return self.mask.bit_count()
@@ -168,6 +174,16 @@ def _as_mask(semigroup, x):
     return mask
 
 
+def _distinct_masks(semigroup, items):
+    """The set of masks of the items, drawn only until FAMILY_MAX + 1
+    distinct ones exceed the family ceiling."""
+    masks = set()
+    for x in items:
+        masks.add(_as_mask(semigroup, x))
+        _check_family_size(len(masks))
+    return masks
+
+
 def setwise_product(x, y):
     """The subset {a*b : a in x, b in y}; both over the same ambient."""
     if x.semigroup != y.semigroup:
@@ -180,10 +196,11 @@ def build_power_semigroup(semigroup):
     """Materialize the semigroup of all non-empty subsets of the carrier.
 
     The result has order 2**n - 1; its element k is the subset with mask
-    k + 1, so the singleton {i} sits at index 2**i - 1. The table holds
-    the setwise products of all masks 1 .. 2**n - 1, and construction
-    re-validates associativity of the setwise product mechanically. This
-    is build_power_semigroups on one carrier.
+    k + 1, so the singleton {i} sits at index 2**i - 1. The table is the
+    setwise product, proved as build_power_semigroups says, so it is
+    associative as S is, commutative iff S is, and has the identity {e}
+    (index 2**e - 1) iff e is S's: U{x} = {x} = {x}U for all x makes
+    every u in U an identity of S. It is build_power_semigroups of [S].
     """
     return build_power_semigroups([semigroup])[0]
 
@@ -191,24 +208,36 @@ def build_power_semigroup(semigroup):
 def build_power_semigroups(semigroups):
     """build_power_semigroup of each carrier, in the order given.
 
-    Carriers of one order are multiplied by _stacked_products and
-    re-validated by semigroups_from_stack together, in stacks from
-    _table_stacks whose associativity re-check gathers at most
-    8 * _BATCH_CELLS entries per side, m**3 for each power table of
-    order m (17 order-5 power tables per stack). That keeps a stack's
-    gathers within a 2 MB cache: stacks of 68, the count that fills
-    _BATCH_CELLS table cells, took 1.8 times as long (89 against 50 ms
-    for the 1,915 order-5 carriers, 2-core Xeon VM).
+    Carriers of one order are multiplied together over all masks, with
+    the empty set's 0 as padding, _BATCH_CELLS // 4 power-table cells a
+    stack: the products and their check hold about four uint64 arrays.
+    With h the lowest element of a set of two or more, each table P must
+    have P[{i}, {j}] = {i*j}, P[{i}, Y] = P[{i}, Y - {h}] | P[{i}, {h}]
+    and P[X, Y] = P[X - {h}, Y] | P[{h}, Y], else TheoremViolation. By
+    induction on |Y|, then on |X|, P is the setwise product over S.
     """
     semigroups = list(semigroups)
     for semigroup in semigroups:
         _check_cap(semigroup.order)
     powers = [None] * len(semigroups)
-    for positions, tables in _table_stacks(semigroups, lambda n: max(
-            1, 8 * _BATCH_CELLS // ((1 << n) - 1) ** 3)):
-        masks = np.arange(1, 1 << tables.shape[1], dtype=np.uint64)
+    for positions, tables in _table_stacks(
+            semigroups, lambda n: _BATCH_CELLS // 4 // ((1 << n) - 1) ** 2):
+        singles = 1 << np.arange(tables.shape[1])
+        masks = np.arange(2 * singles[-1])
+        lows = masks & -masks
         products = _stacked_products(tables, masks, masks)
-        for p, power in zip(positions, semigroups_from_stack(products - 1)):
+        rows = products[:, singles]
+        if not ((rows[:, :, singles] == 1 << tables.astype(np.uint64)).all()
+                and (rows == rows[:, :, masks - lows] | rows[:, :, lows]).all()
+                and (products == products[:, masks - lows]
+                     | products[:, lows]).all()):
+            raise TheoremViolation("a power table is not the setwise product")
+        carriers = [semigroups[p] for p in positions]
+        for p, power in zip(positions, _semigroups_from_stack(
+                products[:, 1:, 1:].astype(np.uint8) - 1,
+                [c.commutative for c in carriers],
+                [None if c.identity is None else (1 << c.identity) - 1
+                 for c in carriers])):
             powers[p] = power
     return powers
 
@@ -248,10 +277,9 @@ class SubsetFamily:
                  "is_downward_complete", "_positions", "_materialized")
 
     def __init__(self, semigroup, masks):
-        cleaned = sorted({_as_mask(semigroup, m) for m in masks})
+        cleaned = sorted(_distinct_masks(semigroup, masks))
         if not cleaned:
             raise IndexOutOfRange("a subset family must be non-empty")
-        _check_family_size(len(cleaned))
         self.semigroup = semigroup
         self.masks = cleaned
         self._positions = {m: i for i, m in enumerate(cleaned)}
@@ -367,8 +395,8 @@ def downward_complete_closure(semigroup, generators=()):
     products is the result, and otherwise its non-member products are
     the next fresh masks. Idempotent and monotone in the generator set.
     """
-    fresh = {1 << x for x in range(semigroup.order)}
-    fresh.update(_as_mask(semigroup, g) for g in generators)
+    fresh = _distinct_masks(semigroup, chain(
+        (1 << x for x in range(semigroup.order)), generators))
     members = set()
     while True:
         for m in fresh:

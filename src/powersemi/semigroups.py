@@ -27,8 +27,7 @@ _BATCH_FLAGS = 1 << 18
 # however many tables a caller passes. _profile_rows takes up to about 8
 # bytes per table cell, so fill_profiles profiles _BATCH_CELLS cells at
 # once (chunks eight times larger ran no faster and left the process's
-# peak RSS about 5 MB higher); re-checking the associativity of an
-# order-n table gathers n uint8 entries per side for each of its cells.
+# peak RSS about 5 MB higher).
 _BATCH_CELLS = 1 << 16
 
 
@@ -164,7 +163,7 @@ def _validate(stack):
     Raises IndexOutOfRange for the first entry outside [0, n) and
     NonAssociative for the first triple (i, j, l), in row-major order,
     with (i*j)*l != i*(j*l), both in the first table that has one.
-    Returns the tables as one read-only uint8 array, then each table's
+    Returns the tables as one uint8 array, then each table's
     commutativity flag and identity element (None if it has none).
     """
     k, n, _ = stack.shape
@@ -188,7 +187,6 @@ def _validate(stack):
     if (lhs != rhs).any():
         _, i, j, l = np.argwhere(lhs != rhs)[0]
         raise NonAssociative(int(i), int(j), int(l))
-    tables.setflags(write=False)
     commutative = (tables == columns).all(axis=(1, 2)).tolist()
     elements = np.arange(n, dtype=np.uint8)
     neutral = ((tables == elements) & (columns == elements)).all(axis=2)
@@ -197,24 +195,14 @@ def _validate(stack):
     return tables, commutative, identities
 
 
-def semigroups_from_stack(stack):
-    """One FiniteSemigroup per table of a (k, n, n) integer array.
-
-    The tables are validated together, with the same checks and errors
-    as FiniteSemigroup applies to one table; each instance's ``table``
-    is a read-only view of one uint8 copy of the stack.
-    """
-    stack = np.asarray(stack)
-    if stack.dtype.kind not in "iu" or stack.ndim != 3 or \
-            stack.shape[1] != stack.shape[2] or \
-            not 0 < stack.shape[1] <= MAX_ORDER:
-        raise IndexOutOfRange(
-            f"expected a stack of square integer tables of order 1 to "
-            f"{MAX_ORDER}, got {stack.dtype} of shape {stack.shape}")
+def _semigroups_from_stack(tables, commutative, identities):
+    """One FiniteSemigroup per table of a uint8 stack, each a read-only
+    view, with the flags given: from _validate or proved by construction."""
+    tables.setflags(write=False)
     semigroups = []
-    for table, commutative, identity in zip(*_validate(stack)):
+    for table, flag, identity in zip(tables, commutative, identities):
         semigroup = object.__new__(FiniteSemigroup)
-        semigroup._install(table, commutative, identity)
+        semigroup._install(table, flag, identity)
         semigroups.append(semigroup)
     return semigroups
 

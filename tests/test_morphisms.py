@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import powersemi
+import powersemi.morphisms as morphisms_module
 import powersemi.semigroups as semigroups_module
 
 from powersemi import (FiniteSemigroup, Morphism, PreconditionViolated,
@@ -232,6 +233,23 @@ def test_lift_preserves_cardinality():
     for mask in range(1, 16):
         image_mask = lifted.mapping[mask - 1] + 1
         assert image_mask.bit_count() == mask.bit_count()
+
+
+def test_lift_builds_both_power_semigroups_in_one_stack(monkeypatch):
+    calls = []
+    build = morphisms_module.build_power_semigroups
+
+    def counted(semigroups):
+        calls.append(len(semigroups))
+        return build(semigroups)
+
+    monkeypatch.setattr(morphisms_module, "build_power_semigroups", counted)
+    z4 = zoo.cyclic_group(4)
+    target = relabel(z4, [2, 0, 3, 1])
+    lifted = lift_isomorphism(find_isomorphism(z4, target))
+    assert calls == [2]
+    assert lifted.source == build_power_semigroup(z4)
+    assert lifted.target == build_power_semigroup(target)
 
 
 def test_lift_rejects_non_isomorphisms():

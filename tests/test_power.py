@@ -1,4 +1,10 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powersemi.power as power_module
+import powersemi.semigroups as semigroups_module
 from powersemi import (FAMILY_MAX, MAX_ORDER, POWER_CAP_MAX, AmbientMismatch,
                        CatalogEntry, FiniteSemigroup, IndexOutOfRange,
                        OrderCapExceeded, SubsetElement, SubsetFamily,
-                       all_congruences, build_power_semigroup,
+                       TheoremViolation, all_congruences, bits,
+                       build_power_semigroup,
                        build_power_semigroups, enumerate_semigroups,
                        global_iso_probe,
                        congruence_from_partition, congruence_family,
@@ -115,6 +123,43 @@ def test_membership_of_masks_outside_the_family():
         assert outside not in fam
     with pytest.raises(AmbientMismatch):
         SubsetElement(zoo.cyclic_group(2), 3) in fam
+
+
+@pytest.mark.parametrize("x,member", [
+    (0, True), (1, True), (np.int64(1), True), (2, False), (3, False),
+    (1 << 70, False), (-1, False), (-3, False), (1.5, False), (1.0, False),
+    ("0", False), (None, False), (True, False)])
+def test_subset_element_membership_is_false_outside_the_carrier(x, member):
+    assert (x in SubsetElement(Z3, 3)) is member
+
+
+@pytest.mark.parametrize("walk", [bits, submasks], ids=["bits", "submasks"])
+@pytest.mark.parametrize("mask", [-1, -6, -(1 << 64)])
+def test_bit_walks_reject_negative_masks(walk, mask):
+    with pytest.raises(IndexOutOfRange, match="is negative"):
+        next(walk(mask))
+
+
+def counting(items, drawn):
+    """Yield the items, counting in drawn[0] how many were read."""
+    for item in items:
+        drawn[0] += 1
+        yield item
+
+
+def test_family_inputs_are_read_only_up_to_the_ceiling():
+    # A million masks, all valid: reading them all takes seconds.
+    null30 = zoo.null_semigroup(30)
+    drawn = [0]
+    with pytest.raises(OrderCapExceeded, match=f"ceiling {FAMILY_MAX}"):
+        SubsetFamily(null30, counting(range(1, 1 << 20), drawn))
+    assert drawn == [FAMILY_MAX + 1]
+    # The 30 singletons come first, and the first generator is {29}.
+    drawn = [0]
+    with pytest.raises(OrderCapExceeded, match=f"ceiling {FAMILY_MAX}"):
+        downward_complete_closure(
+            null30, counting(range(1 << 29, (1 << 29) + (1 << 20)), drawn))
+    assert drawn == [FAMILY_MAX + 1 - 30 + 1]
 
 
 def test_empty_family_is_rejected():
@@ -348,7 +393,7 @@ def one_at_a_time_power(carrier):
 @pytest.mark.parametrize("cells", [None, 1000], ids=["default", "small_stacks"])
 def test_batched_power_tables_equal_one_at_a_time(catalog, monkeypatch, cells):
     # Orders 1-4 shuffled together, so stacks of several orders interleave
-    # in the input; with 1000 cells the order-4 tables come two at a time.
+    # in the input; with 1000 cells the order-4 tables come one at a time.
     if cells is not None:
         monkeypatch.setattr(power_module, "_BATCH_CELLS", cells)
     carriers = [e.semigroup for entries in catalog.values() for e in entries]
@@ -395,6 +440,119 @@ def test_power_builds_with_a_function_in_place_of_the_class(monkeypatch):
         CatalogEntry(e.semigroup, e.canonical_id, e.fingerprint)
         for e in entries])
     assert {**traced, "elapsed_ms": 0} == {**report, "elapsed_ms": 0}
+
+
+@pytest.mark.parametrize("n,digest,commutative,identities", [
+    (4, "c5ee9d521eef6ecfe2860e950fa395d0d4941019b88667a0c6a680bc18fa3621",
+     58, 35),
+    (5, "2048b638399944e99922214e5f03f93733daa14c9f02af15d805e079eecd076f",
+     325, 228)])
+def test_power_tables_of_the_catalog_are_pinned(n, digest, commutative,
+                                                identities):
+    # sha256 of the uint8 power tables stacked in catalog order.
+    powers = build_power_semigroups(
+        e.semigroup for e in enumerate_semigroups(n, long_running=True))
+    stack = np.stack([p.table for p in powers])
+    assert stack.dtype == np.uint8
+    assert hashlib.sha256(stack.tobytes()).hexdigest() == digest
+    assert sum(p.commutative for p in powers) == commutative
+    assert sum(p.identity is not None for p in powers) == identities
+
+
+KERNEL = power_module._stacked_products
+
+
+def left_zero_in_place_of_null(tables, xs, ys):
+    # P(left_zero(3)) is associative, so an associativity check passes
+    # it, but it is not P(null(3)).
+    return KERNEL(np.broadcast_to(zoo.left_zero(3).table, tables.shape),
+                  xs, ys)
+
+
+def one_flipped_bit(tables, xs, ys):
+    products = KERNEL(tables, xs, ys)
+    products[0, 5, 6] ^= 2
+    return products
+
+
+def two_swapped_entries(tables, xs, ys):
+    products = KERNEL(tables, xs, ys)
+    products[0, [3, 5], [5, 3]] = products[0, [5, 3], [3, 5]]
+    return products
+
+
+WRONG_KERNELS = {
+    "left_zero_in_place_of_null": (left_zero_in_place_of_null,
+                                   zoo.null_semigroup(3)),
+    "one_flipped_bit": (one_flipped_bit, zoo.left_zero(3)),
+    "two_swapped_entries": (two_swapped_entries, zoo.left_zero(3)),
+}
+
+
+@pytest.mark.parametrize("kernel,carrier", WRONG_KERNELS.values(),
+                         ids=WRONG_KERNELS)
+def test_power_table_that_is_not_the_setwise_product_is_rejected(
+        monkeypatch, kernel, carrier):
+    wrong = kernel(carrier.table[None], np.arange(8), np.arange(8))
+    assert not np.array_equal(wrong, KERNEL(carrier.table[None], np.arange(8),
+                                            np.arange(8)))
+    monkeypatch.setattr(power_module, "_stacked_products", kernel)
+    with pytest.raises(TheoremViolation, match="not the setwise product"):
+        build_power_semigroup(carrier)
+
+
+def test_every_single_bit_flip_of_a_power_table_is_rejected(monkeypatch):
+    # Every bit of every cell X * Y of P(Z3), X and Y non-empty.
+    for x, y, bit in product(range(1, 8), range(1, 8), range(3)):
+        def flipped(tables, xs, ys):
+            products = KERNEL(tables, xs, ys)
+            products[0, x, y] ^= 1 << bit
+            return products
+        monkeypatch.setattr(power_module, "_stacked_products", flipped)
+        with pytest.raises(TheoremViolation):
+            build_power_semigroup(Z3)
+
+
+# Run under `python -O`, where assert statements are stripped: each wrong
+# kernel result must still be rejected.
+WRONG_KERNEL_SCRIPT = """
+from powersemi import TheoremViolation, build_power_semigroup, power
+from test_power import WRONG_KERNELS
+if __debug__:
+    raise SystemExit("expected to run under python -O")
+for name, (kernel, carrier) in WRONG_KERNELS.items():
+    power._stacked_products = kernel
+    try:
+        build_power_semigroup(carrier)
+    except TheoremViolation:
+        continue
+    raise SystemExit(f"{name}: a wrong power table was accepted")
+print("ok")
+"""
+
+
+def test_wrong_power_tables_raise_under_optimize():
+    paths = [str(Path(power_module.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, paths + [env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_KERNEL_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_power_build_does_not_call_the_table_validator(catalog, monkeypatch):
+    carriers = [e.semigroup for entries in catalog.values() for e in entries]
+    want = [semigroup_state(p) for p in build_power_semigroups(carriers)]
+
+    def refuse(stack):
+        raise RuntimeError("power tables are proved, not re-validated")
+
+    monkeypatch.setattr(semigroups_module, "_validate", refuse)
+    assert [semigroup_state(p)
+            for p in build_power_semigroups(carriers)] == want
 
 
 def test_as_semigroup_matches_build_power_semigroup(catalog):

@@ -9,12 +9,12 @@ import pytest
 
 import powersemi
 import powersemi.semigroups as semigroups_module
-from powersemi import (MAX_ORDER, FiniteSemigroup, IndexOutOfRange,
-                       NonAssociative, NotCompatible, all_congruences,
-                       congruence_from_partition, format_table, parse_table,
-                       semigroups_from_stack)
+from powersemi import (FiniteSemigroup, IndexOutOfRange, NonAssociative,
+                       NotCompatible, all_congruences,
+                       congruence_from_partition, format_table, parse_table)
 from powersemi import zoo
-from powersemi.semigroups import _label_vectors, fill_profiles
+from powersemi.semigroups import (_label_vectors, _semigroups_from_stack,
+                                  _validate, fill_profiles)
 
 from oracles import scalar_element_queries, semigroup_state
 
@@ -253,10 +253,11 @@ def test_stacked_tables_equal_one_at_a_time(catalog):
     for entries in catalog.values():
         tables = np.stack([e.semigroup.table for e in entries])
         for dtype in (np.int64, np.uint8, np.uint64):
-            batch = semigroups_from_stack(tables.astype(dtype))
+            batch = _semigroups_from_stack(*_validate(tables.astype(dtype)))
             assert [semigroup_state(s) for s in batch] == \
                 [semigroup_state(FiniteSemigroup(t)) for t in tables]
-    assert semigroups_from_stack(np.zeros((0, 2, 2), dtype=np.int64)) == []
+    assert _semigroups_from_stack(
+        *_validate(np.zeros((0, 2, 2), dtype=np.int64))) == []
 
 
 def test_stack_reports_the_first_failing_triple_of_the_first_bad_table():
@@ -267,7 +268,7 @@ def test_stack_reports_the_first_failing_triple_of_the_first_bad_table():
         FiniteSemigroup(second)
     assert single.value.triple != other.value.triple
     with pytest.raises(NonAssociative) as info:
-        semigroups_from_stack(order3_stack_with(NON_ASSOCIATIVE_3, 11))
+        _validate(order3_stack_with(NON_ASSOCIATIVE_3, 11))
     i, j, k = info.value.triple
     assert first[first[i][j]][k] != first[i][first[j][k]]
     assert info.value.triple == single.value.triple == (2, 2, 1)
@@ -282,32 +283,21 @@ def test_stack_with_an_entry_outside_the_carrier_is_rejected(entry):
     stack = order3_stack_with([bad], 7).astype(dtype)
     with pytest.raises(IndexOutOfRange,
                        match=rf"entry {entry} at \(1, 2\) is outside \[0, 3\)"):
-        semigroups_from_stack(stack)
-
-
-@pytest.mark.parametrize("stack", [
-    np.zeros((2, 2), dtype=np.int64), np.zeros((1, 2, 3), dtype=np.int64),
-    np.zeros((1, 0, 0), dtype=np.int64), np.zeros((1, 2, 2)),
-    np.zeros((1, 2, 2), dtype=bool),
-    np.zeros((1, MAX_ORDER + 1, MAX_ORDER + 1), dtype=np.int64)],
-    ids=["flat", "not_square", "empty_tables", "float", "bool", "too_large"])
-def test_stack_of_the_wrong_shape_or_type_is_rejected(stack):
-    with pytest.raises(IndexOutOfRange, match="expected a stack"):
-        semigroups_from_stack(stack)
+        _validate(stack)
 
 
 # Run under `python -O`, where assert statements are stripped: a corrupted
 # stack must still be rejected by the stacked validator.
 CORRUPTED_STACK_SCRIPT = """
 import numpy as np
-from powersemi import (IndexOutOfRange, NonAssociative, enumerate_semigroups,
-                       semigroups_from_stack)
+from powersemi import IndexOutOfRange, NonAssociative, enumerate_semigroups
+from powersemi.semigroups import _validate
 if __debug__:
     raise SystemExit("expected to run under python -O")
 good = [e.semigroup.rows for e in enumerate_semigroups(3)]
 bad = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
 try:
-    semigroups_from_stack(np.array(good[:11] + [bad] + good[11:]))
+    _validate(np.array(good[:11] + [bad] + good[11:]))
 except NonAssociative as exc:
     i, j, k = exc.triple
     if bad[bad[i][j]][k] == bad[i][bad[j][k]]:
@@ -315,8 +305,8 @@ except NonAssociative as exc:
 else:
     raise SystemExit("a non-associative table was accepted")
 try:
-    semigroups_from_stack(np.array(good[:5] + [[[0, 0, 0], [0, 0, 3],
-                                                 [0, 0, 0]]] + good[5:]))
+    _validate(np.array(good[:5] + [[[0, 0, 0], [0, 0, 3],
+                                     [0, 0, 0]]] + good[5:]))
 except IndexOutOfRange:
     pass
 else:
