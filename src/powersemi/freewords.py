@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .errors import PreconditionViolated
-from .power import _integer
+from .semigroups import _integer
 
 
 def _letter(a, message):

@@ -11,8 +11,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionViolated, TheoremViolation
-from .power import _integer, bits, build_power_semigroups, mask_of
-from .semigroups import fill_profiles
+from .power import build_power_semigroups
+from .semigroups import _integer, fill_profiles
 
 
 class Morphism:
@@ -201,11 +201,10 @@ def _mapping_search(source, target):
 
 
 def _verified_isomorphism(source, target, mapping):
+    """The Morphism of mapping, or TheoremViolation if not an isomorphism."""
     morphism = Morphism(source, target, mapping)
     if not morphism.is_isomorphism:
-        raise TheoremViolation(
-            f"isomorphism search produced {list(mapping)}, which fails "
-            "re-verification")
+        raise TheoremViolation(f"map {list(mapping)} fails re-verification")
     return morphism
 
 
@@ -237,12 +236,12 @@ def lift_isomorphism(morphism):
         raise PreconditionViolated("map is not a verified isomorphism")
     power_source, power_target = build_power_semigroups(
         [morphism.source, morphism.target])
-    lifted = [mask_of(morphism.mapping[x] for x in bits(mask)) - 1
-              for mask in range(1, 1 << morphism.source.order)]
-    big = Morphism(power_source, power_target, lifted)
-    if not big.is_isomorphism:
-        raise TheoremViolation("lift of an isomorphism failed verification")
-    return big
+    # images[mask] is the image of mask; element x doubles the list.
+    images = [0]
+    for y in morphism.mapping:
+        images += [image | 1 << y for image in images]
+    return _verified_isomorphism(power_source, power_target,
+                                 [image - 1 for image in images[1:]])
 
 
 def _check_family_isomorphism(morphism, source_family, target_family):
@@ -297,10 +296,7 @@ def restrict_isomorphism(morphism, source_family, target_family):
             raise TheoremViolation(
                 f"singleton {{{x}}} maps to the non-singleton mask {image_mask}")
         restricted.append(image_mask.bit_length() - 1)
-    small = Morphism(H, K, restricted)
-    if not small.is_isomorphism:
-        raise TheoremViolation("singleton restriction is not an isomorphism")
-    return small
+    return _verified_isomorphism(H, K, restricted)
 
 
 def verify_commutativity_transfer(morphism, source_family, target_family):

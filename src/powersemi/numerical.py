@@ -16,7 +16,7 @@ from math import gcd
 from .cancellation import CASE2, CancellationWitness
 from .errors import (NonMemberInput, OrderCapExceeded, PreconditionViolated,
                      TheoremViolation)
-from .power import _integer
+from .semigroups import _integer
 
 # The membership table holds min(gens) * max(gens) + min(gens) + 1 entries;
 # generators that need more are rejected rather than allocated.

@@ -15,7 +15,6 @@ per product, for closure, materialization, cancellativity and witnesses.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import (AmbientMismatch, IndexOutOfRange, OrderCapExceeded,
                      PreconditionViolated, TheoremViolation)
-from .semigroups import (_BATCH_CELLS, MAX_ORDER, FiniteSemigroup,
+from .semigroups import (_BATCH_CELLS, MAX_ORDER, FiniteSemigroup, _integer,
                          _semigroups_from_stack, _table_stacks)
 
 # Full materialization of the power semigroup is allowed for carriers up
@@ -60,9 +59,15 @@ def bits(mask):
 
 
 def mask_of(elements):
+    """The mask of the elements; IndexOutOfRange unless each is an integer
+    in [0, MAX_ORDER), an element of some carrier."""
     out = 0
     for x in elements:
-        out |= 1 << x
+        i = _integer(x)
+        if i is None or not 0 <= i < MAX_ORDER:
+            raise IndexOutOfRange(
+                f"element {x!r} is not an integer in [0, {MAX_ORDER})")
+        out |= 1 << i
     return out
 
 
@@ -146,15 +151,6 @@ class SubsetElement:
 
     def __repr__(self):
         return f"SubsetElement({{{', '.join(map(str, self.elements()))}}})"
-
-
-def _integer(x):
-    """x as an int if it is an integer but not a bool, else None, where
-    int() would truncate floats and parse strings."""
-    try:
-        return None if isinstance(x, bool) else operator.index(x)
-    except TypeError:
-        return None
 
 
 def _as_mask(semigroup, x):
@@ -413,11 +409,8 @@ def downward_complete_closure(semigroup, generators=()):
 
 def congruence_family(congruence):
     """All non-empty subsets of each congruence class, as one family."""
-    _check_family_size(sum((1 << len(cls)) - 1 for cls in congruence.classes))
-    masks = []
-    for cls in congruence.classes:
-        masks.extend(submasks(mask_of(cls)))
-    return SubsetFamily(congruence.semigroup, masks)
+    return SubsetFamily(congruence.semigroup, chain.from_iterable(
+        submasks(mask_of(cls)) for cls in congruence.classes))
 
 
 def family_report(family):

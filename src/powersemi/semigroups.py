@@ -347,7 +347,7 @@ def _label_vectors(n):
             labels[i] = v
             yield from rec(i + 1, max(used, v + 1))
 
-    yield from rec(1, 1) if n > 1 else iter([[0]])
+    yield from rec(1, 1)
 
 
 def all_congruences(semigroup):
@@ -362,6 +362,15 @@ def all_congruences(semigroup):
         found.extend(Congruence(semigroup, labels)
                      for labels, ok in zip(batch, compatible.tolist()) if ok)
     return found
+
+
+def _integer(x):
+    """x as an int if it is an integer but not a bool, else None, where
+    int() would truncate floats and parse strings."""
+    try:
+        return None if isinstance(x, bool) else operator.index(x)
+    except TypeError:
+        return None
 
 
 # An integer token of table text or of a CLI option; int() also reads

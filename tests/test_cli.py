@@ -210,6 +210,20 @@ def test_token_that_is_not_an_ascii_integer_is_a_usage_error(argv, tables,
         "message": f"expected comma-separated integers, got {argv[-1]!r}"}
 
 
+@pytest.mark.parametrize("argv, elements", [
+    (["witness", "--table", "z3", "--set", "0,7"], [0, 7]),
+    (["family", "--table", "z3", "--generators", "0,9"], [0, 9]),
+    (["witness", "--table", "z3", "--set", "-1"], [-1]),
+], ids=["set-above", "generators-above", "set-negative"])
+def test_elements_outside_the_carrier_are_a_usage_error(argv, elements,
+                                                        tables, capsys):
+    code, report = invoke(capsys, *[tables.get(a, a) for a in argv])
+    assert code == 2
+    assert report["error"] == {
+        "type": "UsageError",
+        "message": f"elements {elements} outside the carrier of order 3"}
+
+
 def test_signs_and_surrounding_blanks_still_parse(capsys):
     _, plain = invoke(capsys, "nm", "--gens", "3,5", "--member", "8")
     for gens, member in ((" 3, 5", "+8"), ("+3,+5 ", " 8 ")):
@@ -285,10 +299,11 @@ def test_iso_negative_with_mismatch_reason(tables, capsys):
 
 
 @pytest.mark.parametrize("left, right, reason", [
+    (zoo.cyclic_group(2), zoo.cyclic_group(3), "order 2 != 3"),
     (zoo.left_zero(2), zoo.min_chain(2), "only one side is commutative"),
     (zoo.min_chain(4), zoo.null_semigroup(4), "only one side has an identity"),
     (zoo.cyclic_group(4), zoo.min_chain(4), "idempotent counts 1 != 4"),
-], ids=["commutativity", "identity", "idempotents"])
+], ids=["order", "commutativity", "identity", "idempotents"])
 def test_iso_names_the_first_fingerprint_difference(left, right, reason,
                                                     tmp_path, capsys):
     paths = []
@@ -337,6 +352,24 @@ def test_restrict_reports_power_semigroups_that_are_not_isomorphic(tables,
     assert report == {"schema_version": 1, "power_isomorphic": False,
                       "power_map": None, "restricted_map": None,
                       "theorem_violation": None}
+
+
+def test_restrict_reports_a_failed_restriction_as_a_finding(
+        tables, monkeypatch, capsys):
+    message = "singleton {0} maps to the non-singleton mask 3"
+
+    def fail(*args):
+        raise TheoremViolation(message)
+
+    monkeypatch.setattr(cli_module, "restrict_isomorphism", fail)
+    code = run(["restrict", "--table", tables["z3"], "--other", tables["z3"]])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 1
+    assert report["power_isomorphic"] is True
+    assert report["restricted_map"] is None
+    assert report["theorem_violation"] == message
+    assert captured.err == ""
 
 
 def test_restrict_rejects_non_cancellative_carrier(tables, capsys):

@@ -428,17 +428,23 @@ def test_morphism_inverse():
 
 
 # Run under `python -O`, where assert statements are stripped: a search
-# that yields a wrong map must still be caught by the re-verification.
+# that yields a wrong map, or a lift onto a wrong power semigroup, must
+# still be caught by the re-verification.
 WRONG_MAP_SCRIPT = """
 from powersemi import TheoremViolation, morphisms, zoo
 if __debug__:
     raise SystemExit("expected to run under python -O")
-morphisms._mapping_search = lambda source, target: iter([(1, 0, 2)])
 z3 = zoo.cyclic_group(3)
-for search in (morphisms.find_isomorphism,
-               lambda s, t: list(morphisms.all_isomorphisms(s, t))):
+identity = morphisms.Morphism(z3, z3, [0, 1, 2])
+build = morphisms.build_power_semigroups
+morphisms._mapping_search = lambda source, target: iter([(1, 0, 2)])
+morphisms.build_power_semigroups = lambda carriers: build(
+    [carriers[0], zoo.null_semigroup(3)])
+for check in (lambda: morphisms.find_isomorphism(z3, z3),
+              lambda: list(morphisms.all_isomorphisms(z3, z3)),
+              lambda: morphisms.lift_isomorphism(identity)):
     try:
-        search(z3, z3)
+        check()
     except TheoremViolation:
         continue
     raise SystemExit("a wrong map was returned unchecked")

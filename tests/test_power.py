@@ -126,11 +126,18 @@ def test_membership_of_masks_outside_the_family():
 
 
 @pytest.mark.parametrize("x,member", [
-    (0, True), (1, True), (np.int64(1), True), (2, False), (3, False),
-    (1 << 70, False), (-1, False), (-3, False), (1.5, False), (1.0, False),
-    ("0", False), (None, False), (True, False)])
+    (0, True), (1, True), (np.int64(1), True), (2, False),
+    (np.uint8(2), False), (3, False), (1 << 70, False), (-1, False),
+    (-3, False), (1.5, False), (1.0, False), ("0", False), (None, False),
+    (True, False)])
 def test_subset_element_membership_is_false_outside_the_carrier(x, member):
     assert (x in SubsetElement(Z3, 3)) is member
+    # from_elements takes the same elements: the integers in [0, 3).
+    if x in SubsetElement(Z3, 7):
+        assert SubsetElement.from_elements(Z3, [x]).mask == 1 << int(x)
+    else:
+        with pytest.raises(IndexOutOfRange):
+            SubsetElement.from_elements(Z3, [x])
 
 
 @pytest.mark.parametrize("walk", [bits, submasks], ids=["bits", "submasks"])
