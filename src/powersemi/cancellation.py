@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .errors import IndexOutOfRange, PreconditionViolated, TheoremViolation
 from .power import SubsetElement, _as_mask, bits
-from .semigroups import _distinct_counts
 
 CASE1 = "Case1"
 CASE2 = "Case2"
@@ -53,15 +54,16 @@ class CancellationWitness:
 def cancellative_elements_bruteforce(family):
     """All members that are cancellative inside the family; the oracle route.
 
-    Member a is cancellative iff row a (X -> a*X) and column a (X -> X*a)
-    of the family's product matrix hold as many distinct values as the
-    family has members, counted for all members at once.
+    Member a is cancellative iff neither row a (X -> a*X) nor column a
+    (X -> X*a) of the family's product matrix repeats a value, checked
+    for all members at once on the matrix sorted along each axis.
     """
     if not family.is_subsemigroup:
         raise PreconditionViolated("family is not closed under products")
-    k = len(family.masks)
-    cancellative = ((_distinct_counts(family.products) == k)
-                    & (_distinct_counts(family.products.T) == k))
+    rows = np.sort(family.products, axis=1)
+    columns = np.sort(family.products, axis=0)
+    cancellative = ((rows[:, 1:] != rows[:, :-1]).all(axis=1)
+                    & (columns[1:] != columns[:-1]).all(axis=0))
     return {SubsetElement(family.semigroup, m)
             for m, ok in zip(family.masks, cancellative.tolist()) if ok}
 

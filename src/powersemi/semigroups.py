@@ -23,11 +23,12 @@ MAX_ORDER = 64
 # quadruple flags (n**4 per partition), a few MB of temporaries.
 _BATCH_FLAGS = 1 << 18
 
-# Batched table work keeps its temporaries near 8 * _BATCH_CELLS bytes
-# however many tables a caller passes. _profile_rows takes up to about 8
-# bytes per table cell, so fill_profiles profiles _BATCH_CELLS cells at
-# once (chunks eight times larger ran no faster and left the process's
-# peak RSS about 5 MB higher).
+# Batched table work keeps its temporaries within about 12 * _BATCH_CELLS
+# bytes however many tables a caller passes. _profile_rows peaks at about
+# 12 bytes per table cell (tracemalloc on a stack of 68 order-31 power
+# tables; the 64-bit sets of _distinct_counts take 8 of them), so
+# fill_profiles profiles _BATCH_CELLS cells at once (chunks eight times
+# larger ran no faster and left the process's peak RSS about 5 MB higher).
 _BATCH_CELLS = 1 << 16
 
 
@@ -233,9 +234,13 @@ def fill_profiles(semigroups):
 
 
 def _distinct_counts(values):
-    """How many distinct entries each line along the last axis holds."""
-    ordered = np.sort(values, axis=-1)
-    return (ordered[..., 1:] != ordered[..., :-1]).sum(axis=-1) + 1
+    """How many distinct entries each line along the last axis holds.
+
+    Every entry must be below 64 (MAX_ORDER): each line becomes one
+    64-bit set, bit x set for entry x, and its popcount is the count.
+    """
+    return np.bitwise_count(np.bitwise_or.reduce(
+        np.left_shift(np.uint64(1), values, dtype=np.uint64), axis=-1))
 
 
 def _profile_rows(t):
@@ -243,30 +248,32 @@ def _profile_rows(t):
     tables, as a (k, n, 6) integer array (idempotency as 0/1).
 
     The powers a, a**2, ..., a**(n+1) of every element come one at a time,
-    a**(m+1) = a**m * a, one flat gather per power for the whole stack.
-    The first n powers cover the cyclic subsemigroup of a, whose size is
-    index + period - 1; with that size s, a**(s+1) = a**index, so index is
-    the least m with a**m = a**(s+1).
+    a**(m+1) = a**m * a, read from column a of the table: one gather per
+    power for the whole stack, at base[t, a] = t*n*n + a*n in the
+    flattened transposed tables. The first n powers cover the cyclic
+    subsemigroup of a, whose size is index + period - 1; with that size
+    s, a**(s+1) = a**index, so index is the least m with a**m = a**(s+1).
     """
     k, n, _ = t.shape
-    flat = t.reshape(-1)
-    first_cell = (np.arange(k, dtype=np.intp) * (n * n))[:, None]
+    columns = np.ascontiguousarray(t.transpose(0, 2, 1))
+    flat_columns = columns.reshape(-1)
     elements = np.arange(n, dtype=np.intp)
+    base = (np.arange(0, k * n * n, n * n, dtype=np.intp)[:, None]
+            + elements * n)
     powers = np.empty((k, n, n + 1), dtype=np.uint8)
-    powers[:, :, 0] = elements
+    current = powers[:, :, 0] = elements
     for m in range(1, n + 1):
-        powers[:, :, m] = flat[first_cell + powers[:, :, m - 1].astype(np.intp)
-                               * n + elements]
-    size = _distinct_counts(powers[:, :, :n])
+        current = flat_columns[base + current]
+        powers[:, :, m] = current
+    size = _distinct_counts(powers[:, :, :n]).astype(np.intp)
     cycle_start = np.take_along_axis(powers, size[:, :, None], axis=2)
     index = (powers[:, :, :n] == cycle_start).argmax(axis=2) + 1
-    diag = np.arange(n)
-    return np.stack([t[:, diag, diag] == diag,
+    return np.stack([t[:, elements, elements] == elements,
                      index,
                      size - index + 1,
                      _distinct_counts(t),
-                     _distinct_counts(t.transpose(0, 2, 1)),
-                     (t == t.transpose(0, 2, 1)).sum(axis=2)], axis=2)
+                     _distinct_counts(columns),
+                     (t == columns).sum(axis=2)], axis=2)
 
 
 class Congruence:

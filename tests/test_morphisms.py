@@ -179,6 +179,12 @@ def test_profile_kernel_matches_loop_on_seeded_relabelings():
         perm = list(range(sgr.order))
         rng.shuffle(perm)
         semigroups.append(relabel(sgr, perm))
+    # Order MAX_ORDER, unrelabeled: entry 63 sets the top bit of the
+    # kernel's 64-bit sets, and right_zero's rows and left_zero's columns
+    # count 64 distinct values.
+    semigroups += [zoo.cyclic_group(64), zoo.left_zero(64),
+                   zoo.right_zero(64), zoo.min_chain(64),
+                   FiniteSemigroup([[63] * 64] * 64)]
     assert_batch_matches_loop(semigroups)
 
 
