@@ -16,10 +16,8 @@ from .errors import (AmbientMismatch, IndexOutOfRange, NonAssociative,
                      WorkbenchError)
 from .freewords import (cancellativity_campaign, leading_letter_disjoint,
                         letters_cancellation_consistent, word_product)
-from .morphisms import (IsoFingerprint, Morphism, all_isomorphisms,
-                        cancellative_preservation_check,
-                        describe_fingerprint_mismatch, find_isomorphism,
-                        fingerprint, fingerprints,
+from .morphisms import (Morphism, all_isomorphisms,
+                        cancellative_preservation_check, find_isomorphism,
                         lift_isomorphism, restrict_isomorphism,
                         verify_commutativity_transfer)
 from .numerical import (NumericalMonoid, equality_campaign, random_member_set,
@@ -31,7 +29,9 @@ from .power import (FAMILY_MAX, POWER_CAP_MAX, CompletenessCertificate,
                     family_products, family_report, full_family, mask_of,
                     setwise_product, singleton_family, submasks)
 from .semigroups import (MAX_ORDER, Congruence, FiniteSemigroup,
-                         all_congruences, congruence_from_partition,
-                         format_table, parse_table, read_table)
+                         IsoFingerprint, all_congruences,
+                         congruence_from_partition,
+                         describe_fingerprint_mismatch, fingerprint,
+                         fingerprints, format_table, parse_table, read_table)
 
 __version__ = "0.1.0"

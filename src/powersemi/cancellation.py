@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .errors import IndexOutOfRange, PreconditionViolated, TheoremViolation
-from .power import SubsetElement, _as_mask, bits
+from .power import SubsetElement, _as_mask, _bits
 
 CASE1 = "Case1"
 CASE2 = "Case2"
@@ -121,7 +121,7 @@ def witness_noncancellative(subset, family):
             "subset is not a member of the family") from None
 
     rows = S.rows
-    elems = list(bits(amask))
+    elems = list(_bits(amask))
     hit = None
     for a in elems:
         for b in elems:

@@ -14,13 +14,13 @@ import numpy as np
 from .cancellation import (cancellative_elements_bruteforce,
                            singleton_cancellative_elements)
 from .errors import OrderUnsupported, TheoremViolation
-from .morphisms import (IsoFingerprint, find_isomorphism, fingerprint,
-                        fingerprints)
+from .morphisms import find_isomorphism
 from .power import (build_power_semigroup, build_power_semigroups,
                     congruence_family, downward_complete_closure,
                     full_family)
-from .semigroups import (FiniteSemigroup, _semigroups_from_stack, _validate,
-                         all_congruences)
+from .semigroups import (FiniteSemigroup, IsoFingerprint,
+                         _semigroups_from_stack, _validate, all_congruences,
+                         fingerprint, fingerprints)
 
 ENUM_MAX = 5
 
@@ -32,7 +32,8 @@ class CatalogEntry:
     semigroup: FiniteSemigroup
     canonical_id: tuple
     fingerprint: IsoFingerprint
-    _power: FiniteSemigroup | None = field(default=None, repr=False)
+    _power: FiniteSemigroup | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def power_semigroup(self):
         if self._power is None:

@@ -20,14 +20,14 @@ from .cancellation import (cancellative_elements_bruteforce,
                            witness_noncancellative)
 from .errors import (IndexOutOfRange, NonAssociative, NotCompatible,
                      PreconditionViolated, TheoremViolation, WorkbenchError)
-from .morphisms import (check_restriction_hypotheses,
-                        describe_fingerprint_mismatch, find_isomorphism,
-                        fingerprint, lift_isomorphism, restrict_isomorphism)
+from .morphisms import (check_restriction_hypotheses, find_isomorphism,
+                        lift_isomorphism, restrict_isomorphism)
 from .numerical import NumericalMonoid
 from .power import (build_power_semigroup, congruence_family,
                     downward_complete_closure, family_report, full_family,
                     mask_of)
 from .semigroups import (FiniteSemigroup, congruence_from_partition,
+                         describe_fingerprint_mismatch, fingerprint,
                          integer_token, read_table)
 
 SCHEMA_VERSION = 1

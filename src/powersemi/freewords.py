@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .errors import PreconditionViolated
-from .semigroups import _integer
+from .semigroups import _check_at_least, _integer
 
 
 def _letter(a, message):
@@ -96,6 +96,9 @@ def cancellativity_campaign(alphabet=4, trials=10000, seed=0,
     consistency check are exercised), then asserts both the separation
     property and the leading-letter disjointness on that trial's data.
     """
+    _check_at_least(2, alphabet=alphabet)
+    _check_at_least(1, max_word_len=max_word_len, max_set_size=max_set_size)
+    _check_at_least(0, trials=trials)
     rng = random.Random(seed)
     violations = []
     disjointness_failures = []

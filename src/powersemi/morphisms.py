@@ -1,18 +1,16 @@
 """Homomorphisms between finite semigroups, isomorphism search, and the
 transfer of isomorphisms to and from power semigroups.
 
-Fingerprints and the search read the per-element profiles that
-FiniteSemigroup computes and caches."""
+The search prunes by the fingerprints and per-element profiles that
+semigroups.py computes and caches."""
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionViolated, TheoremViolation
 from .power import build_power_semigroups
-from .semigroups import _integer, fill_profiles
+from .semigroups import _integer, fingerprint
 
 
 class Morphism:
@@ -48,9 +46,6 @@ class Morphism:
     def is_isomorphism(self):
         return self.is_homomorphism and self.is_injective and self.is_surjective
 
-    def __call__(self, x):
-        return self.mapping[x]
-
     def inverse(self):
         if not self.is_isomorphism:
             raise PreconditionViolated("only isomorphisms can be inverted")
@@ -70,59 +65,6 @@ class Morphism:
 
     def __repr__(self):
         return f"Morphism({list(self.mapping)})"
-
-
-class IsoFingerprint(NamedTuple):
-    """Cheap isomorphism invariants used to prune the search.
-
-    profiles is the sorted multiset of per-element invariants; equal
-    fingerprints are necessary (never sufficient) for isomorphism.
-    """
-
-    order: int
-    commutative: bool
-    has_identity: bool
-    idempotent_count: int
-    profiles: tuple
-
-
-def fingerprint(semigroup):
-    """Isomorphism-invariant fingerprint, cached on the instance
-    (``_fingerprint``), built from the semigroup's profiles."""
-    if semigroup._fingerprint is None:
-        profiles = semigroup.profiles
-        semigroup._fingerprint = IsoFingerprint(
-            semigroup.order,
-            semigroup.commutative,
-            semigroup.identity is not None,
-            sum(profile[0] for profile in profiles),
-            tuple(sorted(profiles)),
-        )
-    return semigroup._fingerprint
-
-
-def fingerprints(semigroups):
-    """The fingerprint of each semigroup, equal to what fingerprint gives,
-    with the profiles of a catalog computed in batches by fill_profiles."""
-    semigroups = list(semigroups)
-    fill_profiles(semigroups)
-    return [fingerprint(semigroup) for semigroup in semigroups]
-
-
-def describe_fingerprint_mismatch(fp_a, fp_b):
-    """Human-readable reason two fingerprints differ, or None if equal."""
-    if fp_a == fp_b:
-        return None
-    if fp_a.order != fp_b.order:
-        return f"order {fp_a.order} != {fp_b.order}"
-    if fp_a.commutative != fp_b.commutative:
-        return "only one side is commutative"
-    if fp_a.has_identity != fp_b.has_identity:
-        return "only one side has an identity"
-    if fp_a.idempotent_count != fp_b.idempotent_count:
-        return (f"idempotent counts {fp_a.idempotent_count} != "
-                f"{fp_b.idempotent_count}")
-    return "per-element invariant multisets differ"
 
 
 def _mapping_search(source, target):

@@ -16,7 +16,7 @@ from math import gcd
 from .cancellation import CASE2, CancellationWitness
 from .errors import (NonMemberInput, OrderCapExceeded, PreconditionViolated,
                      TheoremViolation)
-from .semigroups import _integer
+from .semigroups import _check_at_least, _integer
 
 # The membership table holds min(gens) * max(gens) + min(gens) + 1 entries;
 # generators that need more are rejected rather than allocated.
@@ -160,6 +160,7 @@ def equality_campaign(trials=100, seed=0):
     verdict is compared with membership agreement over both horizons.
     Mismatches are reported, never expected.
     """
+    _check_at_least(0, trials=trials)
     rng = random.Random(seed)
     mismatches = []
     equal_cases = 0
@@ -192,6 +193,7 @@ def equality_campaign(trials=100, seed=0):
 def witness_campaign(trials=1000, seed=0):
     """Construct and re-verify witnesses on random (monoid, set) instances,
     the monoids with generators below 30."""
+    _check_at_least(0, trials=trials)
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):

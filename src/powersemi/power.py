@@ -48,10 +48,23 @@ def _check_family_size(k):
             f"a family of {k} members exceeds the ceiling {FAMILY_MAX}")
 
 
+def _nonnegative_mask(mask):
+    """mask as an int, read as _as_mask reads one; IndexOutOfRange unless
+    it is a non-negative integer."""
+    value = _integer(mask)
+    if value is None:
+        raise IndexOutOfRange(f"mask {mask!r} is not an integer")
+    if value < 0:
+        raise IndexOutOfRange(f"mask {value} is negative")
+    return value
+
+
 def bits(mask):
-    """Yield the set bit positions of a mask, ascending."""
-    if mask < 0:
-        raise IndexOutOfRange(f"mask {mask} is negative")
+    """An iterator over the set bit positions of a mask, ascending."""
+    return _bits(_nonnegative_mask(mask))
+
+
+def _bits(mask):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -72,9 +85,12 @@ def mask_of(elements):
 
 
 def submasks(mask):
-    """Yield every non-empty submask of mask, including mask itself."""
-    if mask < 0:
-        raise IndexOutOfRange(f"mask {mask} is negative")
+    """An iterator over every non-empty submask of mask, including mask
+    itself."""
+    return _submasks(_nonnegative_mask(mask))
+
+
+def _submasks(mask):
     sub = mask
     while sub:
         yield sub
@@ -129,7 +145,7 @@ class SubsetElement:
         return cls(semigroup, mask_of(elements))
 
     def elements(self):
-        return tuple(bits(self.mask))
+        return tuple(_bits(self.mask))
 
     def __contains__(self, x):
         x = _integer(x)
@@ -365,7 +381,7 @@ def downward_completeness(family):
                        if not covered >> x & 1)
         return CompletenessCertificate(False, "coverage", (missing,))
     for m in family.masks:
-        for sub in submasks(m):
+        for sub in _submasks(m):
             if sub not in family._positions:
                 return CompletenessCertificate(False, "subsets", (m, sub))
     return CompletenessCertificate(True)
@@ -399,7 +415,7 @@ def downward_complete_closure(semigroup, generators=()):
             # Every member's subsets join the closure, so each count
             # bounds its size from below.
             _check_family_size((1 << m.bit_count()) - 1)
-            members.update(submasks(m))
+            members.update(_submasks(m))
             _check_family_size(len(members))
         family = SubsetFamily(semigroup, members)
         if family.is_subsemigroup:
@@ -410,7 +426,7 @@ def downward_complete_closure(semigroup, generators=()):
 def congruence_family(congruence):
     """All non-empty subsets of each congruence class, as one family."""
     return SubsetFamily(congruence.semigroup, chain.from_iterable(
-        submasks(mask_of(cls)) for cls in congruence.classes))
+        _submasks(mask_of(cls)) for cls in congruence.classes))
 
 
 def family_report(family):

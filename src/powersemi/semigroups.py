@@ -1,8 +1,8 @@
 """Finite semigroups presented by explicit Cayley tables.
 
 Elements are the indices 0..n-1 and ``table[i][j]`` is the product i*j.
-The per-element profiles are computed here, for one table or a batch,
-and the scalar queries read them.
+The per-element profiles, and the fingerprints made of them, are
+computed here for one table or a batch; the scalar queries read them.
 """
 
 from __future__ import annotations
@@ -10,10 +10,12 @@ from __future__ import annotations
 import operator
 import re
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NonAssociative, NotCompatible
+from .errors import (IndexOutOfRange, NonAssociative, NotCompatible,
+                     PreconditionViolated)
 
 # Subsets of the carrier are encoded as bit masks elsewhere in the package,
 # so the carrier must fit in one machine word.
@@ -27,7 +29,7 @@ _BATCH_FLAGS = 1 << 18
 # bytes however many tables a caller passes. _profile_rows peaks at about
 # 12 bytes per table cell (tracemalloc on a stack of 68 order-31 power
 # tables; the 64-bit sets of _distinct_counts take 8 of them), so
-# fill_profiles profiles _BATCH_CELLS cells at once (chunks eight times
+# fingerprints profiles _BATCH_CELLS cells at a time (chunks eight times
 # larger ran no faster and left the process's peak RSS about 5 MB higher).
 _BATCH_CELLS = 1 << 16
 
@@ -93,7 +95,7 @@ class FiniteSemigroup:
     def profiles(self):
         """Per element a, cached: a*a == a, the index and period of a,
         the numbers of distinct a*x and of distinct x*a, and how many
-        elements commute with a. fill_profiles fills the same cache for
+        elements commute with a. fingerprints fills the same cache for
         many tables at once."""
         if self._profiles is None:
             rows = self.rows
@@ -221,16 +223,67 @@ def _table_stacks(semigroups, per_stack):
             yield chunk, np.stack([semigroups[p].table for p in chunk])
 
 
-def fill_profiles(semigroups):
-    """Cache the profiles of the semigroups not yet profiled, equal to
-    what the profiles property gives, computed by _profile_rows on
-    stacks of up to _BATCH_CELLS table cells."""
+class IsoFingerprint(NamedTuple):
+    """Cheap isomorphism invariants used to prune the search.
+
+    profiles is the sorted multiset of per-element profiles, which fixes
+    the order, commutativity and idempotent count read from it; equal
+    fingerprints are necessary (never sufficient) for isomorphism.
+    """
+
+    has_identity: bool
+    profiles: tuple
+
+    @property
+    def order(self):
+        return len(self.profiles)
+
+    @property
+    def commutative(self):
+        """True iff every element commutes with all n elements."""
+        return all(profile[5] == self.order for profile in self.profiles)
+
+    @property
+    def idempotent_count(self):
+        return sum(profile[0] for profile in self.profiles)
+
+
+def fingerprint(semigroup):
+    """Isomorphism-invariant fingerprint, cached on the instance."""
+    if semigroup._fingerprint is None:
+        semigroup._fingerprint = IsoFingerprint(
+            semigroup.identity is not None, tuple(sorted(semigroup.profiles)))
+    return semigroup._fingerprint
+
+
+def fingerprints(semigroups):
+    """The fingerprint of each semigroup, equal to what fingerprint gives;
+    the profiles not yet cached are computed by _profile_rows on stacks
+    of up to _BATCH_CELLS table cells."""
+    semigroups = list(semigroups)
     pending = [s for s in semigroups if s._profiles is None]
     for positions, tables in _table_stacks(
             pending, lambda n: max(1, _BATCH_CELLS // (n * n))):
         columns = _profile_rows(tables).transpose(0, 2, 1).tolist()
         for p, (idempotent, *rest) in zip(positions, columns):
             pending[p]._profiles = tuple(zip(map(bool, idempotent), *rest))
+    return [fingerprint(semigroup) for semigroup in semigroups]
+
+
+def describe_fingerprint_mismatch(fp_a, fp_b):
+    """Human-readable reason two fingerprints differ, or None if equal."""
+    if fp_a == fp_b:
+        return None
+    if fp_a.order != fp_b.order:
+        return f"order {fp_a.order} != {fp_b.order}"
+    if fp_a.commutative != fp_b.commutative:
+        return "only one side is commutative"
+    if fp_a.has_identity != fp_b.has_identity:
+        return "only one side has an identity"
+    if fp_a.idempotent_count != fp_b.idempotent_count:
+        return (f"idempotent counts {fp_a.idempotent_count} != "
+                f"{fp_b.idempotent_count}")
+    return "per-element invariant multisets differ"
 
 
 def _distinct_counts(values):
@@ -378,6 +431,15 @@ def _integer(x):
         return None if isinstance(x, bool) else operator.index(x)
     except TypeError:
         return None
+
+
+def _check_at_least(low, **arguments):
+    """PreconditionViolated unless every argument is an integer >= low."""
+    for name, value in arguments.items():
+        x = _integer(value)
+        if x is None or x < low:
+            raise PreconditionViolated(
+                f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 # An integer token of table text or of a CLI option; int() also reads

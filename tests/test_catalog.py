@@ -298,3 +298,18 @@ def test_probe_builds_no_rows_for_pruned_power_tables():
     assert report["pruned_by_fingerprint"] == report["pairs_checked"]
     assert all(entry._power._rows is None for entry in entries)
     assert all(entry.power_semigroup() is entry._power for entry in entries)
+
+
+def test_power_cache_is_not_a_constructor_argument():
+    entries = enumerate_semigroups(3)
+    fresh = [CatalogEntry(e.semigroup, e.canonical_id, e.fingerprint)
+             for e in entries]
+    # A fourth argument would be taken as P(S) without any check.
+    with pytest.raises(TypeError):
+        CatalogEntry(entries[0].semigroup, entries[0].canonical_id,
+                     entries[0].fingerprint,
+                     build_power_semigroup(entries[1].semigroup))
+    global_iso_probe(3, entries=fresh)
+    assert all(entry._power is not None for entry in fresh)
+    assert fresh == [CatalogEntry(e.semigroup, e.canonical_id, e.fingerprint)
+                     for e in entries]

@@ -137,6 +137,15 @@ def test_witness_usage_error_on_singleton(tables, capsys):
     assert report["error"]["type"] == "PreconditionViolated"
 
 
+@pytest.mark.parametrize("elements", ["", " "], ids=["empty", "blank"])
+def test_empty_witness_set_is_a_usage_error(elements, tables, capsys):
+    code, report = invoke(capsys, "witness", "--table", tables["z3"],
+                          "--set", elements)
+    assert code == 2
+    assert report["error"] == {"type": "UsageError",
+                               "message": "element set must be non-empty"}
+
+
 @pytest.mark.parametrize("command", ["power", "cancellatives"])
 def test_materialization_ceiling_needs_no_flag(command, tmp_path, capsys):
     six = tmp_path / "null6.tbl"

@@ -107,6 +107,14 @@ def test_campaign_short_run_clean():
     assert report["trials"] == 400
 
 
+@pytest.mark.parametrize("argument", [
+    {"alphabet": 1}, {"max_word_len": 0}, {"max_set_size": 0},
+    {"trials": -1}, {"alphabet": 2.5}], ids=str)
+def test_campaign_rejects_arguments_below_the_cli_bounds(argument):
+    with pytest.raises(PreconditionViolated, match=next(iter(argument))):
+        cancellativity_campaign(**argument)
+
+
 def test_campaign_deterministic():
     one = cancellativity_campaign(alphabet=3, trials=200, seed=5)
     two = cancellativity_campaign(alphabet=3, trials=200, seed=5)

@@ -125,6 +125,18 @@ def test_fingerprint_mismatch_implies_nonisomorphic(catalog):
             assert isomorphic_bruteforce(a.semigroup, b.semigroup) is None
 
 
+def test_fingerprint_stores_identity_and_sorted_profiles(catalog):
+    # Order, commutativity and idempotent count are read from the sorted
+    # profiles and agree with the semigroup's own flags.
+    assert powersemi.IsoFingerprint._fields == ("has_identity", "profiles")
+    carriers = [e.semigroup for entries in catalog.values() for e in entries]
+    for sgr in carriers + powersemi.build_power_semigroups(carriers):
+        fp = fingerprint(sgr)
+        assert fp == (sgr.identity is not None, tuple(sorted(sgr.profiles)))
+        assert (fp.order, fp.commutative, fp.idempotent_count) == (
+            sgr.order, sgr.commutative, len(sgr.idempotents()))
+
+
 def test_fingerprint_invariant_under_relabeling():
     sgr = zoo.min_chain(4)
     for perm in permutations(range(4)):

@@ -194,6 +194,13 @@ def test_random_monoid_and_member_set_are_reproducible():
         random_member_set(random.Random(3), two, 4)
 
 
+@pytest.mark.parametrize("campaign", [equality_campaign, witness_campaign])
+@pytest.mark.parametrize("trials", [-1, True, 2.0])
+def test_campaigns_reject_trials_that_are_not_counts(campaign, trials):
+    with pytest.raises(PreconditionViolated, match="trials"):
+        campaign(trials=trials)
+
+
 def test_equality_campaign_clean_and_deterministic():
     report = equality_campaign(trials=60, seed=21)
     assert report["mismatches"] == []

@@ -141,10 +141,20 @@ def test_subset_element_membership_is_false_outside_the_carrier(x, member):
 
 
 @pytest.mark.parametrize("walk", [bits, submasks], ids=["bits", "submasks"])
-@pytest.mark.parametrize("mask", [-1, -6, -(1 << 64)])
+@pytest.mark.parametrize("mask", [-1, -6, -(1 << 64), np.int64(-6), 1.5, "3",
+                                  True, None])
 def test_bit_walks_reject_negative_masks(walk, mask):
-    with pytest.raises(IndexOutOfRange, match="is negative"):
-        next(walk(mask))
+    # Negative and non-integer masks, checked when the walk is made.
+    negative = not isinstance(mask, (bool, float, str, type(None)))
+    with pytest.raises(IndexOutOfRange, match="is negative" if negative
+                       else "is not an integer"):
+        walk(mask)
+
+
+@pytest.mark.parametrize("mask", [np.uint64(5), np.int8(5)])
+def test_bit_walks_read_numpy_integers_as_ints(mask):
+    assert list(bits(mask)) == [0, 2]
+    assert list(submasks(mask)) == [5, 4, 1]
 
 
 def counting(items, drawn):

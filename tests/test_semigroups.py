@@ -14,7 +14,7 @@ from powersemi import (FiniteSemigroup, IndexOutOfRange, NonAssociative,
                        congruence_from_partition, format_table, parse_table)
 from powersemi import zoo
 from powersemi.semigroups import (_label_vectors, _semigroups_from_stack,
-                                  _validate, fill_profiles)
+                                  _validate)
 
 from oracles import scalar_element_queries, semigroup_state
 
@@ -351,13 +351,13 @@ def test_flags_match_a_scalar_scan(catalog):
 def test_scalar_queries_match_scalar_scans(catalog):
     # Every carrier of orders 1-4 and its power table, each answered
     # twice: from profiles the loop computed and from profiles that
-    # fill_profiles computed for all tables at once.
+    # fingerprints computed for all tables at once.
     carriers = [e.semigroup for entries in catalog.values() for e in entries]
     powers = powersemi.build_power_semigroups(carriers)
     tables = [s.rows for s in carriers + powers]
     by_loop = [FiniteSemigroup(rows) for rows in tables]
     by_batch = [FiniteSemigroup(rows) for rows in tables]
-    fill_profiles(by_batch)
+    powersemi.fingerprints(by_batch)
     assert all(s._profiles is not None for s in by_batch)
     assert all(s._profiles is None for s in by_loop)
     for rows, loop, batch in zip(tables, by_loop, by_batch):
