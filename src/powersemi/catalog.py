@@ -18,9 +18,9 @@ from .morphisms import find_isomorphism
 from .power import (build_power_semigroup, build_power_semigroups,
                     congruence_family, downward_complete_closure,
                     full_family)
-from .semigroups import (FiniteSemigroup, IsoFingerprint,
-                         _semigroups_from_stack, _validate, all_congruences,
-                         fingerprint, fingerprints)
+from .semigroups import (FiniteSemigroup, IsoFingerprint, _check_at_least,
+                         _integer, _semigroups_from_stack, _validate,
+                         all_congruences, fingerprint, fingerprints)
 
 ENUM_MAX = 5
 
@@ -127,43 +127,45 @@ def _fill(n, perms):
     yield from fill(0)
 
 
+def _relabelings(n):
+    """All n! relabelings of n elements, the identity first, and their
+    inverses, as two uint8 arrays of shape (n!, n)."""
+    perms = np.array(list(permutations(range(n))), dtype=np.uint8)
+    return perms, np.argsort(perms, axis=1).astype(np.uint8)
+
+
 def associative_tables(n):
     """Every associative table of order n as a list of rows, in
-    lexicographic order."""
-    return _fill(n, ())
+    lexicographic order: each relabeling perm[t[inv x][inv y]] of each
+    validated catalog table t, isomorphic to t and so not re-validated."""
+    _check_order(n, long_running=True)
+    perms, invs = _relabelings(n)
+    tables = np.stack([entry.semigroup.table for entry in _catalog(n)])
+    relabeled = perms[np.arange(len(perms))[:, None, None],
+                      tables[:, invs[:, :, None], invs[:, None, :]]]
+    # Rows as n*n-byte strings sort in the lexicographic order of tables.
+    rows = relabeled.reshape(-1, n * n).view(f"V{n * n}")
+    return np.unique(rows).view(np.uint8).reshape(-1, n, n).tolist()
 
 
 def canonical_tables(n):
     """One table per isomorphism class of order n: the lexicographically
     least table of each relabeling orbit, in lexicographic order."""
-    perms = []
-    for perm in permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        inv = [0] * n
-        for x, p in enumerate(perm):
-            inv[p] = x
-        perms.append((perm, [inv[i] * n + inv[j]
-                             for i in range(n) for j in range(n)]))
-    return _fill(n, perms)
+    if _integer(n) is None or n < 1:
+        raise OrderUnsupported(f"order {n!r} is not a positive integer")
+    perms, invs = _relabelings(n)
+    src = (n * invs[:, :, None] + invs[:, None, :]).reshape(len(perms), -1)
+    return _fill(n, list(zip(perms.tolist(), src.tolist()))[1:])
 
 
 def _check_order(n, long_running):
-    if not 1 <= n <= ENUM_MAX:
-        raise OrderUnsupported(f"order {n} outside the supported range "
+    if _integer(n) is None or not 1 <= n <= ENUM_MAX:
+        raise OrderUnsupported(f"order {n!r} outside the supported range "
                                f"[1, {ENUM_MAX}]")
     if n == ENUM_MAX and not long_running:
         raise OrderUnsupported(
             f"order {ENUM_MAX} runs for a while; pass long_running=True "
             "(CLI: --long-running) to opt in")
-
-
-def labeled_tables(n, long_running=False):
-    """Every associative table of order n, re-validated as one stack by
-    the checks FiniteSemigroup applies, as lists of rows in lexicographic
-    order. Builds no catalog entries or fingerprints."""
-    _check_order(n, long_running)
-    return _validate(np.array(list(associative_tables(n))))[0].tolist()
 
 
 def enumerate_semigroups(n, long_running=False):
@@ -258,6 +260,7 @@ def singleton_characterization_check(n, seed=0, closures_per_semigroup=3,
     closures must coincide with the singleton rule. Violations are
     reported, never expected.
     """
+    _check_at_least(0, closures_per_semigroup=closures_per_semigroup)
     _check_order(n, long_running)
     rng = random.Random(seed)
     violations = []

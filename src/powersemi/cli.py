@@ -210,11 +210,9 @@ def _cmd_restrict(args):
 
 
 def _cmd_enumerate(args):
-    if args.labeled:
-        tables = _catalog.labeled_tables(args.order, args.long_running)
-    else:
-        tables = [entry.semigroup.rows for entry in
-                  _catalog.enumerate_semigroups(args.order, args.long_running)]
+    entries = _catalog.enumerate_semigroups(args.order, args.long_running)
+    tables = (_catalog.associative_tables(args.order) if args.labeled
+              else [entry.semigroup.rows for entry in entries])
     return {
         "order": args.order,
         "up_to_isomorphism": not args.labeled,

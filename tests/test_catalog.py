@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -8,10 +9,11 @@ import pytest
 
 import powersemi.catalog as catalog_module
 from powersemi import (CatalogEntry, FiniteSemigroup, OrderUnsupported,
-                       TheoremViolation, associative_tables,
-                       build_power_semigroup, canonical_tables,
-                       enumerate_semigroups, find_isomorphism,
-                       global_iso_probe, singleton_characterization_check)
+                       PreconditionViolated, TheoremViolation,
+                       associative_tables, build_power_semigroup,
+                       canonical_tables, enumerate_semigroups,
+                       find_isomorphism, global_iso_probe,
+                       singleton_characterization_check)
 
 from oracles import (all_automorphisms_bruteforce, isomorphic_bruteforce,
                      semigroup_state)
@@ -124,8 +126,13 @@ def orbit_minimal(table, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_canonical_tables_are_the_orbit_minimal_labeled_tables(n):
+    # The unpruned search is the independent reference: associative_tables
+    # relabels the canonical tables, so filtering its own output would
+    # compare the canonical tables with their own orbits.
+    labeled = list(catalog_module._fill(n, ()))
+    assert associative_tables(n) == labeled
     assert list(canonical_tables(n)) == \
-        [t for t in associative_tables(n) if orbit_minimal(t, n)]
+        [t for t in labeled if orbit_minimal(t, n)]
 
 
 # OEIS A027851 (classes up to isomorphism), A023814 (labeled tables) and
@@ -133,14 +140,19 @@ def test_canonical_tables_are_the_orbit_minimal_labeled_tables(n):
 CLASSES = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
 LABELED = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732}
 CLASSES_UP_TO_DUALITY = {1: 1, 2: 4, 3: 18, 4: 126, 5: 1160}
+LABELED_5_SHA256 = \
+    "2b680c609935492369e607d3d715f3d7a7981d486cb8cb67445f5b808fe9e665"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_catalog_counts_match_published_sequences(n):
     entries = enumerate_semigroups(n, long_running=True)
     assert len(entries) == CLASSES[n]
-    if n <= 4:  # associative_tables(5) runs for minutes
-        assert sum(1 for _ in associative_tables(n)) == LABELED[n]
+    labeled = associative_tables(n)
+    assert len(labeled) == LABELED[n]
+    if n == 5:  # the digest of the unpruned search's order-5 tables
+        assert hashlib.sha256(json.dumps(labeled).encode()).hexdigest() == \
+            LABELED_5_SHA256
     # S and its transposed (anti-isomorphic) table are one class up to
     # duality; each catalog table is its own canonical form.
     tables = [tuple(v for row in e.semigroup.rows for v in row)
@@ -168,6 +180,12 @@ def test_unsupported_orders():
         enumerate_semigroups(6)
     with pytest.raises(OrderUnsupported):
         enumerate_semigroups(5)  # needs the long-running opt-in
+    for n in (0, -1, 6, 2.0, "2", True):
+        with pytest.raises(OrderUnsupported):
+            associative_tables(n)
+    for n in (0, -1, 2.0, "2", None):
+        with pytest.raises(OrderUnsupported):
+            canonical_tables(n)
 
 
 def test_canonical_ids_are_stable(catalog):
@@ -264,6 +282,17 @@ def test_characterization_check_rejects_unsupported_orders_up_front(
     monkeypatch.setattr(catalog_module, "enumerate_semigroups", started)
     with pytest.raises(OrderUnsupported):
         singleton_characterization_check(n, long_running=long_running)
+
+
+@pytest.mark.parametrize("closures", [-1, True, 1.5, "2", None])
+def test_characterization_check_rejects_bad_closure_counts_up_front(
+        closures, monkeypatch):
+    def started(*args, **kwargs):
+        raise RuntimeError("enumeration started before the argument check")
+
+    monkeypatch.setattr(catalog_module, "enumerate_semigroups", started)
+    with pytest.raises(PreconditionViolated, match="closures_per_semigroup"):
+        singleton_characterization_check(2, closures_per_semigroup=closures)
 
 
 def test_characterization_check_deterministic():
