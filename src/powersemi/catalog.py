@@ -219,8 +219,8 @@ def global_iso_probe(n, long_running=False, entries=None,
     The power tables not yet cached on their entries are built in
     stacks by build_power_semigroups and fingerprinted in one batch by
     fingerprints, so each power semigroup, cached on its entry, also
-    caches its element profiles and fingerprint; only pairs whose
-    fingerprints agree are searched.
+    caches its fingerprint; only pairs whose fingerprints agree are
+    searched, and only their tables compute element profiles.
     """
     start = timer()
     if entries is None:

@@ -4,13 +4,12 @@ Subsets of a carrier {0, ..., n-1} are bit masks: bit i set means element
 i belongs to the subset. The full power semigroup of S lists all non-zero
 masks in ascending order, so element k corresponds to mask k + 1.
 
-Products come from one place. `family_products` multiplies every mask of
-one list by every mask of another, in numpy steps over the carrier, for
-any carrier order up to 64; its kernel runs on a stack of carriers at
-once. `build_power_semigroups` runs it on all masks of many carriers and
-proves each table by the setwise product's recurrence, `setwise_product`
-on one pair. A `SubsetFamily` holds its members' product matrix, 8 bytes
-per product, for closure, materialization, cancellativity and witnesses.
+Products come from two kernels. `family_products` multiplies listed
+masks in uint64, for any carrier order up to 64; `setwise_product` is it
+on one pair, and a `SubsetFamily` keeps its members' product matrix.
+`build_power_semigroups` multiplies all masks of a stack of carriers by
+subset doubling in uint8, one byte per product, and proves each table
+by the setwise product's recurrence.
 """
 
 from __future__ import annotations
@@ -100,35 +99,43 @@ def _submasks(mask):
 def family_products(semigroup, xs, ys):
     """The uint64 matrix whose entry (a, b) is the mask of xs[a] * ys[b].
 
-    The package's one vectorised setwise product, _stacked_products on a
-    stack of one carrier.
-    """
-    return _stacked_products(semigroup.table[None], xs, ys)[0]
-
-
-def _stacked_products(tables, xs, ys):
-    """The uint64 array whose entry (t, a, b) is the mask of xs[a] * ys[b]
-    over the carrier table tables[t], for a (k, n, n) stack of tables.
-
     A bit-DP over the listed masks: first the masks of {i} * ys[b] for
     every carrier element i, as the OR of 1 << i*j over the bits j of
     ys[b]; then xs[a] * ys[b] as the OR of {i} * ys[b] over the bits i of
     xs[a]. Each step is one masked OR-reduction over a broadcast view, so
-    memory is the result plus O(k * n * (len(xs) + len(ys))) scratch.
+    memory is the result plus O(n * (len(xs) + len(ys))) scratch.
     """
-    k, n, _ = tables.shape
+    n = semigroup.order
     shifts = np.arange(n, dtype=np.uint64)[:, None]
     xbits = (np.asarray(xs, dtype=np.uint64) >> shifts & 1).astype(bool)
     ybits = (np.asarray(ys, dtype=np.uint64) >> shifts & 1).astype(bool)
-    images = np.left_shift(np.uint64(1), tables.astype(np.uint64))
+    images = np.left_shift(np.uint64(1), semigroup.table.astype(np.uint64))
     kx, ky = xbits.shape[1], ybits.shape[1]
-    # singles[t, i, b] is the mask of {i} * ys[b].
+    # singles[i, b] is the mask of {i} * ys[b].
     singles = np.bitwise_or.reduce(
-        np.broadcast_to(images[:, :, :, None], (k, n, n, ky)), axis=2,
-        where=ybits[None, None], initial=0)
+        np.broadcast_to(images[:, :, None], (n, n, ky)), axis=1,
+        where=ybits[None], initial=0)
     return np.bitwise_or.reduce(
-        np.broadcast_to(singles[:, :, None], (k, n, kx, ky)), axis=1,
-        where=xbits[None, :, :, None], initial=0)
+        np.broadcast_to(singles[:, None], (n, kx, ky)), axis=0,
+        where=xbits[:, :, None], initial=0)
+
+
+def _power_products(images):
+    """The uint8 masks of X * Y at (t, X, Y), for all masks below 2**n,
+    from images[t, i, j] = 1 << i*j over a (k, n, n) stack of carrier
+    tables, n <= POWER_CAP_MAX. By subset doubling, 2n slice-ORs:
+    {i} * (Y + {j}) = {i} * Y | images[t, i, j] for Y below 2**j, then
+    (X + {i}) * Y = X * Y | {i} * Y for X below 2**i."""
+    k, n, _ = images.shape
+    singles = np.zeros((k, n, 1 << n), dtype=np.uint8)
+    for j in range(n):
+        np.bitwise_or(singles[:, :, :1 << j], images[:, :, j, None],
+                      out=singles[:, :, 1 << j:2 << j])
+    products = np.zeros((k, 1 << n, 1 << n), dtype=np.uint8)
+    for i in range(n):
+        np.bitwise_or(products[:, :1 << i], singles[:, i, None],
+                      out=products[:, 1 << i:2 << i])
+    return products
 
 
 class SubsetElement:
@@ -220,33 +227,35 @@ def build_power_semigroup(semigroup):
 def build_power_semigroups(semigroups):
     """build_power_semigroup of each carrier, in the order given.
 
-    Carriers of one order are multiplied together over all masks, with
-    the empty set's 0 as padding, _BATCH_CELLS // 4 power-table cells a
-    stack: the products and their check hold about four uint64 arrays.
-    With h the lowest element of a set of two or more, each table P must
-    have P[{i}, {j}] = {i*j}, P[{i}, Y] = P[{i}, Y - {h}] | P[{i}, {h}]
-    and P[X, Y] = P[X - {h}, Y] | P[{h}, Y], else TheoremViolation. By
-    induction on |Y|, then on |X|, P is the setwise product over S.
+    Carriers of one order n are multiplied over all masks, the empty
+    set's 0 as padding, by _power_products, _BATCH_CELLS // 4**n tables
+    a stack (64 at order 5). With h the lowest element of a set of two
+    or more, each table P must have P[{i}, {j}] = {i*j}, P[{i}, Y] =
+    P[{i}, Y - {h}] | P[{i}, {h}] and P[X, Y] = P[X - {h}, Y] | P[{h}, Y],
+    else TheoremViolation. By induction on |Y|, then on |X|, P is the
+    setwise product over S; the build adds highest elements, so the check
+    does not replay it.
     """
     semigroups = list(semigroups)
     for semigroup in semigroups:
         _check_cap(semigroup.order)
     powers = [None] * len(semigroups)
     for positions, tables in _table_stacks(
-            semigroups, lambda n: _BATCH_CELLS // 4 // ((1 << n) - 1) ** 2):
+            semigroups, lambda n: max(1, _BATCH_CELLS // 4 ** n)):
+        images = 1 << tables
+        products = _power_products(images)
         singles = 1 << np.arange(tables.shape[1])
         masks = np.arange(2 * singles[-1])
         lows = masks & -masks
-        products = _stacked_products(tables, masks, masks)
         rows = products[:, singles]
-        if not ((rows[:, :, singles] == 1 << tables.astype(np.uint64)).all()
+        if not ((rows[:, :, singles] == images).all()
                 and (rows == rows[:, :, masks - lows] | rows[:, :, lows]).all()
                 and (products == products[:, masks - lows]
                      | products[:, lows]).all()):
             raise TheoremViolation("a power table is not the setwise product")
         carriers = [semigroups[p] for p in positions]
         for p, power in zip(positions, _semigroups_from_stack(
-                products[:, 1:, 1:].astype(np.uint8) - 1,
+                products[:, 1:, 1:] - 1,
                 [c.commutative for c in carriers],
                 [None if c.identity is None else (1 << c.identity) - 1
                  for c in carriers])):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 import re
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +31,8 @@ _BATCH_FLAGS = 1 << 18
 # tables; the 64-bit sets of _distinct_counts take 8 of them), so
 # fingerprints profiles _BATCH_CELLS cells at a time (chunks eight times
 # larger ran no faster and left the process's peak RSS about 5 MB higher).
+# build_power_semigroups stacks _BATCH_CELLS one-byte masks of its 2**n
+# by 2**n products, peaking at 4.5 bytes per cell (tracemalloc, n = 5, 6).
 _BATCH_CELLS = 1 << 16
 
 
@@ -95,8 +97,8 @@ class FiniteSemigroup:
     def profiles(self):
         """Per element a, cached: a*a == a, the index and period of a,
         the numbers of distinct a*x and of distinct x*a, and how many
-        elements commute with a. fingerprints fills the same cache for
-        many tables at once."""
+        elements commute with a. _profile_rows computes them for a stack
+        of tables, without this cache."""
         if self._profiles is None:
             rows = self.rows
             profiles = []
@@ -226,47 +228,52 @@ def _table_stacks(semigroups, per_stack):
 class IsoFingerprint(NamedTuple):
     """Cheap isomorphism invariants used to prune the search.
 
-    profiles is the sorted multiset of per-element profiles, which fixes
-    the order, commutativity and idempotent count read from it; equal
-    fingerprints are necessary (never sufficient) for isomorphism.
+    profiles is the per-element profiles as six-byte rows, sorted and
+    concatenated: entries are at most MAX_ORDER, so it is equal iff the
+    sorted profile tuples are. It fixes the order, commutativity and
+    idempotent count read from it; equal fingerprints are necessary
+    (never sufficient) for isomorphism.
     """
 
     has_identity: bool
-    profiles: tuple
+    profiles: bytes
 
     @property
     def order(self):
-        return len(self.profiles)
+        return len(self.profiles) // 6
 
     @property
     def commutative(self):
         """True iff every element commutes with all n elements."""
-        return all(profile[5] == self.order for profile in self.profiles)
+        return all(count == self.order for count in self.profiles[5::6])
 
     @property
     def idempotent_count(self):
-        return sum(profile[0] for profile in self.profiles)
+        return sum(self.profiles[::6])
 
 
 def fingerprint(semigroup):
     """Isomorphism-invariant fingerprint, cached on the instance."""
     if semigroup._fingerprint is None:
         semigroup._fingerprint = IsoFingerprint(
-            semigroup.identity is not None, tuple(sorted(semigroup.profiles)))
+            semigroup.identity is not None,
+            bytes(chain.from_iterable(sorted(semigroup.profiles))))
     return semigroup._fingerprint
 
 
 def fingerprints(semigroups):
     """The fingerprint of each semigroup, equal to what fingerprint gives;
-    the profiles not yet cached are computed by _profile_rows on stacks
-    of up to _BATCH_CELLS table cells."""
+    those not yet cached sort the six-byte rows of _profile_rows, on
+    stacks of up to _BATCH_CELLS table cells."""
     semigroups = list(semigroups)
-    pending = [s for s in semigroups if s._profiles is None]
+    pending = [s for s in semigroups if s._fingerprint is None]
     for positions, tables in _table_stacks(
             pending, lambda n: max(1, _BATCH_CELLS // (n * n))):
-        columns = _profile_rows(tables).transpose(0, 2, 1).tolist()
-        for p, (idempotent, *rest) in zip(positions, columns):
-            pending[p]._profiles = tuple(zip(map(bool, idempotent), *rest))
+        rows = _profile_rows(tables).astype(np.uint8).view("V6")[..., 0]
+        for p, sorted_rows in zip(positions, np.sort(rows, axis=1)):
+            semigroup = pending[p]
+            semigroup._fingerprint = IsoFingerprint(
+                semigroup.identity is not None, sorted_rows.tobytes())
     return [fingerprint(semigroup) for semigroup in semigroups]
 
 

@@ -9,9 +9,13 @@ family's product matrix. `semigroup_state` lists what a FiniteSemigroup
 exposes, so two construction paths can be compared field by field.
 `scalar_element_queries` answers the scalar queries by pairwise scans of
 the rows, independent of the cached per-element profiles.
+`tuple_fingerprint` keeps a fingerprint as the sorted tuple of profile
+tuples, with `describe_tuple_mismatch` reading it, so the byte
+fingerprints can be compared with the representation they replaced.
 """
 
 from itertools import permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,3 +134,45 @@ def find_witness_bruteforce(mask, family):
             )
         seen[p] = x
     return None
+
+
+class TupleFingerprint(NamedTuple):
+    """A fingerprint kept as the sorted tuple of per-element profiles."""
+
+    has_identity: bool
+    profiles: tuple
+
+    @property
+    def order(self):
+        return len(self.profiles)
+
+    @property
+    def commutative(self):
+        return all(profile[5] == self.order for profile in self.profiles)
+
+    @property
+    def idempotent_count(self):
+        return sum(profile[0] for profile in self.profiles)
+
+
+def tuple_fingerprint(semigroup):
+    """The identity flag and the sorted profiles of the scalar loop."""
+    return TupleFingerprint(semigroup.identity is not None,
+                            tuple(sorted(semigroup.profiles)))
+
+
+def describe_tuple_mismatch(fp_a, fp_b):
+    """Why two tuple fingerprints differ, or None if they are equal, in
+    the words and order of checks of describe_fingerprint_mismatch."""
+    if fp_a == fp_b:
+        return None
+    if fp_a.order != fp_b.order:
+        return f"order {fp_a.order} != {fp_b.order}"
+    if fp_a.commutative != fp_b.commutative:
+        return "only one side is commutative"
+    if fp_a.has_identity != fp_b.has_identity:
+        return "only one side has an identity"
+    if fp_a.idempotent_count != fp_b.idempotent_count:
+        return (f"idempotent counts {fp_a.idempotent_count} != "
+                f"{fp_b.idempotent_count}")
+    return "per-element invariant multisets differ"

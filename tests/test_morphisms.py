@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,8 @@ from powersemi import (FiniteSemigroup, Morphism, PreconditionViolated,
                        singleton_family, verify_commutativity_transfer)
 from powersemi import zoo
 
-from oracles import (all_automorphisms_bruteforce, homomorphisms,
-                     isomorphic_bruteforce)
+from oracles import (all_automorphisms_bruteforce, describe_tuple_mismatch,
+                     homomorphisms, isomorphic_bruteforce, tuple_fingerprint)
 
 
 def relabel(sgr, perm):
@@ -127,14 +127,47 @@ def test_fingerprint_mismatch_implies_nonisomorphic(catalog):
 
 def test_fingerprint_stores_identity_and_sorted_profiles(catalog):
     # Order, commutativity and idempotent count are read from the sorted
-    # profiles and agree with the semigroup's own flags.
+    # profile bytes and agree with the semigroup's own flags.
     assert powersemi.IsoFingerprint._fields == ("has_identity", "profiles")
     carriers = [e.semigroup for entries in catalog.values() for e in entries]
     for sgr in carriers + powersemi.build_power_semigroups(carriers):
         fp = fingerprint(sgr)
-        assert fp == (sgr.identity is not None, tuple(sorted(sgr.profiles)))
+        oracle = tuple_fingerprint(sgr)
+        assert type(fp.profiles) is bytes
+        assert fp == (oracle.has_identity,
+                      bytes(chain.from_iterable(oracle.profiles)))
         assert (fp.order, fp.commutative, fp.idempotent_count) == (
             sgr.order, sgr.commutative, len(sgr.idempotents()))
+
+
+def test_byte_fingerprints_match_the_tuple_oracle():
+    # Every class of orders 1-5 and its power table: the bytes are the
+    # oracle's sorted rows, and both group the 4,266 tables into the same
+    # buckets; every pair of tables from carriers of order <= 3 gets the
+    # oracle's mismatch text.
+    carriers = [e.semigroup for n in range(1, 6)
+                for e in enumerate_semigroups(n, long_running=True)]
+    tables = carriers + powersemi.build_power_semigroups(carriers)
+    assert len(tables) == 4266
+    found = fingerprints(tables)
+    oracles = [tuple_fingerprint(s) for s in tables]
+    for fp, oracle in zip(found, oracles):
+        assert fp.has_identity == oracle.has_identity
+        assert fp.profiles == bytes(chain.from_iterable(oracle.profiles))
+
+    def buckets(keys):
+        groups = {}
+        for position, key in enumerate(keys):
+            groups.setdefault(key, []).append(position)
+        return sorted(groups.values())
+
+    assert buckets(found) == buckets(oracles)
+    small = [p for p, s in enumerate(tables)
+             if s.order <= 3 or s.order == 7]
+    assert len(small) == 60
+    for i, j in product(small, repeat=2):
+        assert describe_fingerprint_mismatch(found[i], found[j]) \
+            == describe_tuple_mismatch(oracles[i], oracles[j])
 
 
 def test_fingerprint_invariant_under_relabeling():
@@ -146,20 +179,36 @@ def test_fingerprint_invariant_under_relabeling():
 PROFILE_TYPES = [bool, int, int, int, int, int]
 
 
+def kernel_profiles(semigroups):
+    """Per semigroup, the profile rows _profile_rows gives it inside the
+    stacks fingerprints makes, as lists."""
+    found = [None] * len(semigroups)
+    cells = semigroups_module._BATCH_CELLS
+    for positions, tables in semigroups_module._table_stacks(
+            semigroups, lambda n: max(1, cells // (n * n))):
+        rows = semigroups_module._profile_rows(tables).tolist()
+        for p, table_rows in zip(positions, rows):
+            found[p] = table_rows
+    return found
+
+
 def assert_batch_matches_loop(semigroups):
-    """fingerprints on fresh copies gives, for each table, the profiles
-    and fingerprint the Python loop of the profiles property gives on
-    another fresh copy, with the same types, in input order."""
+    """fingerprints on fresh copies gives, for each table, the fingerprint
+    the Python loop of the profiles property gives on another fresh copy,
+    in input order, and computes no profiles on the copies; _profile_rows
+    on the same stacks gives every element the loop's profile."""
     batch = [FiniteSemigroup(s.rows) for s in semigroups]
     found = fingerprints(batch)
     assert len(found) == len(batch)
-    for sgr, copy, fp in zip(semigroups, batch, found):
+    assert all(copy._profiles is None for copy in batch)
+    for sgr, rows, fp in zip(semigroups, kernel_profiles(batch), found,
+                             strict=True):
         single = FiniteSemigroup(sgr.rows)
         loop = single.profiles
-        assert copy._profiles == loop
-        for got, want in zip(copy._profiles, loop):
-            assert [type(v) for v in got] == [type(v) for v in want] \
-                == PROFILE_TYPES
+        assert len(rows) == len(loop)
+        for got, want in zip(rows, loop):
+            assert tuple(got) == want
+            assert [type(v) for v in want] == PROFILE_TYPES
         assert fp == fingerprint(single)
 
 

@@ -410,7 +410,8 @@ def one_at_a_time_power(carrier):
 @pytest.mark.parametrize("cells", [None, 1000], ids=["default", "small_stacks"])
 def test_batched_power_tables_equal_one_at_a_time(catalog, monkeypatch, cells):
     # Orders 1-4 shuffled together, so stacks of several orders interleave
-    # in the input; with 1000 cells the order-4 tables come one at a time.
+    # in the input; with 1000 cells the order-4 tables come three at a
+    # time, the last stack partial.
     if cells is not None:
         monkeypatch.setattr(power_module, "_BATCH_CELLS", cells)
     carriers = [e.semigroup for entries in catalog.values() for e in entries]
@@ -423,10 +424,58 @@ def test_batched_power_tables_equal_one_at_a_time(catalog, monkeypatch, cells):
         assert semigroup_state(build_power_semigroup(carrier)) == want
 
 
-def test_batched_power_build_checks_the_cap_of_every_carrier():
-    with pytest.raises(OrderCapExceeded):
-        build_power_semigroups([zoo.cyclic_group(2),
-                                zoo.null_semigroup(POWER_CAP_MAX + 1)])
+def test_order_6_power_tables_fill_the_byte_masks():
+    # Products of order-6 carriers reach the full mask 63, the largest a
+    # uint8 kernel holds.
+    rng = random.Random(6)
+    carriers = [zoo.cyclic_group(6), zoo.null_semigroup(6), zoo.left_zero(6),
+                zoo.min_chain(6)]
+    for carrier in list(carriers):
+        inverse = list(range(6))
+        rng.shuffle(inverse)
+        perm = [inverse.index(x) for x in range(6)]
+        carriers.append(FiniteSemigroup(
+            [[perm[carrier.rows[i][j]] for j in inverse] for i in inverse]))
+    powers = build_power_semigroups(carriers)
+    for carrier, power in zip(carriers, powers):
+        want = semigroup_state(one_at_a_time_power(carrier))
+        assert semigroup_state(power) == want
+        assert semigroup_state(build_power_semigroup(carrier)) == want
+    assert max(int(p.table.max()) for p in powers) == 62
+
+
+def test_small_batch_cells_build_one_table_per_stack(monkeypatch):
+    # 1000 cells hold less than one order-5 table (1,024 cells with the
+    # empty set's padding), so every stack still holds one table.
+    stacks = []
+
+    def recording(images):
+        stacks.append(images.shape)
+        return KERNEL(images)
+
+    carriers = [e.semigroup
+                for e in enumerate_semigroups(5, long_running=True)[:6]]
+    carriers += [zoo.cyclic_group(6), zoo.min_chain(6)]
+    want = [semigroup_state(p) for p in build_power_semigroups(carriers)]
+    monkeypatch.setattr(power_module, "_BATCH_CELLS", 1000)
+    monkeypatch.setattr(power_module, "_power_products", recording)
+    assert [semigroup_state(p)
+            for p in build_power_semigroups(carriers)] == want
+    assert stacks == [(1, 5, 5)] * 6 + [(1, 6, 6)] * 2
+
+
+def test_batched_power_build_checks_the_cap_of_every_carrier(monkeypatch):
+    # Order 7 is rejected before any product is computed.
+    def refuse(images):
+        raise RuntimeError("no product above the cap")
+
+    monkeypatch.setattr(power_module, "_power_products", refuse)
+    for carrier in (zoo.cyclic_group(7), zoo.null_semigroup(7)):
+        with pytest.raises(OrderCapExceeded):
+            build_power_semigroup(carrier)
+        with pytest.raises(OrderCapExceeded):
+            build_power_semigroups([zoo.cyclic_group(2), carrier])
+    assert POWER_CAP_MAX + 1 == 7
     assert build_power_semigroups([]) == []
 
 
@@ -476,24 +525,23 @@ def test_power_tables_of_the_catalog_are_pinned(n, digest, commutative,
     assert sum(p.identity is not None for p in powers) == identities
 
 
-KERNEL = power_module._stacked_products
+KERNEL = power_module._power_products
 
 
-def left_zero_in_place_of_null(tables, xs, ys):
+def left_zero_in_place_of_null(images):
     # P(left_zero(3)) is associative, so an associativity check passes
     # it, but it is not P(null(3)).
-    return KERNEL(np.broadcast_to(zoo.left_zero(3).table, tables.shape),
-                  xs, ys)
+    return KERNEL(np.broadcast_to(1 << zoo.left_zero(3).table, images.shape))
 
 
-def one_flipped_bit(tables, xs, ys):
-    products = KERNEL(tables, xs, ys)
+def one_flipped_bit(images):
+    products = KERNEL(images)
     products[0, 5, 6] ^= 2
     return products
 
 
-def two_swapped_entries(tables, xs, ys):
-    products = KERNEL(tables, xs, ys)
+def two_swapped_entries(images):
+    products = KERNEL(images)
     products[0, [3, 5], [5, 3]] = products[0, [5, 3], [3, 5]]
     return products
 
@@ -510,10 +558,9 @@ WRONG_KERNELS = {
                          ids=WRONG_KERNELS)
 def test_power_table_that_is_not_the_setwise_product_is_rejected(
         monkeypatch, kernel, carrier):
-    wrong = kernel(carrier.table[None], np.arange(8), np.arange(8))
-    assert not np.array_equal(wrong, KERNEL(carrier.table[None], np.arange(8),
-                                            np.arange(8)))
-    monkeypatch.setattr(power_module, "_stacked_products", kernel)
+    images = 1 << carrier.table[None]
+    assert not np.array_equal(kernel(images), KERNEL(images))
+    monkeypatch.setattr(power_module, "_power_products", kernel)
     with pytest.raises(TheoremViolation, match="not the setwise product"):
         build_power_semigroup(carrier)
 
@@ -521,11 +568,11 @@ def test_power_table_that_is_not_the_setwise_product_is_rejected(
 def test_every_single_bit_flip_of_a_power_table_is_rejected(monkeypatch):
     # Every bit of every cell X * Y of P(Z3), X and Y non-empty.
     for x, y, bit in product(range(1, 8), range(1, 8), range(3)):
-        def flipped(tables, xs, ys):
-            products = KERNEL(tables, xs, ys)
+        def flipped(images):
+            products = KERNEL(images)
             products[0, x, y] ^= 1 << bit
             return products
-        monkeypatch.setattr(power_module, "_stacked_products", flipped)
+        monkeypatch.setattr(power_module, "_power_products", flipped)
         with pytest.raises(TheoremViolation):
             build_power_semigroup(Z3)
 
@@ -538,7 +585,7 @@ from test_power import WRONG_KERNELS
 if __debug__:
     raise SystemExit("expected to run under python -O")
 for name, (kernel, carrier) in WRONG_KERNELS.items():
-    power._stacked_products = kernel
+    power._power_products = kernel
     try:
         build_power_semigroup(carrier)
     except TheoremViolation:

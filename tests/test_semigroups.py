@@ -13,7 +13,8 @@ from powersemi import (FiniteSemigroup, IndexOutOfRange, NonAssociative,
                        NotCompatible, all_congruences,
                        congruence_from_partition, format_table, parse_table)
 from powersemi import zoo
-from powersemi.semigroups import (_label_vectors, _semigroups_from_stack,
+from powersemi.semigroups import (_label_vectors, _profile_rows,
+                                  _semigroups_from_stack, _table_stacks,
                                   _validate)
 
 from oracles import scalar_element_queries, semigroup_state
@@ -350,32 +351,38 @@ def test_flags_match_a_scalar_scan(catalog):
 
 def test_scalar_queries_match_scalar_scans(catalog):
     # Every carrier of orders 1-4 and its power table, each answered
-    # twice: from profiles the loop computed and from profiles that
-    # fingerprints computed for all tables at once.
+    # twice: by the scalar queries, from profiles the loop computed, and
+    # per element from the rows _profile_rows computes for all tables of
+    # one order at once. fingerprints reads those rows and computes no
+    # profiles.
     carriers = [e.semigroup for entries in catalog.values() for e in entries]
     powers = powersemi.build_power_semigroups(carriers)
     tables = [s.rows for s in carriers + powers]
     by_loop = [FiniteSemigroup(rows) for rows in tables]
     by_batch = [FiniteSemigroup(rows) for rows in tables]
     powersemi.fingerprints(by_batch)
-    assert all(s._profiles is not None for s in by_batch)
-    assert all(s._profiles is None for s in by_loop)
-    for rows, loop, batch in zip(tables, by_loop, by_batch):
+    assert all(s._profiles is None for s in by_loop + by_batch)
+    kernel = [None] * len(tables)
+    for positions, stack in _table_stacks(by_batch, lambda n: len(tables)):
+        for p, rows in zip(positions, _profile_rows(stack).tolist()):
+            kernel[p] = rows
+    for rows, sgr, kernel_rows in zip(tables, by_loop, kernel, strict=True):
         want = scalar_element_queries(rows)
-        for sgr in (loop, batch):
-            n = sgr.order
-            got = [(sgr.is_left_cancellative(a), sgr.is_right_cancellative(a),
-                    a in sgr.idempotents(), sgr.index_and_period(a))
-                   for a in range(n)]
-            assert got == want
-            assert sgr.is_cancellative_semigroup() == all(
-                left and right for left, right, _, _ in want)
-            for query in (sgr.is_left_cancellative, sgr.is_right_cancellative,
-                          sgr.is_cancellative, sgr.index_and_period):
-                for outside in (-1, n):
-                    with pytest.raises(IndexOutOfRange):
-                        query(outside)
-        assert loop._profiles == batch._profiles
+        n = sgr.order
+        got = [(sgr.is_left_cancellative(a), sgr.is_right_cancellative(a),
+                a in sgr.idempotents(), sgr.index_and_period(a))
+               for a in range(n)]
+        assert got == want
+        assert [(row[3] == n, row[4] == n, row[0] == 1, (row[1], row[2]))
+                for row in kernel_rows] == want
+        assert sgr.is_cancellative_semigroup() == all(
+            left and right for left, right, _, _ in want)
+        for query in (sgr.is_left_cancellative, sgr.is_right_cancellative,
+                      sgr.is_cancellative, sgr.index_and_period):
+            for outside in (-1, n):
+                with pytest.raises(IndexOutOfRange):
+                    query(outside)
+        assert [tuple(row) for row in kernel_rows] == list(sgr._profiles)
 
 
 def test_rows_are_built_on_first_use():
