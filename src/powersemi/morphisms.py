@@ -67,6 +67,16 @@ class Morphism:
         return f"Morphism({list(self.mapping)})"
 
 
+def _twin_classes(semigroup):
+    """Per element, a key shared exactly by its twins: elements that are
+    no product and have equal rows and equal columns. Swapping two twins
+    is an automorphism, and a product is its own class."""
+    table = semigroup.table
+    products = set(table.ravel().tolist())
+    return [y if y in products else (table[y].tobytes(), table[:, y].tobytes())
+            for y in range(semigroup.order)]
+
+
 def _mapping_search(source, target):
     """Yield every isomorphism source -> target as a raw mapping tuple.
 
@@ -75,6 +85,10 @@ def _mapping_search(source, target):
     index), candidates scanned in ascending index order, and every
     tentative assignment is closed under products before recursing, so a
     single choice usually forces most of the map.
+
+    Once a candidate y for x has yielded no map, the unused twins of y
+    are skipped at that node: swapping them fixes every earlier image, so
+    they yield none either. Every map is still yielded, in the same order.
     """
     if fingerprint(source) != fingerprint(target):
         return
@@ -124,20 +138,31 @@ def _mapping_search(source, target):
             mapping[a] = -1
             assigned.pop()
 
+    twins = None
+    found = 0
+
     def backtrack(pos):
+        nonlocal twins, found
         while pos < n and mapping[order[pos]] != -1:
             pos += 1
         if pos == n:
+            found += 1
             yield tuple(mapping)
             return
         x = order[pos]
+        failed = set()
         for y in candidates[x]:
-            if used[y]:
+            if used[y] or (failed and twins[y] in failed):
                 continue
+            before = found
             trail = []
             if assign(x, y, trail):
                 yield from backtrack(pos + 1)
             undo(trail)
+            if found == before:
+                # Computed at the first failure: most searches have none.
+                twins = twins or _twin_classes(target)
+                failed.add(twins[y])
 
     yield from backtrack(0)
 

@@ -25,14 +25,15 @@ MAX_ORDER = 64
 # quadruple flags (n**4 per partition), a few MB of temporaries.
 _BATCH_FLAGS = 1 << 18
 
-# Batched table work keeps its temporaries within about 12 * _BATCH_CELLS
+# Batched table work keeps its temporaries within about 15 * _BATCH_CELLS
 # bytes however many tables a caller passes. _profile_rows peaks at about
-# 12 bytes per table cell (tracemalloc on a stack of 68 order-31 power
-# tables; the 64-bit sets of _distinct_counts take 8 of them), so
-# fingerprints profiles _BATCH_CELLS cells at a time (chunks eight times
-# larger ran no faster and left the process's peak RSS about 5 MB higher).
-# build_power_semigroups stacks _BATCH_CELLS one-byte masks of its 2**n
-# by 2**n products, peaking at 4.5 bytes per cell (tracemalloc, n = 5, 6).
+# 14 bytes per table cell (tracemalloc on a stack of 68 order-31 power
+# tables; the 64-bit sets of the entries take 9 of them), and fingerprints
+# at about 15, so fingerprints profiles _BATCH_CELLS cells at a time
+# (chunks eight times larger ran no faster and left the process's peak RSS
+# about 5 MB higher). build_power_semigroups stacks _BATCH_CELLS one-byte
+# masks of its 2**n by 2**n products, peaking at 4.3 bytes per cell
+# (tracemalloc, n = 5, 6).
 _BATCH_CELLS = 1 << 16
 
 
@@ -269,8 +270,11 @@ def fingerprints(semigroups):
     pending = [s for s in semigroups if s._fingerprint is None]
     for positions, tables in _table_stacks(
             pending, lambda n: max(1, _BATCH_CELLS // (n * n))):
-        rows = _profile_rows(tables).astype(np.uint8).view("V6")[..., 0]
-        for p, sorted_rows in zip(positions, np.sort(rows, axis=1)):
+        rows = np.zeros(tables.shape[:2] + (8,), dtype=np.uint8)
+        rows[:, :, :6] = _profile_rows(tables)
+        # As zero-padded big-endian keys the rows sort as six-byte strings.
+        rows.view(">u8")[..., 0].sort(axis=1)
+        for p, sorted_rows in zip(positions, rows[:, :, :6]):
             semigroup = pending[p]
             semigroup._fingerprint = IsoFingerprint(
                 semigroup.identity is not None, sorted_rows.tobytes())
@@ -293,26 +297,18 @@ def describe_fingerprint_mismatch(fp_a, fp_b):
     return "per-element invariant multisets differ"
 
 
-def _distinct_counts(values):
-    """How many distinct entries each line along the last axis holds.
-
-    Every entry must be below 64 (MAX_ORDER): each line becomes one
-    64-bit set, bit x set for entry x, and its popcount is the count.
-    """
-    return np.bitwise_count(np.bitwise_or.reduce(
-        np.left_shift(np.uint64(1), values, dtype=np.uint64), axis=-1))
-
-
 def _profile_rows(t):
     """The profile columns of every table of a (k, n, n) stack of uint8
     tables, as a (k, n, 6) integer array (idempotency as 0/1).
 
-    The powers a, a**2, ..., a**(n+1) of every element come one at a time,
-    a**(m+1) = a**m * a, read from column a of the table: one gather per
-    power for the whole stack, at base[t, a] = t*n*n + a*n in the
-    flattened transposed tables. The first n powers cover the cyclic
-    subsemigroup of a, whose size is index + period - 1; with that size
-    s, a**(s+1) = a**index, so index is the least m with a**m = a**(s+1).
+    The powers a, a**2, ... of every element come one at a time, a**(m+1)
+    = a**m * a, by one gather for the whole stack, and each element keeps
+    the 64-bit set of its powers so far (entries are below MAX_ORDER).
+    Once no element gains a power, every cyclic subsemigroup is complete:
+    its size s = index + period - 1 is the set's popcount, a**(s+1) =
+    a**index, and index is the least m with a**m = a**(s+1). The rows and
+    columns are 64-bit sets too, and their popcounts count distinct
+    entries.
     """
     k, n, _ = t.shape
     columns = np.ascontiguousarray(t.transpose(0, 2, 1))
@@ -320,19 +316,25 @@ def _profile_rows(t):
     elements = np.arange(n, dtype=np.intp)
     base = (np.arange(0, k * n * n, n * n, dtype=np.intp)[:, None]
             + elements * n)
-    powers = np.empty((k, n, n + 1), dtype=np.uint8)
-    current = powers[:, :, 0] = elements
+    one = np.uint64(1)
+    powers = np.empty((n + 1, k, n), dtype=np.uint8)
+    current = powers[0] = elements
+    seen = np.left_shift(one, powers[0], dtype=np.uint64)
     for m in range(1, n + 1):
-        current = flat_columns[base + current]
-        powers[:, :, m] = current
-    size = _distinct_counts(powers[:, :, :n]).astype(np.intp)
-    cycle_start = np.take_along_axis(powers, size[:, :, None], axis=2)
-    index = (powers[:, :, :n] == cycle_start).argmax(axis=2) + 1
+        current = powers[m] = flat_columns[base + current]
+        bits = np.left_shift(one, current, dtype=np.uint64)
+        if (seen & bits).all():
+            break
+        seen |= bits
+    size = np.bitwise_count(seen).astype(np.intp)
+    cycle_start = np.take_along_axis(powers, size[None], axis=0)
+    index = (powers[:m] == cycle_start).argmax(axis=0) + 1
+    sets = np.left_shift(one, t, dtype=np.uint64)
     return np.stack([t[:, elements, elements] == elements,
                      index,
                      size - index + 1,
-                     _distinct_counts(t),
-                     _distinct_counts(columns),
+                     np.bitwise_count(np.bitwise_or.reduce(sets, axis=2)),
+                     np.bitwise_count(np.bitwise_or.reduce(sets, axis=1)),
                      (t == columns).sum(axis=2)], axis=2)
 
 

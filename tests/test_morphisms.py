@@ -24,6 +24,9 @@ from powersemi import zoo
 from oracles import (all_automorphisms_bruteforce, describe_tuple_mismatch,
                      homomorphisms, isomorphic_bruteforce, tuple_fingerprint)
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import relabeled_power_search  # noqa: E402
+
 
 def relabel(sgr, perm):
     n = sgr.order
@@ -249,6 +252,25 @@ def test_profile_kernel_matches_loop_on_seeded_relabelings():
     assert_batch_matches_loop(semigroups)
 
 
+def test_profile_kernel_waits_for_the_longest_cycle_of_a_stack():
+    # The kernel stops once no element of a stack gains a power. Each
+    # order's stack puts the cyclic group, whose generator has all n
+    # elements as powers, between tables whose cycles close within two
+    # steps (null, min_chain) and a power table, so stopping when the
+    # first or the last table settles gets the cyclic group wrong.
+    powers = {p.order: p for p in (
+        build_power_semigroup(s) for s in (
+            zoo.null_semigroup(2), zoo.cyclic_group(3), zoo.min_chain(4),
+            zoo.left_zero(5), zoo.cyclic_group(6)))}
+    semigroups = []
+    for n in range(1, 65):
+        semigroups += [zoo.null_semigroup(n), zoo.cyclic_group(n)]
+        semigroups += [powers[n]] if n in powers else []
+        semigroups.append(zoo.min_chain(n))
+    assert len(semigroups) == 64 * 3 + 5
+    assert_batch_matches_loop(semigroups)
+
+
 def test_profiles_are_cached_and_read_by_the_search():
     sgr = zoo.min_chain(4)
     other = relabel(sgr, [2, 0, 3, 1])
@@ -263,12 +285,40 @@ def test_profiles_are_cached_and_read_by_the_search():
     assert other._profiles is cached
 
 
-def test_all_isomorphisms_matches_bruteforce_automorphisms():
+def test_all_isomorphisms_matches_bruteforce_automorphisms(catalog):
+    # The zoo, every carrier of orders 2-4, and every power table whose
+    # automorphisms brute force can scan (carriers of order <= 3).
+    carriers = [e.semigroup for n in (2, 3, 4) for e in catalog[n]]
+    powers = [build_power_semigroup(s) for s in carriers if s.order <= 3]
+    assert len(powers) == 29
     for sgr in (zoo.cyclic_group(3), zoo.cyclic_group(4), zoo.klein_four(),
-                zoo.min_chain(3), zoo.left_zero(3)):
+                zoo.min_chain(3), zoo.left_zero(3), *carriers, *powers):
         ours = sorted(m.mapping for m in all_isomorphisms(sgr, sgr))
         brute = sorted(all_automorphisms_bruteforce(sgr))
         assert ours == brute
+    # The six nonempty sets other than {0} are twins in P(null_semigroup(3)):
+    # a search that skipped twins after a map would yield 1 of 720.
+    null_power = build_power_semigroup(zoo.null_semigroup(3))
+    assert len(list(all_isomorphisms(null_power, null_power))) == 720
+
+
+# Carriers whose power-level search ran for minutes under some
+# relabelings before the search skipped twins.
+REPEAT_OFFENDERS = (1, 19, 20, 39, 52, 60, 136, 250, 288, 1106, 1331, 1631)
+
+
+@pytest.mark.parametrize("carriers", [REPEAT_OFFENDERS, range(100)],
+                         ids=["repeat_offenders", "first_100"])
+def test_power_level_search_finds_relabeled_copies_in_time(carriers):
+    # Two seeded relabelings of each order-5 carrier; each search gets 2 s,
+    # where a typical one takes a few milliseconds. The first 100 carriers
+    # catch unsound pruning: skipping elements that share only their rows
+    # misses the map of 121 of the 1,915 carriers under seed-0 relabelings.
+    catalog5 = enumerate_semigroups(5, long_running=True)
+    failures, _ = relabeled_power_search.search_failures(
+        [(f"(5, {k})", catalog5[k].semigroup) for k in carriers
+         for _ in range(2)], seed=24)
+    assert failures == []
 
 
 def test_lift_of_identity_is_identity():
