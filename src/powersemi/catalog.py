@@ -13,7 +13,7 @@ import numpy as np
 
 from .cancellation import (cancellative_elements_bruteforce,
                            singleton_cancellative_elements)
-from .errors import OrderUnsupported, TheoremViolation
+from .errors import OrderUnsupported, PreconditionViolated, TheoremViolation
 from .morphisms import find_isomorphism
 from .power import (build_power_semigroup, build_power_semigroups,
                     congruence_family, downward_complete_closure,
@@ -23,6 +23,8 @@ from .semigroups import (FiniteSemigroup, IsoFingerprint, _check_at_least,
                          all_congruences, fingerprint, fingerprints)
 
 ENUM_MAX = 5
+# canonical_tables refuses larger orders before it builds the n! relabelings.
+GENERATE_MAX = 7
 
 
 @dataclass
@@ -48,51 +50,38 @@ def _fill(n, perms):
     """Depth-first fill of Cayley-table cells, row-major, pruning any
     partial table as soon as a fully determined triple fails associativity.
 
+    Associativity is self-dual: · is associative iff x∘y = y·x is. So
+    half checks the new cell (i, j) as the inner product of (i·j)·c and
+    as the outer product of (a·b)·j with a·b = i, and half run on the
+    transposed table, where cell (j, i) holds i·j, checks its other two
+    roles: (a·i)·j, and i·(b·c) with b·c = j.
+
     perms holds (perm, src) pairs: a relabeling of the elements and, for
     each cell, the flat index of the cell it is relabeled from. A partial
     table is pruned as soon as one relabeling makes its decided prefix
     lexicographically smaller. Yields tables in lexicographic order.
     """
-    t = [[-1] * n for _ in range(n)]
-    flat = [-1] * (n * n)
+    total = n * n
+    flat = [-1] * total
 
-    def consistent(i, j):
-        v = t[i][j]
-        row_i, row_j, row_v = t[i], t[j], t[v]
+    def half(i, j, r, s):
+        # x·y is flat[r*x + s*y], -1 while undecided.
+        v = flat[r * i + s * j]
         for c in range(n):
-            # triple (i, j, c)
-            jc = row_j[c]
+            # (i·j)·c against i·(j·c)
+            jc = flat[r * j + s * c]
             if jc != -1:
-                a_side, b_side = row_v[c], row_i[jc]
-                if a_side != -1 and b_side != -1 and a_side != b_side:
+                lhs, rhs = flat[r * v + s * c], flat[r * i + s * jc]
+                if lhs != -1 and rhs != -1 and lhs != rhs:
                     return False
-        for a in range(n):
-            # triple (a, i, j)
-            ai = t[a][i]
-            if ai != -1:
-                b_side = t[a][v]
-                if b_side != -1:
-                    a_side = t[ai][j]
-                    if a_side != -1 and a_side != b_side:
-                        return False
-        for a in range(n):
-            row_a = t[a]
-            for b in range(n):
-                # triple (a, b, j) whose outer product cell is (i, j)
-                if row_a[b] == i:
-                    bj = t[b][j]
-                    if bj != -1:
-                        rhs = row_a[bj]
-                        if rhs != -1 and rhs != v:
-                            return False
-        for b in range(n):
-            row_b = t[b]
-            ib = t[i][b]
-            for c in range(n):
-                # triple (i, b, c) whose inner product cell is (i, j)
-                if row_b[c] == j and ib != -1:
-                    lhs = t[ib][c]
-                    if lhs != -1 and lhs != v:
+        for k, ab in enumerate(flat):
+            if ab == i:
+                # (a·b)·j = i·j against a·(b·j), where k = r*a + s*b
+                a, b = k // r % n, k // s % n
+                bj = flat[r * b + s * j]
+                if bj != -1:
+                    rhs = flat[r * a + s * bj]
+                    if rhs != -1 and rhs != v:
                         return False
         return True
 
@@ -111,18 +100,16 @@ def _fill(n, perms):
                     break
         return True
 
-    total = n * n
-
     def fill(k):
         if k == total:
-            yield [row.copy() for row in t]
+            yield [flat[row:row + n] for row in range(0, total, n)]
             return
         i, j = divmod(k, n)
         for v in range(n):
-            t[i][j] = flat[k] = v
-            if consistent(i, j) and lex_leader(k):
+            flat[k] = v
+            if half(i, j, n, 1) and half(j, i, 1, n) and lex_leader(k):
                 yield from fill(k + 1)
-        t[i][j] = flat[k] = -1
+        flat[k] = -1
 
     yield from fill(0)
 
@@ -151,8 +138,9 @@ def associative_tables(n):
 def canonical_tables(n):
     """One table per isomorphism class of order n: the lexicographically
     least table of each relabeling orbit, in lexicographic order."""
-    if _integer(n) is None or n < 1:
-        raise OrderUnsupported(f"order {n!r} is not a positive integer")
+    if _integer(n) is None or not 1 <= n <= GENERATE_MAX:
+        raise OrderUnsupported(f"order {n!r} outside the generator's range "
+                               f"[1, {GENERATE_MAX}]")
     perms, invs = _relabelings(n)
     src = (n * invs[:, :, None] + invs[:, None, :]).reshape(len(perms), -1)
     return _fill(n, list(zip(perms.tolist(), src.tolist()))[1:])
@@ -220,11 +208,15 @@ def global_iso_probe(n, long_running=False, entries=None,
     stacks by build_power_semigroups and fingerprinted in one batch by
     fingerprints, so each power semigroup, cached on its entry, also
     caches its fingerprint; only pairs whose fingerprints agree are
-    searched, and only their tables compute element profiles.
+    searched, and only their tables compute element profiles. Given
+    entries must all have order n.
     """
     start = timer()
     if entries is None:
         entries = enumerate_semigroups(n, long_running)
+    elif _integer(n) is None or any(e.semigroup.order != n for e in entries):
+        raise PreconditionViolated(
+            f"n must be the order of every entry, got {n!r}")
     missing = [entry for entry in entries if entry._power is None]
     built = build_power_semigroups(entry.semigroup for entry in missing)
     for entry, power in zip(missing, built):

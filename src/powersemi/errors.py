@@ -34,8 +34,9 @@ class AmbientMismatch(WorkbenchError):
 
 class OrderCapExceeded(WorkbenchError):
     """Materialization was requested above a ceiling: a power semigroup
-    above POWER_CAP_MAX, a subset family above FAMILY_MAX members, or a
-    numerical monoid's membership table above HORIZON_MAX entries."""
+    above POWER_CAP_MAX, a subset family above FAMILY_MAX members, a
+    numerical monoid's membership table above HORIZON_MAX entries, or the
+    congruences of a carrier above CONGRUENCE_MAX elements."""
 
 
 class OrderUnsupported(WorkbenchError):

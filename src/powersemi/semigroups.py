@@ -15,15 +15,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (IndexOutOfRange, NonAssociative, NotCompatible,
-                     PreconditionViolated)
+                     OrderCapExceeded, PreconditionViolated)
 
 # Subsets of the carrier are encoded as bit masks elsewhere in the package,
 # so the carrier must fit in one machine word.
 MAX_ORDER = 64
 
 # all_congruences checks partitions in batches of at most this many
-# quadruple flags (n**4 per partition), a few MB of temporaries.
+# quadruple flags (n**4 per partition), a few MB of temporaries. It checks
+# all Bell(n) partitions, so it refuses carriers above CONGRUENCE_MAX.
 _BATCH_FLAGS = 1 << 18
+CONGRUENCE_MAX = 10
 
 # Batched table work keeps its temporaries within about 15 * _BATCH_CELLS
 # bytes however many tables a caller passes. _profile_rows peaks at about
@@ -422,6 +424,10 @@ def _label_vectors(n):
 def all_congruences(semigroup):
     """Every congruence of the semigroup, by checking all set partitions,
     as many at once as keep the n**4 flags of each within _BATCH_FLAGS."""
+    if semigroup.order > CONGRUENCE_MAX:
+        raise OrderCapExceeded(
+            f"all_congruences checks every partition, so order "
+            f"{semigroup.order} is above its cap {CONGRUENCE_MAX}")
     vectors = _label_vectors(semigroup.order)
     per_batch = max(1, _BATCH_FLAGS // semigroup.order ** 4)
     found = []

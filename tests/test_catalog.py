@@ -183,7 +183,8 @@ def test_unsupported_orders():
     for n in (0, -1, 6, 2.0, "2", True):
         with pytest.raises(OrderUnsupported):
             associative_tables(n)
-    for n in (0, -1, 2.0, "2", None):
+    # Orders above 7 are refused before the n! relabelings are built.
+    for n in (0, -1, 2.0, "2", None, 8, 10 ** 6):
         with pytest.raises(OrderUnsupported):
             canonical_tables(n)
 
@@ -256,6 +257,15 @@ def test_probe_order_three_negatives_hold_up_to_bruteforce(catalog):
     # spot-check a slice of the negatives without any fingerprint pruning
     for i, j in list(itertools.combinations(range(len(powers)), 2))[::7]:
         assert isomorphic_bruteforce(powers[i], powers[j]) is None
+
+
+def test_probe_requires_n_to_be_the_order_of_its_entries(catalog):
+    for n, entries in ((2, catalog[3]), (4, catalog[3]), (3.0, catalog[3]),
+                       ("3", catalog[3]), (True, catalog[1]),
+                       (3, catalog[3] + catalog[2][:1])):
+        with pytest.raises(PreconditionViolated):
+            global_iso_probe(n, entries=entries)
+    assert global_iso_probe(3, entries=catalog[3])["classes"] == 24
 
 
 def test_probe_report_is_deterministic(catalog):

@@ -430,6 +430,18 @@ def test_congruence_check_matches_scalar_scan_on_catalog(catalog):
     assert 0 < rejected < checked
 
 
+def test_all_congruences_refuses_orders_above_ten(monkeypatch):
+    def no_partitions(n):
+        raise AssertionError("a partition was drawn")
+
+    monkeypatch.setattr(semigroups_module, "_label_vectors", no_partitions)
+    with pytest.raises(powersemi.OrderCapExceeded):
+        all_congruences(zoo.null_semigroup(11))
+    monkeypatch.setattr(semigroups_module, "_label_vectors",
+                        lambda n: iter(()))
+    assert all_congruences(zoo.null_semigroup(10)) == []
+
+
 def test_all_congruences_across_batches(monkeypatch):
     z4 = zoo.cyclic_group(4)
     whole = [c.labels for c in all_congruences(z4)]
