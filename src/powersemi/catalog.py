@@ -125,7 +125,7 @@ def associative_tables(n):
     """Every associative table of order n as a list of rows, in
     lexicographic order: each relabeling perm[t[inv x][inv y]] of each
     validated catalog table t, isomorphic to t and so not re-validated."""
-    _check_order(n, long_running=True)
+    _check_order(n)
     perms, invs = _relabelings(n)
     tables = np.stack([entry.semigroup.table for entry in _catalog(n)])
     relabeled = perms[np.arange(len(perms))[:, None, None],
@@ -146,17 +146,13 @@ def canonical_tables(n):
     return _fill(n, list(zip(perms.tolist(), src.tolist()))[1:])
 
 
-def _check_order(n, long_running):
+def _check_order(n):
     if _integer(n) is None or not 1 <= n <= ENUM_MAX:
         raise OrderUnsupported(f"order {n!r} outside the supported range "
                                f"[1, {ENUM_MAX}]")
-    if n == ENUM_MAX and not long_running:
-        raise OrderUnsupported(
-            f"order {ENUM_MAX} runs for a while; pass long_running=True "
-            "(CLI: --long-running) to opt in")
 
 
-def enumerate_semigroups(n, long_running=False):
+def enumerate_semigroups(n):
     """All semigroups of order n, one per isomorphism class.
 
     A representative is the lexicographically least table of its
@@ -165,7 +161,7 @@ def enumerate_semigroups(n, long_running=False):
     pairwise non-isomorphism of the output is re-verified during
     construction. Each order is built once per process.
     """
-    _check_order(n, long_running)
+    _check_order(n)
     return list(_catalog(n))
 
 
@@ -194,8 +190,7 @@ def _same_fingerprint_pairs(semigroups, fps):
         yield i, j, find_isomorphism(semigroups[i], semigroups[j])
 
 
-def global_iso_probe(n, long_running=False, entries=None,
-                     timer=time.perf_counter):
+def global_iso_probe(n, entries=None, timer=time.perf_counter):
     """Compare the power semigroups of every pair of distinct catalog classes.
 
     The catalog entries are pairwise non-isomorphic by construction, so a
@@ -213,7 +208,7 @@ def global_iso_probe(n, long_running=False, entries=None,
     """
     start = timer()
     if entries is None:
-        entries = enumerate_semigroups(n, long_running)
+        entries = enumerate_semigroups(n)
     elif _integer(n) is None or any(e.semigroup.order != n for e in entries):
         raise PreconditionViolated(
             f"n must be the order of every entry, got {n!r}")
@@ -242,8 +237,7 @@ def global_iso_probe(n, long_running=False, entries=None,
     }
 
 
-def singleton_characterization_check(n, seed=0, closures_per_semigroup=3,
-                                     long_running=False):
+def singleton_characterization_check(n, seed=0, closures_per_semigroup=3):
     """Exhaustive agreement check of the two cancellativity classifiers.
 
     For every commutative catalogued semigroup of order <= n, the
@@ -253,13 +247,13 @@ def singleton_characterization_check(n, seed=0, closures_per_semigroup=3,
     reported, never expected.
     """
     _check_at_least(0, closures_per_semigroup=closures_per_semigroup)
-    _check_order(n, long_running)
+    _check_order(n)
     rng = random.Random(seed)
     violations = []
     commutative_count = 0
     families_checked = 0
     for order in range(1, n + 1):
-        for entry in enumerate_semigroups(order, long_running):
+        for entry in enumerate_semigroups(order):
             sgr = entry.semigroup
             if not sgr.commutative:
                 continue

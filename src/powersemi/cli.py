@@ -19,7 +19,8 @@ from .cancellation import (cancellative_elements_bruteforce,
                            singleton_cancellative_elements,
                            witness_noncancellative)
 from .errors import (IndexOutOfRange, NonAssociative, NotCompatible,
-                     PreconditionViolated, TheoremViolation, WorkbenchError)
+                     OrderUnsupported, PreconditionViolated,
+                     TheoremViolation, WorkbenchError)
 from .morphisms import (check_restriction_hypotheses, find_isomorphism,
                         lift_isomorphism, restrict_isomorphism)
 from .numerical import NumericalMonoid
@@ -210,7 +211,7 @@ def _cmd_restrict(args):
 
 
 def _cmd_enumerate(args):
-    entries = _catalog.enumerate_semigroups(args.order, args.long_running)
+    entries = _catalog.enumerate_semigroups(args.order)
     tables = (_catalog.associative_tables(args.order) if args.labeled
               else [entry.semigroup.rows for entry in entries])
     return {
@@ -222,16 +223,14 @@ def _cmd_enumerate(args):
 
 
 def _cmd_probe(args):
-    report = _catalog.global_iso_probe(args.order,
-                                       long_running=args.long_running)
+    report = _catalog.global_iso_probe(args.order)
     code = EXIT_FINDING if report["counterexamples"] else EXIT_OK
     return report, code
 
 
 def _cmd_prop1_check(args):
     report = _catalog.singleton_characterization_check(
-        args.order, seed=args.seed, closures_per_semigroup=args.closures,
-        long_running=args.long_running)
+        args.order, seed=args.seed, closures_per_semigroup=args.closures)
     code = EXIT_FINDING if report["violations"] else EXIT_OK
     return report, code
 
@@ -298,7 +297,6 @@ def build_parser():
     common.add_argument("--jobs", type=_int_in(), default=1,
                         help="accepted for compatibility; has no effect")
     common.add_argument("--long-running", action="store_true",
-                        dest="long_running",
                         help="opt in to order-5 workloads")
 
     parser = _Parser(
@@ -424,6 +422,13 @@ def run(argv=None):
     args = build_parser().parse_args(argv)
     complaint = None
     try:
+        # Order ENUM_MAX runs for a while, so the catalog subcommands (the
+        # ones with --order) refuse it without --long-running, before any
+        # table is generated.
+        if (getattr(args, "order", None) == _catalog.ENUM_MAX
+                and not args.long_running):
+            raise OrderUnsupported(f"order {_catalog.ENUM_MAX} runs for a "
+                                   "while; pass --long-running to opt in")
         report, code = args.func(args)
     except Exception as exc:
         report, code, complaint = _failure(exc)

@@ -35,7 +35,8 @@ class AmbientMismatch(WorkbenchError):
 class OrderCapExceeded(WorkbenchError):
     """Materialization was requested above a ceiling: a power semigroup
     above POWER_CAP_MAX, a subset family above FAMILY_MAX members, a
-    numerical monoid's membership table above HORIZON_MAX entries, or the
+    numerical monoid's membership table above HORIZON_MAX entries, its
+    non-cancellativity witness for a set above WITNESS_MAX members, or the
     congruences of a carrier above CONGRUENCE_MAX elements."""
 
 

@@ -21,6 +21,9 @@ from .semigroups import _check_at_least, _integer
 # The membership table holds min(gens) * max(gens) + min(gens) + 1 entries;
 # generators that need more are rejected rather than allocated.
 HORIZON_MAX = 10 ** 6
+# A + (A + A) holds up to k²(k + 1)/2 sums for a k-member set A, so larger
+# sets are rejected before any sumset is built.
+WITNESS_MAX = 64
 
 
 def _member_integer(v):
@@ -114,6 +117,10 @@ class NumericalMonoid:
         a_set = self._validate_members(subset, "subset")
         if len(a_set) < 2:
             raise PreconditionViolated("subset must have at least two elements")
+        if len(a_set) > WITNESS_MAX:
+            raise OrderCapExceeded(
+                f"subset of {len(a_set)} members is above the supported "
+                f"maximum of {WITNESS_MAX}")
         a, b = sorted(a_set)[:2]
         lhs = self.sumset(a_set, a_set)
         rhs = lhs - {a + b}

@@ -3,9 +3,11 @@
 The isomorphism oracles try every candidate map, so they are independent
 of the pruned isomorphism search and feasible only at tiny orders.
 `mask_product` multiplies two masks in plain Python, one product at a
-time, independent of the package's `family_products`. The cancellation
-oracles multiply one member by every member with it, independent of the
-family's product matrix. `semigroup_state` lists what a FiniteSemigroup
+time, independent of the package's `family_products`.
+`naive_is_associative` checks every triple of a table one at a time,
+independent of the validator's vectorised check. The cancellation oracles
+multiply one member by every member with it, independent of the family's
+product matrix. `semigroup_state` lists what a FiniteSemigroup
 exposes, so two construction paths can be compared field by field.
 `scalar_element_queries` answers the scalar queries by pairwise scans of
 the rows, independent of the cached per-element profiles.
@@ -38,6 +40,16 @@ def mask_product(semigroup, xmask, ymask):
             out |= 1 << row[ylow.bit_length() - 1]
             ym ^= ylow
     return out
+
+
+def naive_is_associative(rows, n):
+    """True iff (a*b)*c == a*(b*c) for every triple, checked one by one."""
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+                    return False
+    return True
 
 
 def semigroup_state(semigroup):

@@ -16,16 +16,7 @@ from powersemi import (CatalogEntry, FiniteSemigroup, OrderUnsupported,
                        singleton_characterization_check)
 
 from oracles import (all_automorphisms_bruteforce, isomorphic_bruteforce,
-                     semigroup_state)
-
-
-def naive_is_associative(rows, n):
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                    return False
-    return True
+                     naive_is_associative, semigroup_state)
 
 
 def canonical_form(table):
@@ -135,19 +126,28 @@ def test_canonical_tables_are_the_orbit_minimal_labeled_tables(n):
         [t for t in labeled if orbit_minimal(t, n)]
 
 
-# OEIS A027851 (classes up to isomorphism), A023814 (labeled tables) and
-# A001423 (classes up to isomorphism or anti-isomorphism).
+# OEIS A027851 (classes up to isomorphism), A023814 (labeled tables),
+# A001423 (classes up to isomorphism or anti-isomorphism), and the classes
+# of commutative semigroups (A023815), monoids (A058129) and bands, in
+# which every element is idempotent (A058112).
 CLASSES = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
 LABELED = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732}
 CLASSES_UP_TO_DUALITY = {1: 1, 2: 4, 3: 18, 4: 126, 5: 1160}
+COMMUTATIVE = {1: 1, 2: 3, 3: 12, 4: 58, 5: 325}
+MONOIDS = {1: 1, 2: 2, 3: 7, 4: 35, 5: 228}
+BANDS = {1: 1, 2: 3, 3: 10, 4: 46, 5: 251}
 LABELED_5_SHA256 = \
     "2b680c609935492369e607d3d715f3d7a7981d486cb8cb67445f5b808fe9e665"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_catalog_counts_match_published_sequences(n):
-    entries = enumerate_semigroups(n, long_running=True)
+    entries = enumerate_semigroups(n)
     assert len(entries) == CLASSES[n]
+    semigroups = [e.semigroup for e in entries]
+    assert sum(s.commutative for s in semigroups) == COMMUTATIVE[n]
+    assert sum(s.identity is not None for s in semigroups) == MONOIDS[n]
+    assert sum(len(s.idempotents()) == n for s in semigroups) == BANDS[n]
     labeled = associative_tables(n)
     assert len(labeled) == LABELED[n]
     if n == 5:  # the digest of the unpruned search's order-5 tables
@@ -168,7 +168,7 @@ def test_catalog_counts_match_published_sequences(n):
 def test_orbit_stabilizer_count_of_labeled_tables(n):
     # A class S of order n has n!/|Aut S| labeled tables, so the canonical
     # catalog determines the labeled count without generating it.
-    entries = enumerate_semigroups(n, long_running=True)
+    entries = enumerate_semigroups(n)
     assert sum(factorial(n) // len(all_automorphisms_bruteforce(e.semigroup))
                for e in entries) == LABELED[n]
 
@@ -178,8 +178,6 @@ def test_unsupported_orders():
         enumerate_semigroups(0)
     with pytest.raises(OrderUnsupported):
         enumerate_semigroups(6)
-    with pytest.raises(OrderUnsupported):
-        enumerate_semigroups(5)  # needs the long-running opt-in
     for n in (0, -1, 6, 2.0, "2", True):
         with pytest.raises(OrderUnsupported):
             associative_tables(n)
@@ -198,10 +196,10 @@ def test_canonical_ids_are_stable(catalog):
 
 
 def test_each_order_is_built_once():
-    plain = enumerate_semigroups(4)
-    opted_in = enumerate_semigroups(4, long_running=True)
-    assert len(plain) == len(opted_in)
-    assert all(a is b for a, b in zip(plain, opted_in))
+    first = enumerate_semigroups(4)
+    second = enumerate_semigroups(4)
+    assert len(first) == len(second)
+    assert all(a is b for a, b in zip(first, second))
 
 
 def test_catalog_rejects_isomorphic_tables(monkeypatch):
@@ -237,14 +235,14 @@ def test_probe_counts_and_power_fingerprint_buckets(n, survivors,
                                                     bucket_sizes):
     # Pins the pruning: a fingerprint change that merges or splits buckets
     # changes these numbers.
-    report = global_iso_probe(n, long_running=True, timer=lambda: 0.0)
+    report = global_iso_probe(n, timer=lambda: 0.0)
     classes = CLASSES[n]
     pairs = classes * (classes - 1) // 2
     assert report == {"order": n, "classes": classes, "pairs_checked": pairs,
                       "counterexamples": [],
                       "pruned_by_fingerprint": pairs - survivors,
                       "elapsed_ms": 0}
-    entries = enumerate_semigroups(n, long_running=True)
+    entries = enumerate_semigroups(n)
     sizes = Counter(Counter(e.power_fingerprint() for e in entries).values())
     assert sizes == bucket_sizes
 
@@ -282,16 +280,15 @@ def test_characterization_check_small_orders():
     assert report["violations"] == []
 
 
-@pytest.mark.parametrize("n,long_running",
-                         [(0, False), (-1, False), (5, False), (6, True)])
+@pytest.mark.parametrize("n", [0, -1, 6])
 def test_characterization_check_rejects_unsupported_orders_up_front(
-        n, long_running, monkeypatch):
+        n, monkeypatch):
     def started(*args, **kwargs):
         raise RuntimeError("enumeration started before the order check")
 
     monkeypatch.setattr(catalog_module, "enumerate_semigroups", started)
     with pytest.raises(OrderUnsupported):
-        singleton_characterization_check(n, long_running=long_running)
+        singleton_characterization_check(n)
 
 
 @pytest.mark.parametrize("closures", [-1, True, 1.5, "2", None])

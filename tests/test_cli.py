@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import subprocess
@@ -447,6 +448,25 @@ def test_enumerate_order_five_needs_opt_in(capsys):
     assert report["error"]["type"] == "OrderUnsupported"
 
 
+@pytest.mark.parametrize("command", ["enumerate", "probe", "prop1-check"])
+def test_order_five_is_refused_before_any_table_is_generated(command,
+                                                             monkeypatch,
+                                                             capsys):
+    def generated(n):
+        raise RuntimeError(f"order-{n} tables generated without the opt-in")
+
+    catalog = cli_module._catalog
+    monkeypatch.setattr(catalog, "canonical_tables", generated)
+    # An empty cache, so a run that got past the opt-in would generate.
+    monkeypatch.setattr(catalog, "_catalog",
+                        functools.lru_cache(catalog._catalog.__wrapped__))
+    code, report = invoke(capsys, command, "--order", "5")
+    assert code == 2
+    assert report["error"] == {
+        "type": "OrderUnsupported",
+        "message": "order 5 runs for a while; pass --long-running to opt in"}
+
+
 def test_probe_subcommand(tables, capsys):
     code, report = invoke(capsys, "probe", "--order", "2")
     assert code == 0
@@ -519,6 +539,14 @@ def test_nm_witness_subcommand(capsys):
     assert report["multiplier"] == [2, 3]
     assert report["lhs"] == [4, 5, 6]
     assert report["rhs"] == [4, 6]
+
+
+def test_nm_witness_above_the_member_ceiling_exits_2(capsys):
+    members = ",".join(str(8 + 7 * i) for i in range(65))
+    code, report = invoke(capsys, "nm-witness", "--gens", "3,5",
+                          "--set", members)
+    assert code == 2
+    assert report["error"]["type"] == "OrderCapExceeded"
 
 
 def test_free_check_subcommand(capsys):

@@ -149,7 +149,7 @@ def test_byte_fingerprints_match_the_tuple_oracle():
     # buckets; every pair of tables from carriers of order <= 3 gets the
     # oracle's mismatch text.
     carriers = [e.semigroup for n in range(1, 6)
-                for e in enumerate_semigroups(n, long_running=True)]
+                for e in enumerate_semigroups(n)]
     tables = carriers + powersemi.build_power_semigroups(carriers)
     assert len(tables) == 4266
     found = fingerprints(tables)
@@ -220,7 +220,7 @@ def test_profile_kernel_matches_loop_on_catalog_and_power_tables():
     # 15 and 31) in one call, so the call mixes eight orders and the 1,915
     # order-31 tables span several chunks, the last one partial.
     carriers = [e.semigroup for n in range(1, 6)
-                for e in enumerate_semigroups(n, long_running=True)]
+                for e in enumerate_semigroups(n)]
     powers = [build_power_semigroup(s) for s in carriers]
     assert len(carriers) + len(powers) == 4266
     per_chunk = semigroups_module._BATCH_CELLS // 31 ** 2
@@ -232,7 +232,7 @@ def test_profile_kernel_matches_loop_on_catalog_and_power_tables():
 def test_profile_kernel_matches_loop_on_seeded_relabelings():
     rng = random.Random(20)
     semigroups = []
-    for entry in rng.sample(enumerate_semigroups(5, long_running=True), 60):
+    for entry in rng.sample(enumerate_semigroups(5), 60):
         perm = list(range(5))
         rng.shuffle(perm)
         sgr = relabel(entry.semigroup, perm)
@@ -314,7 +314,7 @@ def test_power_level_search_finds_relabeled_copies_in_time(carriers):
     # where a typical one takes a few milliseconds. The first 100 carriers
     # catch unsound pruning: skipping elements that share only their rows
     # misses the map of 121 of the 1,915 carriers under seed-0 relabelings.
-    catalog5 = enumerate_semigroups(5, long_running=True)
+    catalog5 = enumerate_semigroups(5)
     failures, _ = relabeled_power_search.search_failures(
         [(f"(5, {k})", catalog5[k].semigroup) for k in carriers
          for _ in range(2)], seed=24)

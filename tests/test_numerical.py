@@ -11,6 +11,7 @@ from powersemi import (CASE2, NonMemberInput, NumericalMonoid,
                        OrderCapExceeded, PreconditionViolated,
                        equality_campaign,
                        random_member_set, random_monoid, witness_campaign)
+from powersemi.numerical import WITNESS_MAX
 
 
 def naive_member(gens, x, depth=None):
@@ -155,6 +156,31 @@ def test_witness_on_the_naturals():
     assert witness.rhs == frozenset({0, 2})
     sums = {a + b for a in (0, 1) for b in (0, 1, 2)}
     assert sums == {a + b for a in (0, 1) for b in (0, 2)} == {0, 1, 2, 3}
+
+
+# Every integer from 8 on is a member of <3, 5>; these are spread out.
+SPREAD = [8 + 7 * i for i in range(WITNESS_MAX + 1)]
+
+
+def test_witness_above_the_member_ceiling_builds_no_sumset(monkeypatch):
+    monoid = NumericalMonoid((3, 5))
+
+    def built(self, xs, ys):
+        raise RuntimeError("sumset built above the ceiling")
+
+    monkeypatch.setattr(NumericalMonoid, "sumset", built)
+    with pytest.raises(OrderCapExceeded, match=f"{WITNESS_MAX + 1} members"):
+        monoid.witness_noncancellative(SPREAD)
+
+
+def test_witness_at_the_member_ceiling_is_verified():
+    monoid = NumericalMonoid((3, 5))
+    subset = SPREAD[:WITNESS_MAX]
+    witness = monoid.witness_noncancellative(subset)
+    assert witness.case_tag == CASE2
+    assert witness.lhs != witness.rhs
+    assert monoid.sumset(subset, witness.lhs) == \
+        monoid.sumset(subset, witness.rhs)
 
 
 def test_witness_requires_two_elements():

@@ -454,7 +454,7 @@ def test_small_batch_cells_build_one_table_per_stack(monkeypatch):
         return KERNEL(images)
 
     carriers = [e.semigroup
-                for e in enumerate_semigroups(5, long_running=True)[:6]]
+                for e in enumerate_semigroups(5)[:6]]
     carriers += [zoo.cyclic_group(6), zoo.min_chain(6)]
     want = [semigroup_state(p) for p in build_power_semigroups(carriers)]
     monkeypatch.setattr(power_module, "_BATCH_CELLS", 1000)
@@ -517,7 +517,7 @@ def test_power_tables_of_the_catalog_are_pinned(n, digest, commutative,
                                                 identities):
     # sha256 of the uint8 power tables stacked in catalog order.
     powers = build_power_semigroups(
-        e.semigroup for e in enumerate_semigroups(n, long_running=True))
+        e.semigroup for e in enumerate_semigroups(n))
     stack = np.stack([p.table for p in powers])
     assert stack.dtype == np.uint8
     assert hashlib.sha256(stack.tobytes()).hexdigest() == digest

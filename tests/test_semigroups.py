@@ -17,16 +17,8 @@ from powersemi.semigroups import (_label_vectors, _profile_rows,
                                   _semigroups_from_stack, _table_stacks,
                                   _validate)
 
-from oracles import scalar_element_queries, semigroup_state
-
-
-def naive_is_associative(rows, n):
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                    return False
-    return True
+from oracles import (naive_is_associative, scalar_element_queries,
+                     semigroup_state)
 
 
 def test_z2_is_a_commutative_monoid():
