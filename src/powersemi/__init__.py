@@ -27,7 +27,8 @@ from .power import (FAMILY_MAX, POWER_CAP_MAX, CompletenessCertificate,
                     build_power_semigroups, congruence_family,
                     downward_complete_closure, downward_completeness,
                     family_products, family_report, full_family, mask_of,
-                    setwise_product, singleton_family, submasks)
+                    power_fingerprints, setwise_product, singleton_family,
+                    submasks)
 from .semigroups import (MAX_ORDER, Congruence, FiniteSemigroup,
                          IsoFingerprint, all_congruences,
                          congruence_from_partition,

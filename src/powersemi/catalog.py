@@ -17,10 +17,10 @@ from .errors import OrderUnsupported, PreconditionViolated, TheoremViolation
 from .morphisms import find_isomorphism
 from .power import (build_power_semigroup, build_power_semigroups,
                     congruence_family, downward_complete_closure,
-                    full_family)
+                    full_family, power_fingerprints)
 from .semigroups import (FiniteSemigroup, IsoFingerprint, _check_at_least,
                          _integer, _semigroups_from_stack, _validate,
-                         all_congruences, fingerprint, fingerprints)
+                         all_congruences, fingerprints)
 
 ENUM_MAX = 5
 # canonical_tables refuses larger orders before it builds the n! relabelings.
@@ -29,21 +29,26 @@ GENERATE_MAX = 7
 
 @dataclass
 class CatalogEntry:
-    """One representative semigroup with cached search invariants."""
+    """One representative semigroup with cached search invariants.
+
+    The fingerprint of its power semigroup is cached, computed on first
+    use or filled in by global_iso_probe; the power semigroup itself is
+    built on demand and not kept.
+    """
 
     semigroup: FiniteSemigroup
     canonical_id: tuple
     fingerprint: IsoFingerprint
-    _power: FiniteSemigroup | None = field(default=None, init=False,
-                                           repr=False, compare=False)
+    _power_fingerprint: IsoFingerprint | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def power_semigroup(self):
-        if self._power is None:
-            self._power = build_power_semigroup(self.semigroup)
-        return self._power
+        return build_power_semigroup(self.semigroup)
 
     def power_fingerprint(self):
-        return fingerprint(self.power_semigroup())
+        if self._power_fingerprint is None:
+            self._power_fingerprint = power_fingerprints([self.semigroup])[0]
+        return self._power_fingerprint
 
 
 def _fill(n, perms):
@@ -54,7 +59,9 @@ def _fill(n, perms):
     half checks the new cell (i, j) as the inner product of (i·j)·c and
     as the outer product of (a·b)·j with a·b = i, and half run on the
     transposed table, where cell (j, i) holds i·j, checks its other two
-    roles: (a·i)·j, and i·(b·c) with b·c = j.
+    roles: (a·i)·j, and i·(b·c) with b·c = j. occ[v] lists the decided
+    cells that hold v, ascending, so the second role visits only the
+    cells a·b = i.
 
     perms holds (perm, src) pairs: a relabeling of the elements and, for
     each cell, the flat index of the cell it is relabeled from. A partial
@@ -63,6 +70,13 @@ def _fill(n, perms):
     """
     total = n * n
     flat = [-1] * total
+    occ = [[] for _ in range(n)]
+    # A relabeling (perm, src, p) has its image equal to the table on the
+    # cells before p. It waits in the bucket of the cell, p or src[p],
+    # that is decided last, since both are needed to compare cell p.
+    buckets = [[] for _ in range(total)]
+    for perm, src in perms:
+        buckets[src[0]].append((perm, src, 0))
 
     def half(i, j, r, s):
         # x·y is flat[r*x + s*y], -1 while undecided.
@@ -74,29 +88,36 @@ def _fill(n, perms):
                 lhs, rhs = flat[r * v + s * c], flat[r * i + s * jc]
                 if lhs != -1 and rhs != -1 and lhs != rhs:
                     return False
-        for k, ab in enumerate(flat):
-            if ab == i:
-                # (a·b)·j = i·j against a·(b·j), where k = r*a + s*b
-                a, b = k // r % n, k // s % n
-                bj = flat[r * b + s * j]
-                if bj != -1:
-                    rhs = flat[r * a + s * bj]
-                    if rhs != -1 and rhs != v:
-                        return False
+        for k in occ[i]:
+            # (a·b)·j = i·j against a·(b·j), where k = r*a + s*b
+            a, b = k // r % n, k // s % n
+            bj = flat[r * b + s * j]
+            if bj != -1:
+                rhs = flat[r * a + s * bj]
+                if rhs != -1 and rhs != v:
+                    return False
         return True
 
-    def lex_leader(k):
+    def lex_leader(k, pushed):
         # Every completion of a prefix with a smaller relabeling keeps that
-        # smaller relabeling, so such a prefix can be dropped.
-        for perm, src in perms:
-            for idx in range(k + 1):
-                w = flat[src[idx]]
-                if w == -1:
-                    break
-                w = perm[w]
-                if w != flat[idx]:
-                    if w < flat[idx]:
+        # smaller relabeling, so such a prefix can be dropped. A relabeling
+        # whose image is larger, or equal on every cell, is dropped for the
+        # subtree; one that ties waits for its next comparison. Its new
+        # bucket is recorded in pushed, to be popped on backtracking.
+        for perm, src, p in buckets[k]:
+            while True:
+                w = perm[flat[src[p]]]
+                if w != flat[p]:
+                    if w < flat[p]:
                         return False
+                    break
+                p += 1
+                if p == total:
+                    break
+                wait = max(p, src[p])
+                if wait > k:
+                    buckets[wait].append((perm, src, p))
+                    pushed.append(wait)
                     break
         return True
 
@@ -107,8 +128,14 @@ def _fill(n, perms):
         i, j = divmod(k, n)
         for v in range(n):
             flat[k] = v
-            if half(i, j, n, 1) and half(j, i, 1, n) and lex_leader(k):
+            occ[v].append(k)
+            pushed = []
+            if (half(i, j, n, 1) and half(j, i, 1, n)
+                    and lex_leader(k, pushed)):
                 yield from fill(k + 1)
+            for wait in pushed:
+                buckets[wait].pop()
+            occ[v].pop()
         flat[k] = -1
 
     yield from fill(0)
@@ -170,24 +197,22 @@ def _catalog(n):
     semigroups = _semigroups_from_stack(
         *_validate(np.array(list(canonical_tables(n)))))
     fps = fingerprints(semigroups)
-    for i, j, found in _same_fingerprint_pairs(semigroups, fps):
-        if found is not None:
+    for i, j in _same_fingerprint_pairs(fps):
+        if find_isomorphism(semigroups[i], semigroups[j]) is not None:
             raise TheoremViolation(f"catalog entries {(n, i)} and {(n, j)} "
                                    "are isomorphic; enumeration is broken")
     return tuple(CatalogEntry(sgr, (n, idx), fp)
                  for idx, (sgr, fp) in enumerate(zip(semigroups, fps)))
 
 
-def _same_fingerprint_pairs(semigroups, fps):
-    """Yield (i, j, find_isomorphism's answer) for every pair i < j of
-    semigroups whose fingerprints fps[i] and fps[j] agree, in ascending
-    order."""
+def _same_fingerprint_pairs(fps):
+    """Every pair (i, j), i < j, of positions whose fingerprints fps[i]
+    and fps[j] agree, in ascending order."""
     buckets = {}
     for idx, fp in enumerate(fps):
         buckets.setdefault(fp, []).append(idx)
-    for i, j in sorted(pair for bucket in buckets.values()
-                       for pair in combinations(bucket, 2)):
-        yield i, j, find_isomorphism(semigroups[i], semigroups[j])
+    return sorted(pair for bucket in buckets.values()
+                  for pair in combinations(bucket, 2))
 
 
 def global_iso_probe(n, entries=None, timer=time.perf_counter):
@@ -199,12 +224,12 @@ def global_iso_probe(n, entries=None, timer=time.perf_counter):
     exhaustively by find_isomorphism, and the CLI turns any finding into
     exit code 1.
 
-    The power tables not yet cached on their entries are built in
-    stacks by build_power_semigroups and fingerprinted in one batch by
-    fingerprints, so each power semigroup, cached on its entry, also
-    caches its fingerprint; only pairs whose fingerprints agree are
-    searched, and only their tables compute element profiles. Given
-    entries must all have order n.
+    The power fingerprints not yet cached on their entries come from
+    power_fingerprints, which keeps no power table, and are cached there.
+    Power tables are built, by build_power_semigroups, only for the
+    entries that share a fingerprint with another (10 of 1,915 at order
+    5), and only those pairs are searched. Given entries must all have
+    order n.
     """
     start = timer()
     if entries is None:
@@ -212,20 +237,24 @@ def global_iso_probe(n, entries=None, timer=time.perf_counter):
     elif _integer(n) is None or any(e.semigroup.order != n for e in entries):
         raise PreconditionViolated(
             f"n must be the order of every entry, got {n!r}")
-    missing = [entry for entry in entries if entry._power is None]
-    built = build_power_semigroups(entry.semigroup for entry in missing)
-    for entry, power in zip(missing, built):
-        entry._power = power
-    powers = [entry.power_semigroup() for entry in entries]
+    missing = [entry for entry in entries if entry._power_fingerprint is None]
+    for entry, fp in zip(missing, power_fingerprints(
+            entry.semigroup for entry in missing)):
+        entry._power_fingerprint = fp
+    pairs = _same_fingerprint_pairs([e._power_fingerprint for e in entries])
+    survivors = sorted({i for pair in pairs for i in pair})
+    powers = dict(zip(survivors, build_power_semigroups(
+        entries[i].semigroup for i in survivors)))
     total_pairs = len(entries) * (len(entries) - 1) // 2
-    pairs = list(_same_fingerprint_pairs(powers, fingerprints(powers)))
+    searched = [(i, j, find_isomorphism(powers[i], powers[j]))
+                for i, j in pairs]
     counterexamples = [{
         "left": list(entries[i].canonical_id),
         "right": list(entries[j].canonical_id),
         "left_table": entries[i].semigroup.rows,
         "right_table": entries[j].semigroup.rows,
         "power_map": list(found.mapping),
-    } for i, j, found in pairs if found is not None]
+    } for i, j, found in searched if found is not None]
     elapsed_ms = int(round((timer() - start) * 1000))
     return {
         "order": n,

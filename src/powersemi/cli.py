@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import traceback
+
+import numpy as np
 
 from . import catalog as _catalog
 from . import freewords as _freewords
@@ -387,9 +390,49 @@ def build_parser():
     return parser
 
 
+# A JSON string in the encoder's output, escapes included.
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _indented_json(obj):
+    """json.dumps(obj, indent=2), byte for byte, from the compact output
+    of the C encoder, which json.dumps skips when given an indent.
+
+    The text is ASCII (ensure_ascii). Outside strings, a newline and two
+    spaces per open container go after each comma and each opening
+    bracket of a non-empty container, and before the closing bracket of
+    one, indented one level less; a space goes after each colon.
+    """
+    compact = json.dumps(obj, separators=(",", ":"))
+    text = np.frombuffer(compact.encode("ascii"), dtype=np.uint8)
+    inside = np.zeros(len(text) + 1, dtype=np.int8)
+    for match in _JSON_STRING.finditer(compact):
+        inside[match.start()] += 1
+        inside[match.end()] -= 1
+    code = np.where(np.cumsum(inside[:-1], dtype=np.int8) == 0, text, 0)
+    opens = (code == ord("[")) | (code == ord("{"))
+    closes = (code == ord("]")) | (code == ord("}"))
+    depth = np.cumsum(opens.view(np.int8) - closes.view(np.int8),
+                      dtype=np.int32)
+    # What goes before character i comes from characters i - 1 and i.
+    newline = (code[:-1] == ord(",")) | (opens[:-1] != closes[1:])
+    lengths = np.zeros(len(text), dtype=np.int32)
+    lengths[1:] = (newline * (2 * (depth[:-1] - closes[1:]) + 1)
+                   + (code[:-1] == ord(":")))
+    lead = np.full(len(text), ord(" "), dtype=np.uint8)
+    lead[1:][newline] = ord("\n")
+    # positions[i] is where character i lands, after what goes before it.
+    positions = np.cumsum(lengths + 1, dtype=np.int64)
+    out = np.full(positions[-1], ord(" "), dtype=np.uint8)
+    positions -= lengths + 1
+    out[positions] = lead
+    positions += lengths
+    out[positions] = text
+    return out.tobytes().decode("ascii")
+
+
 def _emit(report, args):
-    text = json.dumps({"schema_version": SCHEMA_VERSION, **report},
-                      indent=2) + "\n"
+    text = _indented_json({"schema_version": SCHEMA_VERSION, **report}) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

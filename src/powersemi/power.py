@@ -7,9 +7,10 @@ masks in ascending order, so element k corresponds to mask k + 1.
 Products come from two kernels. `family_products` multiplies listed
 masks in uint64, for any carrier order up to 64; `setwise_product` is it
 on one pair, and a `SubsetFamily` keeps its members' product matrix.
-`build_power_semigroups` multiplies all masks of a stack of carriers by
+`_proved_power_stacks` multiplies all masks of a stack of carriers by
 subset doubling in uint8, one byte per product, and proves each table
-by the setwise product's recurrence.
+by the setwise product's recurrence; `build_power_semigroups` keeps
+those tables, `power_fingerprints` only their fingerprints.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import numpy as np
 
 from .errors import (AmbientMismatch, IndexOutOfRange, OrderCapExceeded,
                      PreconditionViolated, TheoremViolation)
-from .semigroups import (_BATCH_CELLS, MAX_ORDER, FiniteSemigroup, _integer,
-                         _semigroups_from_stack, _table_stacks)
+from .semigroups import (_BATCH_CELLS, MAX_ORDER, FiniteSemigroup,
+                         IsoFingerprint, _integer, _semigroups_from_stack,
+                         _sorted_profiles, _table_stacks)
 
 # Full materialization of the power semigroup is allowed for carriers up
 # to this order: the power table of an order-n carrier is a FiniteSemigroup
@@ -216,7 +218,7 @@ def build_power_semigroup(semigroup):
 
     The result has order 2**n - 1; its element k is the subset with mask
     k + 1, so the singleton {i} sits at index 2**i - 1. The table is the
-    setwise product, proved as build_power_semigroups says, so it is
+    setwise product, proved as _proved_power_stacks says, so it is
     associative as S is, commutative iff S is, and has the identity {e}
     (index 2**e - 1) iff e is S's: U{x} = {x} = {x}U for all x makes
     every u in U an identity of S. It is build_power_semigroups of [S].
@@ -225,7 +227,37 @@ def build_power_semigroup(semigroup):
 
 
 def build_power_semigroups(semigroups):
-    """build_power_semigroup of each carrier, in the order given.
+    """build_power_semigroup of each carrier, in the order given: the
+    tables of _proved_power_stacks as read-only FiniteSemigroup views."""
+    semigroups = list(semigroups)
+    powers = [None] * len(semigroups)
+    for positions, carriers, tables in _proved_power_stacks(semigroups):
+        for p, power in zip(positions, _semigroups_from_stack(
+                tables, [c.commutative for c in carriers],
+                [None if c.identity is None else (1 << c.identity) - 1
+                 for c in carriers])):
+            powers[p] = power
+    return powers
+
+
+def power_fingerprints(semigroups):
+    """fingerprint(build_power_semigroup(S)) for each carrier S, in the
+    order given, from the sorted profile rows of the proved tables of
+    _proved_power_stacks; no table outlives its stack. P(S) has an
+    identity iff S has, as build_power_semigroup says."""
+    semigroups = list(semigroups)
+    found = [None] * len(semigroups)
+    for positions, carriers, tables in _proved_power_stacks(semigroups):
+        for p, carrier, profiles in zip(positions, carriers,
+                                        _sorted_profiles(tables)):
+            found[p] = IsoFingerprint(carrier.identity is not None, profiles)
+    return found
+
+
+def _proved_power_stacks(semigroups):
+    """Yield the positions of the carriers of one stack in the list, the
+    carriers, and their power tables as one (k, m, m) uint8 array, m =
+    2**n - 1, element i the mask i + 1.
 
     Carriers of one order n are multiplied over all masks, the empty
     set's 0 as padding, by _power_products, _BATCH_CELLS // 4**n tables
@@ -236,10 +268,8 @@ def build_power_semigroups(semigroups):
     setwise product over S; the build adds highest elements, so the check
     does not replay it.
     """
-    semigroups = list(semigroups)
     for semigroup in semigroups:
         _check_cap(semigroup.order)
-    powers = [None] * len(semigroups)
     for positions, tables in _table_stacks(
             semigroups, lambda n: max(1, _BATCH_CELLS // 4 ** n)):
         images = 1 << tables
@@ -253,14 +283,8 @@ def build_power_semigroups(semigroups):
                 and (products == products[:, masks - lows]
                      | products[:, lows]).all()):
             raise TheoremViolation("a power table is not the setwise product")
-        carriers = [semigroups[p] for p in positions]
-        for p, power in zip(positions, _semigroups_from_stack(
-                products[:, 1:, 1:] - 1,
-                [c.commutative for c in carriers],
-                [None if c.identity is None else (1 << c.identity) - 1
-                 for c in carriers])):
-            powers[p] = power
-    return powers
+        yield (positions, [semigroups[p] for p in positions],
+               products[:, 1:, 1:] - 1)
 
 
 @dataclass(frozen=True)

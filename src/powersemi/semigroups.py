@@ -28,14 +28,17 @@ _BATCH_FLAGS = 1 << 18
 CONGRUENCE_MAX = 10
 
 # Batched table work keeps its temporaries within about 15 * _BATCH_CELLS
-# bytes however many tables a caller passes. _profile_rows peaks at about
-# 14 bytes per table cell (tracemalloc on a stack of 68 order-31 power
-# tables; the 64-bit sets of the entries take 9 of them), and fingerprints
-# at about 15, so fingerprints profiles _BATCH_CELLS cells at a time
-# (chunks eight times larger ran no faster and left the process's peak RSS
-# about 5 MB higher). build_power_semigroups stacks _BATCH_CELLS one-byte
-# masks of its 2**n by 2**n products, peaking at 4.3 bytes per cell
-# (tracemalloc, n = 5, 6).
+# bytes however many tables a caller passes (tracemalloc peaks below).
+# _profile_rows keeps n-bit sets in the narrowest word that holds them, so
+# it peaks at about 10 bytes per table cell on a stack of 68 order-31
+# power tables (32-bit sets) and 14 on order-63 ones (64-bit sets), and
+# fingerprints, which sorts its rows, at about the same; it profiles
+# _BATCH_CELLS cells at a time (chunks eight times larger ran no faster
+# and left the process's peak RSS about 5 MB higher).
+# _proved_power_stacks stacks _BATCH_CELLS one-byte masks of its 2**n by
+# 2**n products, so build_power_semigroups peaks at 4.3 bytes per product
+# cell and power_fingerprints, which also profiles the tables, at 11.7
+# (n = 5) and 15 (n = 6).
 _BATCH_CELLS = 1 << 16
 
 
@@ -272,15 +275,21 @@ def fingerprints(semigroups):
     pending = [s for s in semigroups if s._fingerprint is None]
     for positions, tables in _table_stacks(
             pending, lambda n: max(1, _BATCH_CELLS // (n * n))):
-        rows = np.zeros(tables.shape[:2] + (8,), dtype=np.uint8)
-        rows[:, :, :6] = _profile_rows(tables)
-        # As zero-padded big-endian keys the rows sort as six-byte strings.
-        rows.view(">u8")[..., 0].sort(axis=1)
-        for p, sorted_rows in zip(positions, rows[:, :, :6]):
+        for p, profiles in zip(positions, _sorted_profiles(tables)):
             semigroup = pending[p]
             semigroup._fingerprint = IsoFingerprint(
-                semigroup.identity is not None, sorted_rows.tobytes())
+                semigroup.identity is not None, profiles)
     return [fingerprint(semigroup) for semigroup in semigroups]
+
+
+def _sorted_profiles(tables):
+    """The profiles field of the fingerprint of each table of a (k, n, n)
+    uint8 stack: its six-byte _profile_rows, sorted, as bytes."""
+    rows = np.zeros(tables.shape[:2] + (8,), dtype=np.uint8)
+    rows[:, :, :6] = _profile_rows(tables)
+    # As zero-padded big-endian keys the rows sort as six-byte strings.
+    rows.view(">u8")[..., 0].sort(axis=1)
+    return [sorted_rows.tobytes() for sorted_rows in rows[:, :, :6]]
 
 
 def describe_fingerprint_mismatch(fp_a, fp_b):
@@ -305,33 +314,36 @@ def _profile_rows(t):
 
     The powers a, a**2, ... of every element come one at a time, a**(m+1)
     = a**m * a, by one gather for the whole stack, and each element keeps
-    the 64-bit set of its powers so far (entries are below MAX_ORDER).
-    Once no element gains a power, every cyclic subsemigroup is complete:
-    its size s = index + period - 1 is the set's popcount, a**(s+1) =
-    a**index, and index is the least m with a**m = a**(s+1). The rows and
-    columns are 64-bit sets too, and their popcounts count distinct
-    entries.
+    the set of its powers so far as an n-bit word, in the narrowest
+    unsigned dtype that holds n bits (uint8 up to 8 elements, ..., uint64
+    up to MAX_ORDER). Once no element gains a power, every cyclic
+    subsemigroup is complete: its size s = index + period - 1 is the
+    set's popcount, a**(s+1) = a**index, and index is the least m with
+    a**m = a**(s+1). The rows and columns are n-bit sets too, and their
+    popcounts count distinct entries.
     """
     k, n, _ = t.shape
+    word = next(dtype for dtype in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if n <= np.iinfo(dtype).bits)
     columns = np.ascontiguousarray(t.transpose(0, 2, 1))
     flat_columns = columns.reshape(-1)
     elements = np.arange(n, dtype=np.intp)
     base = (np.arange(0, k * n * n, n * n, dtype=np.intp)[:, None]
             + elements * n)
-    one = np.uint64(1)
+    one = word(1)
     powers = np.empty((n + 1, k, n), dtype=np.uint8)
     current = powers[0] = elements
-    seen = np.left_shift(one, powers[0], dtype=np.uint64)
+    seen = np.left_shift(one, powers[0], dtype=word)
     for m in range(1, n + 1):
         current = powers[m] = flat_columns[base + current]
-        bits = np.left_shift(one, current, dtype=np.uint64)
+        bits = np.left_shift(one, current, dtype=word)
         if (seen & bits).all():
             break
         seen |= bits
     size = np.bitwise_count(seen).astype(np.intp)
     cycle_start = np.take_along_axis(powers, size[None], axis=0)
     index = (powers[:m] == cycle_start).argmax(axis=0) + 1
-    sets = np.left_shift(one, t, dtype=np.uint64)
+    sets = np.left_shift(one, t, dtype=word)
     return np.stack([t[:, elements, elements] == elements,
                      index,
                      size - index + 1,

@@ -11,9 +11,9 @@ import powersemi.catalog as catalog_module
 from powersemi import (CatalogEntry, FiniteSemigroup, OrderUnsupported,
                        PreconditionViolated, TheoremViolation,
                        associative_tables, build_power_semigroup,
-                       canonical_tables, enumerate_semigroups,
-                       find_isomorphism, global_iso_probe,
-                       singleton_characterization_check)
+                       build_power_semigroups, canonical_tables,
+                       enumerate_semigroups, find_isomorphism, fingerprints,
+                       global_iso_probe, singleton_characterization_check)
 
 from oracles import (all_automorphisms_bruteforce, isomorphic_bruteforce,
                      naive_is_associative, semigroup_state)
@@ -327,25 +327,57 @@ def test_catalog_semigroups_equal_one_at_a_time_construction(catalog):
             [semigroup_state(FiniteSemigroup(t)) for t in canonical_tables(n)]
 
 
-def test_probe_builds_no_rows_for_pruned_power_tables():
-    entries = [CatalogEntry(e.semigroup, e.canonical_id, e.fingerprint)
-               for e in enumerate_semigroups(4)]
-    report = global_iso_probe(4, entries=entries)
-    assert report["pruned_by_fingerprint"] == report["pairs_checked"]
-    assert all(entry._power._rows is None for entry in entries)
-    assert all(entry.power_semigroup() is entry._power for entry in entries)
+def test_probe_builds_no_rows_for_pruned_power_tables(monkeypatch):
+    # Power tables are built only for the entries that share a power
+    # fingerprint with another, and each of them once: none at order 4,
+    # 10 at order 5. The fingerprints stay cached on the entries, so
+    # power_fingerprint builds nothing.
+    built = []
+
+    def counting(semigroups):
+        semigroups = list(semigroups)
+        built.extend(semigroups)
+        return build_power_semigroups(semigroups)
+
+    def refuse(semigroups):
+        raise AssertionError("a cached power fingerprint was recomputed")
+
+    for n, survivors in ((4, 0), (5, 10)):
+        entries = [CatalogEntry(e.semigroup, e.canonical_id, e.fingerprint)
+                   for e in enumerate_semigroups(n)]
+        want = fingerprints(build_power_semigroups(
+            e.semigroup for e in entries))
+        shared = Counter(want)
+        built.clear()
+        monkeypatch.setattr(catalog_module, "build_power_semigroups",
+                            counting)
+        report = global_iso_probe(n, entries=entries)
+        assert report["pruned_by_fingerprint"] == report["pairs_checked"] \
+            - sum(k * (k - 1) // 2 for k in shared.values())
+        assert len(built) == survivors
+        assert built == [e.semigroup for e, fp in zip(entries, want)
+                         if shared[fp] > 1]
+        monkeypatch.setattr(catalog_module, "power_fingerprints", refuse)
+        assert [e.power_fingerprint() for e in entries] == want
+        assert len(built) == survivors
+        monkeypatch.undo()
 
 
 def test_power_cache_is_not_a_constructor_argument():
     entries = enumerate_semigroups(3)
     fresh = [CatalogEntry(e.semigroup, e.canonical_id, e.fingerprint)
              for e in entries]
-    # A fourth argument would be taken as P(S) without any check.
+    # A fourth argument would be taken as P(S)'s fingerprint unchecked.
     with pytest.raises(TypeError):
         CatalogEntry(entries[0].semigroup, entries[0].canonical_id,
                      entries[0].fingerprint,
-                     build_power_semigroup(entries[1].semigroup))
+                     entries[1].power_fingerprint())
+    with pytest.raises(TypeError):
+        CatalogEntry(entries[0].semigroup, entries[0].canonical_id,
+                     entries[0].fingerprint,
+                     _power_fingerprint=entries[1].power_fingerprint())
     global_iso_probe(3, entries=fresh)
-    assert all(entry._power is not None for entry in fresh)
+    assert [entry._power_fingerprint for entry in fresh] == \
+        fingerprints(build_power_semigroups(e.semigroup for e in entries))
     assert fresh == [CatalogEntry(e.semigroup, e.canonical_id, e.fingerprint)
                      for e in entries]

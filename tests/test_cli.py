@@ -897,3 +897,23 @@ def test_random_argv_keeps_the_exit_code_contract(fuzz_paths, data):
                 out_of_range = True
             if out_of_range:
                 assert code == 2 and calls == [], argv
+
+
+REPORT_LEAVES = (st.integers(min_value=-2**70, max_value=2**70)
+                 | st.booleans() | st.none()
+                 | st.text(alphabet=st.sampled_from('ab,:[]{}"\\\n é☃'))
+                 | st.text())
+REPORTS = st.recursive(
+    REPORT_LEAVES,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=REPORTS)
+def test_indented_json_equals_the_python_encoder(report):
+    # Nested dicts and lists of ints, bools, None and strings, empty
+    # containers included, and strings full of JSON punctuation.
+    assert cli_module._indented_json(report) == json.dumps(report, indent=2)

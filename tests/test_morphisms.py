@@ -271,6 +271,19 @@ def test_profile_kernel_waits_for_the_longest_cycle_of_a_stack():
     assert_batch_matches_loop(semigroups)
 
 
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 64])
+def test_profile_kernel_matches_loop_at_word_boundaries(n):
+    # The kernel keeps n-bit sets in uint8 up to 8 elements, uint16 up to
+    # 16, uint32 up to 32 and uint64 up to 64. In each table below the
+    # top element n - 1 sets the top bit of a set: the cyclic group's
+    # powers and rows, right_zero's rows, left_zero's columns, and every
+    # row and column of the constant table, which a set one word too
+    # narrow would count as empty.
+    assert_batch_matches_loop([
+        zoo.cyclic_group(n), zoo.right_zero(n), zoo.left_zero(n),
+        zoo.min_chain(n), FiniteSemigroup([[n - 1] * n] * n)])
+
+
 def test_profiles_are_cached_and_read_by_the_search():
     sgr = zoo.min_chain(4)
     other = relabel(sgr, [2, 0, 3, 1])

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +22,13 @@ from powersemi import (FAMILY_MAX, MAX_ORDER, POWER_CAP_MAX, AmbientMismatch,
                        global_iso_probe,
                        congruence_from_partition, congruence_family,
                        downward_complete_closure, downward_completeness,
-                       family_products, family_report, full_family, mask_of,
+                       family_products, family_report, fingerprints,
+                       full_family, mask_of, power_fingerprints,
                        setwise_product, singleton_family,
                        submasks, witness_noncancellative)
 from powersemi import zoo
 
-from oracles import mask_product, semigroup_state
+from oracles import mask_product, semigroup_state, tuple_fingerprint
 
 
 def int_set_product(rows, xs, ys):
@@ -424,24 +425,57 @@ def test_batched_power_tables_equal_one_at_a_time(catalog, monkeypatch, cells):
         assert semigroup_state(build_power_semigroup(carrier)) == want
 
 
+def relabeled(carrier, rng):
+    """A copy of the carrier under a seeded random relabeling."""
+    inverse = list(range(carrier.order))
+    rng.shuffle(inverse)
+    perm = [inverse.index(x) for x in range(carrier.order)]
+    return FiniteSemigroup([[perm[carrier.rows[i][j]] for j in inverse]
+                            for i in inverse])
+
+
 def test_order_6_power_tables_fill_the_byte_masks():
     # Products of order-6 carriers reach the full mask 63, the largest a
     # uint8 kernel holds.
     rng = random.Random(6)
     carriers = [zoo.cyclic_group(6), zoo.null_semigroup(6), zoo.left_zero(6),
                 zoo.min_chain(6)]
-    for carrier in list(carriers):
-        inverse = list(range(6))
-        rng.shuffle(inverse)
-        perm = [inverse.index(x) for x in range(6)]
-        carriers.append(FiniteSemigroup(
-            [[perm[carrier.rows[i][j]] for j in inverse] for i in inverse]))
+    carriers += [relabeled(carrier, rng) for carrier in carriers]
     powers = build_power_semigroups(carriers)
     for carrier, power in zip(carriers, powers):
         want = semigroup_state(one_at_a_time_power(carrier))
         assert semigroup_state(power) == want
         assert semigroup_state(build_power_semigroup(carrier)) == want
     assert max(int(p.table.max()) for p in powers) == 62
+
+
+@pytest.mark.parametrize("cells", [None, 1000], ids=["default", "small_stacks"])
+def test_power_fingerprints_equal_fingerprints_of_built_tables(monkeypatch,
+                                                               cells):
+    # Every class of orders 1-5, the order-6 zoo tables and seeded
+    # relabelings of both, shuffled so that stacks of several orders
+    # interleave: power_fingerprints gives each carrier the fingerprint
+    # that fingerprints gives its built power table, and the scalar
+    # profiles loop of the tuple oracle agrees.
+    rng = random.Random(27)
+    carriers = [e.semigroup for n in range(1, 6)
+                for e in enumerate_semigroups(n)]
+    carriers += [zoo.cyclic_group(6), zoo.null_semigroup(6),
+                 zoo.left_zero(6), zoo.right_zero(6), zoo.min_chain(6)]
+    carriers += [relabeled(c, rng) for c in rng.sample(carriers, 40)
+                 + carriers[-5:]]
+    rng.shuffle(carriers)
+    if cells is not None:
+        carriers = carriers[::10]
+        monkeypatch.setattr(power_module, "_BATCH_CELLS", cells)
+    found = power_fingerprints(carriers)
+    powers = build_power_semigroups(carriers)
+    assert found == fingerprints(powers)
+    for fp, power in zip(found, powers, strict=True):
+        oracle = tuple_fingerprint(power)
+        assert fp.has_identity == oracle.has_identity
+        assert fp.profiles == bytes(chain.from_iterable(oracle.profiles))
+    assert power_fingerprints([]) == []
 
 
 def test_small_batch_cells_build_one_table_per_stack(monkeypatch):
@@ -475,6 +509,8 @@ def test_batched_power_build_checks_the_cap_of_every_carrier(monkeypatch):
             build_power_semigroup(carrier)
         with pytest.raises(OrderCapExceeded):
             build_power_semigroups([zoo.cyclic_group(2), carrier])
+        with pytest.raises(OrderCapExceeded):
+            power_fingerprints([zoo.cyclic_group(2), carrier])
     assert POWER_CAP_MAX + 1 == 7
     assert build_power_semigroups([]) == []
 
@@ -563,6 +599,8 @@ def test_power_table_that_is_not_the_setwise_product_is_rejected(
     monkeypatch.setattr(power_module, "_power_products", kernel)
     with pytest.raises(TheoremViolation, match="not the setwise product"):
         build_power_semigroup(carrier)
+    with pytest.raises(TheoremViolation, match="not the setwise product"):
+        power_fingerprints([carrier])
 
 
 def test_every_single_bit_flip_of_a_power_table_is_rejected(monkeypatch):
