@@ -64,7 +64,7 @@ def cancellative_elements_bruteforce(family):
     columns = np.sort(family.products, axis=0)
     cancellative = ((rows[:, 1:] != rows[:, :-1]).all(axis=1)
                     & (columns[1:] != columns[:-1]).all(axis=0))
-    return {SubsetElement(family.semigroup, m)
+    return {SubsetElement._proved(family.semigroup, m)
             for m, ok in zip(family.masks, cancellative.tolist()) if ok}
 
 
@@ -87,7 +87,7 @@ def singleton_cancellative_elements(family):
     """
     _require_rule_hypotheses(family)
     S = family.semigroup
-    return {SubsetElement(S, 1 << u) for u in range(S.order)
+    return {SubsetElement._proved(S, 1 << u) for u in range(S.order)
             if S.is_cancellative(u)}
 
 
@@ -103,22 +103,21 @@ def witness_noncancellative(subset, family):
     * otherwise a, b are the two smallest elements of A and the witness
       is (A, A*A, A*A minus {a*b}); b*b then always survives in the rhs.
 
-    Every setwise product is read from the family's product matrix.
-    Before returning, the witness is re-checked by verify_witness (both
-    sides distinct members, multiplier * lhs == multiplier * rhs); a
-    failure raises TheoremViolation. The carrier is commutative, so the
-    product matrix is symmetric and the left products settle both sides.
+    The subset is validated once, on entry; the sides are built from
+    its mask and the product matrix unchecked. Before returning, the
+    witness is re-checked by verify_witness (both sides distinct members,
+    multiplier * lhs == multiplier * rhs); a failure raises
+    TheoremViolation. The carrier is commutative, so the product matrix
+    is symmetric and the left products settle both sides.
     """
     _require_rule_hypotheses(family)
     S = family.semigroup
     amask = _as_mask(S, subset)
     if amask.bit_count() < 2:
         raise PreconditionViolated("subset must have at least two elements")
-    try:
-        i = family.index(amask)
-    except IndexOutOfRange:
-        raise PreconditionViolated(
-            "subset is not a member of the family") from None
+    i = family._positions.get(amask)
+    if i is None:
+        raise PreconditionViolated("subset is not a member of the family")
 
     rows = S.rows
     elems = list(_bits(amask))
@@ -148,9 +147,9 @@ def witness_noncancellative(subset, family):
                 f"Case2 witness for mask {amask} lost b*b from its rhs")
 
     witness = CancellationWitness(
-        SubsetElement(S, amask),
-        SubsetElement(S, lhs_mask),
-        SubsetElement(S, rhs_mask),
+        SubsetElement._proved(S, amask),
+        SubsetElement._proved(S, lhs_mask),
+        SubsetElement._proved(S, rhs_mask),
         tag,
     )
     if not verify_witness(witness, family):

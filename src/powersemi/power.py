@@ -104,22 +104,25 @@ def family_products(semigroup, xs, ys):
     A bit-DP over the listed masks: first the masks of {i} * ys[b] for
     every carrier element i, as the OR of 1 << i*j over the bits j of
     ys[b]; then xs[a] * ys[b] as the OR of {i} * ys[b] over the bits i of
-    xs[a]. Each step is one masked OR-reduction over a broadcast view, so
-    memory is the result plus O(n * (len(xs) + len(ys))) scratch.
+    xs[a]. Each step is one masked OR-reduction over a zero-stride
+    ndarray view of an (n, n) or (n, ky) array, never an (n, kx, ky)
+    temporary, so memory is the result plus O(n * (kx + ky)) scratch.
     """
     n = semigroup.order
     shifts = np.arange(n, dtype=np.uint64)[:, None]
     xbits = (np.asarray(xs, dtype=np.uint64) >> shifts & 1).astype(bool)
-    ybits = (np.asarray(ys, dtype=np.uint64) >> shifts & 1).astype(bool)
+    ybits = xbits if ys is xs else (
+        np.asarray(ys, dtype=np.uint64) >> shifts & 1).astype(bool)
     images = np.left_shift(np.uint64(1), semigroup.table.astype(np.uint64))
     kx, ky = xbits.shape[1], ybits.shape[1]
     # singles[i, b] is the mask of {i} * ys[b].
     singles = np.bitwise_or.reduce(
-        np.broadcast_to(images[:, :, None], (n, n, ky)), axis=1,
-        where=ybits[None], initial=0)
+        np.ndarray((n, n, ky), np.uint64, images, 0, images.strides + (0,)),
+        axis=1, where=ybits[None], initial=0)
     return np.bitwise_or.reduce(
-        np.broadcast_to(singles[:, None], (n, kx, ky)), axis=0,
-        where=xbits[:, :, None], initial=0)
+        np.ndarray((n, kx, ky), np.uint64, singles, 0,
+                   (singles.strides[0], 0, singles.strides[1])),
+        axis=0, where=xbits[:, :, None], initial=0)
 
 
 def _power_products(images):
@@ -148,6 +151,13 @@ class SubsetElement:
     def __init__(self, semigroup, mask):
         self.semigroup = semigroup
         self.mask = _as_mask(semigroup, mask)
+
+    @classmethod
+    def _proved(cls, semigroup, mask):
+        """The subset of a mask known to be valid; not checked again."""
+        subset = object.__new__(cls)
+        subset.semigroup, subset.mask = semigroup, mask
+        return subset
 
     @classmethod
     def from_elements(cls, semigroup, elements):
@@ -197,11 +207,15 @@ def _as_mask(semigroup, x):
 
 def _distinct_masks(semigroup, items):
     """The set of masks of the items, drawn only until FAMILY_MAX + 1
-    distinct ones exceed the family ceiling."""
+    distinct ones exceed the family ceiling; only items that are not a
+    plain int in (0, 2**n) go through _as_mask."""
+    top = 1 << semigroup.order
     masks = set()
     for x in items:
-        masks.add(_as_mask(semigroup, x))
-        _check_family_size(len(masks))
+        masks.add(x if type(x) is int and 0 < x < top
+                  else _as_mask(semigroup, x))
+        if len(masks) > FAMILY_MAX:
+            _check_family_size(len(masks))
     return masks
 
 
@@ -359,10 +373,17 @@ class SubsetFamily:
         return True
 
     def index(self, mask):
-        mask = _as_mask(self.semigroup, mask)
-        i = self._positions.get(mask)
+        """The position of a member. An exact int, or a SubsetElement over
+        this very ambient object, is looked up as it is; other inputs, and
+        misses, go through _as_mask, so a member found is always valid."""
+        key = (mask.mask if isinstance(mask, SubsetElement)
+               and mask.semigroup is self.semigroup else mask)
+        i = self._positions.get(key) if type(key) is int else None
         if i is None:
-            raise IndexOutOfRange(f"mask {mask} is not a member")
+            key = _as_mask(self.semigroup, mask)
+            i = self._positions.get(key)
+            if i is None:
+                raise IndexOutOfRange(f"mask {key} is not a member")
         return i
 
     def __iter__(self):
@@ -401,7 +422,11 @@ def downward_completeness(family):
 
     Requires closure under setwise products, coverage of every carrier
     element by some member, and closure under non-empty subsets of
-    members.
+    members. For the last, only the removals m - {b} of one element b
+    are looked up: the least member m missing a non-empty subset s also
+    misses m - {b} for b in m - s, which contains s and, being smaller
+    than m, would otherwise fail first. So the same member fails first,
+    and only its submasks are scanned for the certificate's subset.
     """
     witness = family._closure_witness()
     if witness is not None:
@@ -413,10 +438,14 @@ def downward_completeness(family):
         missing = next(x for x in range(family.semigroup.order)
                        if not covered >> x & 1)
         return CompletenessCertificate(False, "coverage", (missing,))
+    positions = family._positions
     for m in family.masks:
-        for sub in _submasks(m):
-            if sub not in family._positions:
-                return CompletenessCertificate(False, "subsets", (m, sub))
+        rest = m if m & (m - 1) else 0
+        while rest and m ^ (rest & -rest) in positions:
+            rest &= rest - 1
+        if rest:
+            sub = next(s for s in _submasks(m) if s not in positions)
+            return CompletenessCertificate(False, "subsets", (m, sub))
     return CompletenessCertificate(True)
 
 

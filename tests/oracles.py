@@ -4,6 +4,8 @@ The isomorphism oracles try every candidate map, so they are independent
 of the pruned isomorphism search and feasible only at tiny orders.
 `mask_product` multiplies two masks in plain Python, one product at a
 time, independent of the package's `family_products`.
+`downward_completeness_bruteforce` is the full-submask form of the
+package's `downward_completeness`, which looks up one-element removals.
 `naive_is_associative` checks every triple of a table one at a time,
 independent of the validator's vectorised check. The cancellation oracles
 multiply one member by every member with it, independent of the family's
@@ -21,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from powersemi import (CancellationWitness, Morphism, SubsetElement,
-                       fingerprint)
+from powersemi import (CancellationWitness, CompletenessCertificate,
+                       Morphism, SubsetElement, fingerprint)
 
 
 def mask_product(semigroup, xmask, ymask):
@@ -40,6 +42,32 @@ def mask_product(semigroup, xmask, ymask):
             out |= 1 << row[ylow.bit_length() - 1]
             ym ^= ylow
     return out
+
+
+def downward_completeness_bruteforce(family):
+    """The certificate of downward_completeness, by full scans: the first
+    pair of members, in row-major order, whose product (by mask_product)
+    is not a member; else the least carrier element no member covers;
+    else the first member with a missing non-empty submask, with the
+    first missing one in descending submask order."""
+    semigroup, masks = family.semigroup, family.masks
+    members = set(masks)
+    for x in masks:
+        for y in masks:
+            product = mask_product(semigroup, x, y)
+            if product not in members:
+                return CompletenessCertificate(False, "closure",
+                                               (x, y, product))
+    for element in range(semigroup.order):
+        if not any(m >> element & 1 for m in masks):
+            return CompletenessCertificate(False, "coverage", (element,))
+    for m in masks:
+        sub = m
+        while sub:
+            if sub not in members:
+                return CompletenessCertificate(False, "subsets", (m, sub))
+            sub = (sub - 1) & m
+    return CompletenessCertificate(True)
 
 
 def naive_is_associative(rows, n):

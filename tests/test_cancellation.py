@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 import powersemi.cancellation as cancellation_module
@@ -237,3 +240,33 @@ def test_bruteforce_matches_per_member_check_on_noncommutative_families():
         for fam in (full_family(sgr), singleton_family(sgr)):
             assert masks_of(cancellative_elements_bruteforce(fam)) == \
                 {m for m in fam.masks if is_cancellative_in(m, fam)}
+
+
+# sha256 of the JSON list of witness reports below, as computed before
+# witnesses were built from proved masks.
+PROP1_WITNESS_DIGEST = \
+    "37e62bc53dd98c3d10e0b7003029ffd9f279a2e450103725d622247f85707b24"
+
+
+def test_witness_reports_on_the_order_4_prop1_families_are_pinned(
+        monkeypatch):
+    # Every family that prop1-check --order 4 --seed 0 classifies, in
+    # order, and the witness of each non-singleton member of the
+    # downward-complete ones.
+    families = []
+    rule = catalog_module.singleton_cancellative_elements
+
+    def recording(family):
+        families.append(family)
+        return rule(family)
+
+    monkeypatch.setattr(catalog_module, "singleton_cancellative_elements",
+                        recording)
+    report = singleton_characterization_check(4, seed=0)
+    reports = [witness_noncancellative(m, family).report()
+               for family in families if family.is_downward_complete
+               for m in family.masks if m.bit_count() >= 2]
+    assert report["families_checked"] == len(families) == 739
+    assert len(reports) == 2573
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() \
+        == PROP1_WITNESS_DIGEST

@@ -1,8 +1,11 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from itertools import chain, product
 from pathlib import Path
 
@@ -28,7 +31,8 @@ from powersemi import (FAMILY_MAX, MAX_ORDER, POWER_CAP_MAX, AmbientMismatch,
                        submasks, witness_noncancellative)
 from powersemi import zoo
 
-from oracles import mask_product, semigroup_state, tuple_fingerprint
+from oracles import (downward_completeness_bruteforce, mask_product,
+                     semigroup_state, tuple_fingerprint)
 
 
 def int_set_product(rows, xs, ys):
@@ -337,6 +341,37 @@ def test_completeness_certificate_names_the_failure():
     assert downward_completeness(SubsetFamily(zoo.cyclic_group(2), [1, 2, 3])).ok
 
 
+def assert_same_certificate(family):
+    # repr also tells a numpy integer in the witness from an int.
+    assert repr(downward_completeness(family)) \
+        == repr(downward_completeness_bruteforce(family))
+
+
+def test_downward_completeness_matches_the_full_submask_oracle(catalog):
+    # Every family over every carrier of order <= 3: 127 at order 3.
+    for n in (1, 2, 3):
+        for entry in catalog[n]:
+            for chosen in range(1, 2 ** (2 ** n - 1)):
+                assert_same_certificate(SubsetFamily(entry.semigroup, [
+                    m for m in range(1, 1 << n) if chosen >> (m - 1) & 1]))
+    # Seeded families at orders 4 and 5: closures, closures less one
+    # member, and closures plus one random mask.
+    rng = random.Random(28)
+    for n in (4, 5):
+        failed = Counter()
+        for entry in rng.sample(enumerate_semigroups(n), 40):
+            sgr = entry.semigroup
+            closed = downward_complete_closure(
+                sgr, random_masks(rng, n, rng.randint(0, 2))).masks
+            dropped = rng.choice(closed)
+            for masks in (closed, [m for m in closed if m != dropped],
+                          closed + random_masks(rng, n, 1)):
+                family = SubsetFamily(sgr, masks)
+                assert_same_certificate(family)
+                failed[downward_completeness(family).failed] += 1
+        assert set(failed) == {None, "closure", "coverage", "subsets"}
+
+
 def test_closure_of_full_mask_on_z2():
     z2 = zoo.cyclic_group(2)
     fam = downward_complete_closure(z2, [0b11])
@@ -400,6 +435,46 @@ def test_family_index_is_each_members_position():
             fam.index(outside)
     with pytest.raises(IndexOutOfRange, match="not an integer"):
         fam.index(True)
+
+
+INDEXED = SubsetFamily(Z3, [1, 2, 3, 4])
+
+# What SubsetFamily.index returns or raises for each kind of input, on
+# INDEXED: a position, or an error and its message. Membership is True
+# for a position, raises AmbientMismatch as index does, else is False.
+INDEX_INPUTS = {
+    "bool": (True, IndexOutOfRange, "mask True is not an integer"),
+    "float": (1.0, IndexOutOfRange, "mask 1.0 is not an integer"),
+    "string": ("3", IndexOutOfRange, "mask '3' is not an integer"),
+    "numpy_int64": (np.int64(3), 2, None),
+    "numpy_uint8": (np.uint8(4), 3, None),
+    "beyond_64_bits": (1 << 70, IndexOutOfRange,
+                       f"mask {1 << 70} is not a non-empty subset of a "
+                       "carrier of order 3"),
+    "negative": (-1, IndexOutOfRange, "mask -1 is not a non-empty subset"),
+    "empty": (0, IndexOutOfRange, "mask 0 is not a non-empty subset"),
+    "non_member": (5, IndexOutOfRange, "mask 5 is not a member"),
+    "foreign_ambient": (SubsetElement(zoo.cyclic_group(2), 3),
+                        AmbientMismatch,
+                        "subset lives over a different ambient"),
+    "equal_ambient": (SubsetElement(FiniteSemigroup(Z3.rows), 3), 2, None),
+}
+
+
+@pytest.mark.parametrize("x,expected,message", INDEX_INPUTS.values(),
+                         ids=INDEX_INPUTS)
+def test_family_index_and_membership_of_each_kind_of_input(x, expected,
+                                                           message):
+    if not isinstance(expected, type):
+        assert INDEXED.index(x) == expected and x in INDEXED
+        return
+    with pytest.raises(expected, match=f"^{re.escape(message)}"):
+        INDEXED.index(x)
+    if expected is AmbientMismatch:
+        with pytest.raises(AmbientMismatch):
+            x in INDEXED
+    else:
+        assert x not in INDEXED
 
 
 def one_at_a_time_power(carrier):
@@ -685,6 +760,7 @@ def test_family_products_match_mask_product_on_catalog(catalog):
             xs = random_masks(rng, sgr.order, rng.randint(1, 9))
             ys = random_masks(rng, sgr.order, rng.randint(1, 9))
             assert_products_match_mask_product(sgr, xs, ys)
+            assert_products_match_mask_product(sgr, xs, xs)
 
 
 @pytest.mark.parametrize("sgr", [zoo.null_semigroup(64), zoo.left_zero(64)],
@@ -695,6 +771,24 @@ def test_family_products_use_bit_63(sgr):
     xs = [top, top | 1, (1 << 64) - 1] + random_masks(rng, 64, 5)
     ys = [1, top, top | 6] + random_masks(rng, 64, 4)
     assert_products_match_mask_product(sgr, xs, ys)
+
+
+def test_family_products_keep_scratch_within_one_mib():
+    # The full family of an order-11 carrier at the ceiling: an
+    # (n, kx, ky) temporary would be 11 times the result's 33.5 MB.
+    sgr = zoo.cyclic_group(11)
+    masks = list(range(1, FAMILY_MAX + 1))
+    for ys in (masks, list(masks)):
+        tracemalloc.start()
+        try:
+            products = family_products(sgr, masks, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert products.shape == (FAMILY_MAX, FAMILY_MAX)
+        assert peak < products.nbytes + (1 << 20)
+        assert products[3, 5] == mask_product(sgr, 4, 6)
+        del products
 
 
 def scalar_closure_witness(family):
