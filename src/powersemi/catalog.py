@@ -15,9 +15,9 @@ from .cancellation import (cancellative_elements_bruteforce,
                            singleton_cancellative_elements)
 from .errors import OrderUnsupported, PreconditionViolated, TheoremViolation
 from .morphisms import find_isomorphism
-from .power import (build_power_semigroup, build_power_semigroups,
-                    congruence_family, downward_complete_closure,
-                    full_family, power_fingerprints)
+from .power import (build_power_semigroups, congruence_family,
+                    downward_complete_closure, full_family,
+                    power_fingerprints)
 from .semigroups import (FiniteSemigroup, IsoFingerprint, _check_at_least,
                          _integer, _semigroups_from_stack, _validate,
                          all_congruences, fingerprints)
@@ -33,7 +33,7 @@ class CatalogEntry:
 
     The fingerprint of its power semigroup is cached, computed on first
     use or filled in by global_iso_probe; the power semigroup itself is
-    built on demand and not kept.
+    not kept (build_power_semigroup(entry.semigroup) builds it).
     """
 
     semigroup: FiniteSemigroup
@@ -41,9 +41,6 @@ class CatalogEntry:
     fingerprint: IsoFingerprint
     _power_fingerprint: IsoFingerprint | None = field(
         default=None, init=False, repr=False, compare=False)
-
-    def power_semigroup(self):
-        return build_power_semigroup(self.semigroup)
 
     def power_fingerprint(self):
         if self._power_fingerprint is None:

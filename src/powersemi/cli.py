@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import traceback
-
-import numpy as np
 
 from . import catalog as _catalog
 from . import freewords as _freewords
@@ -390,50 +387,39 @@ def build_parser():
     return parser
 
 
-# A JSON string in the encoder's output, escapes included.
-_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
-
-
 def _indented_json(obj):
-    """json.dumps(obj, indent=2), byte for byte, from the compact output
-    of the C encoder, which json.dumps skips when given an indent.
+    """json.dumps(obj, indent=2), byte for byte, without the pure-Python
+    encoder that json.dumps uses when given an indent: the C encoder
+    writes every key and scalar, and containers are laid out here, one
+    item per line. A list of exact ints (a bool prints as true) is joined
+    from str, which is what the encoder writes for an int. Each list of
+    items lives only inside its join, so the peak stays near twice the
+    text."""
 
-    The text is ASCII (ensure_ascii). Outside strings, a newline and two
-    spaces per open container go after each comma and each opening
-    bracket of a non-empty container, and before the closing bracket of
-    one, indented one level less; a space goes after each colon.
-    """
-    compact = json.dumps(obj, separators=(",", ":"))
-    text = np.frombuffer(compact.encode("ascii"), dtype=np.uint8)
-    inside = np.zeros(len(text) + 1, dtype=np.int8)
-    for match in _JSON_STRING.finditer(compact):
-        inside[match.start()] += 1
-        inside[match.end()] -= 1
-    code = np.where(np.cumsum(inside[:-1], dtype=np.int8) == 0, text, 0)
-    opens = (code == ord("[")) | (code == ord("{"))
-    closes = (code == ord("]")) | (code == ord("}"))
-    depth = np.cumsum(opens.view(np.int8) - closes.view(np.int8),
-                      dtype=np.int32)
-    # What goes before character i comes from characters i - 1 and i.
-    newline = (code[:-1] == ord(",")) | (opens[:-1] != closes[1:])
-    lengths = np.zeros(len(text), dtype=np.int32)
-    lengths[1:] = (newline * (2 * (depth[:-1] - closes[1:]) + 1)
-                   + (code[:-1] == ord(":")))
-    lead = np.full(len(text), ord(" "), dtype=np.uint8)
-    lead[1:][newline] = ord("\n")
-    # positions[i] is where character i lands, after what goes before it.
-    positions = np.cumsum(lengths + 1, dtype=np.int64)
-    out = np.full(positions[-1], ord(" "), dtype=np.uint8)
-    positions -= lengths + 1
-    out[positions] = lead
-    positions += lengths
-    out[positions] = text
-    return out.tobytes().decode("ascii")
+    def layout(value, pad):
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(value, dict) and value:
+            # The encoder's text of the key: quoted, as json quotes an int,
+            # float, bool or None key, and a TypeError for any other type.
+            body = sep.join([json.dumps({key: 0})[1:-4] + ": "
+                             + layout(item, inner)
+                             for key, item in value.items()])
+            return f"{{\n{inner}{body}\n{pad}}}"
+        if isinstance(value, (list, tuple)) and value:
+            if all(type(item) is int for item in value):
+                body = sep.join(map(str, value))
+            else:
+                body = sep.join([layout(item, inner) for item in value])
+            return f"[\n{inner}{body}\n{pad}]"
+        return json.dumps(value)
+
+    return layout(obj, "")
 
 
 def _emit(report, args):
     text = _indented_json({"schema_version": SCHEMA_VERSION, **report}) + "\n"
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:

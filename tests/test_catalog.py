@@ -214,7 +214,7 @@ def test_catalog_and_power_tables_are_read_only_uint8(catalog):
     for entries in catalog.values():
         for entry in entries:
             for table in (entry.semigroup.table,
-                          entry.power_semigroup().table):
+                          build_power_semigroup(entry.semigroup).table):
                 assert table.dtype == np.uint8
                 assert not table.flags.writeable
 

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -20,7 +21,7 @@ from powersemi import (AmbientMismatch, IndexOutOfRange, NonAssociative,
                        witness_noncancellative)
 from powersemi import cli as cli_module
 from powersemi import zoo
-from powersemi.cli import build_parser, run
+from powersemi.cli import _indented_json, build_parser, run
 
 Z2 = "2\n0 1\n1 0\n"
 Z3 = "3\n0 1 2\n1 2 0\n2 0 1\n"
@@ -589,6 +590,16 @@ def test_out_path_with_a_nul_byte_is_a_usage_error(tables, capsys):
     assert error["message"].startswith("cannot write report to a\0b.json: ")
 
 
+def test_empty_out_path_is_a_usage_error(tables, capsys):
+    code = run(["validate", "--table", tables["z2"], "--out", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "UsageError"
+    assert error["message"].startswith("cannot write report to : ")
+    assert captured.err == f"error: {error['message']}\n"
+
+
 def test_theorem_violation_exits_1_with_json_error(monkeypatch, capsys):
     def violate(*args, **kwargs):
         raise TheoremViolation("probe map fails re-verification")
@@ -900,20 +911,39 @@ def test_random_argv_keeps_the_exit_code_contract(fuzz_paths, data):
 
 
 REPORT_LEAVES = (st.integers(min_value=-2**70, max_value=2**70)
-                 | st.booleans() | st.none()
+                 | st.floats() | st.booleans() | st.none()
                  | st.text(alphabet=st.sampled_from('ab,:[]{}"\\\n é☃'))
                  | st.text())
+# json writes an int, float, bool or None key as a quoted string.
+REPORT_KEYS = (st.text(max_size=4) | st.integers(min_value=-2**70,
+                                                 max_value=2**70)
+               | st.floats() | st.booleans() | st.none())
 REPORTS = st.recursive(
     REPORT_LEAVES,
     lambda children: (st.lists(children, max_size=5)
-                      | st.dictionaries(st.text(max_size=4), children,
-                                        max_size=5)),
+                      | st.dictionaries(REPORT_KEYS, children, max_size=5)),
     max_leaves=40)
 
 
 @settings(max_examples=200, deadline=None)
 @given(report=REPORTS)
 def test_indented_json_equals_the_python_encoder(report):
-    # Nested dicts and lists of ints, bools, None and strings, empty
-    # containers included, and strings full of JSON punctuation.
+    # Nested dicts and lists of ints, floats (NaN and infinities too),
+    # bools, None and strings, empty containers included, strings full of
+    # JSON punctuation, and keys of every type json converts.
     assert cli_module._indented_json(report) == json.dumps(report, indent=2)
+
+
+def test_indented_json_peaks_under_three_times_its_text(capsys):
+    # The 0.88 MB report of the 3,492 labeled order-4 tables; the writer
+    # imported at collection, not the checked one the fixture installs.
+    assert run(["enumerate", "--order", "4", "--labeled"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    tracemalloc.start()
+    try:
+        text = _indented_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(report, indent=2)
+    assert peak < 3 * len(text)
