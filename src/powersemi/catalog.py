@@ -18,9 +18,9 @@ from .morphisms import find_isomorphism
 from .power import (build_power_semigroups, congruence_family,
                     downward_complete_closure, full_family,
                     power_fingerprints)
-from .semigroups import (FiniteSemigroup, IsoFingerprint, _check_at_least,
-                         _integer, _semigroups_from_stack, _validate,
-                         all_congruences, fingerprints)
+from .semigroups import (FiniteSemigroup, IsoFingerprint, _cache_profiles,
+                         _check_at_least, _integer, _semigroups_from_stack,
+                         _validate, all_congruences, fingerprints)
 
 ENUM_MAX = 5
 # canonical_tables refuses larger orders before it builds the n! relabelings.
@@ -225,8 +225,8 @@ def global_iso_probe(n, entries=None, timer=time.perf_counter):
     power_fingerprints, which keeps no power table, and are cached there.
     Power tables are built, by build_power_semigroups, only for the
     entries that share a fingerprint with another (10 of 1,915 at order
-    5), and only those pairs are searched. Given entries must all have
-    order n.
+    5), their profiles cached from one _profile_rows stack, and only
+    those pairs are searched. Given entries must all have order n.
     """
     start = timer()
     if entries is None:
@@ -240,8 +240,9 @@ def global_iso_probe(n, entries=None, timer=time.perf_counter):
         entry._power_fingerprint = fp
     pairs = _same_fingerprint_pairs([e._power_fingerprint for e in entries])
     survivors = sorted({i for pair in pairs for i in pair})
-    powers = dict(zip(survivors, build_power_semigroups(
-        entries[i].semigroup for i in survivors)))
+    built = build_power_semigroups(entries[i].semigroup for i in survivors)
+    _cache_profiles(built)
+    powers = dict(zip(survivors, built))
     total_pairs = len(entries) * (len(entries) - 1) // 2
     searched = [(i, j, find_isomorphism(powers[i], powers[j]))
                 for i, j in pairs]

@@ -7,10 +7,12 @@ masks in ascending order, so element k corresponds to mask k + 1.
 Products come from two kernels. `family_products` multiplies listed
 masks in uint64, for any carrier order up to 64; `setwise_product` is it
 on one pair, and a `SubsetFamily` keeps its members' product matrix.
-`_proved_power_stacks` multiplies all masks of a stack of carriers by
-subset doubling in uint8, one byte per product, and proves each table
-by the setwise product's recurrence; `build_power_semigroups` keeps
-those tables, `power_fingerprints` only their fingerprints.
+`_proved_power_stacks` multiplies all masks of a stack of carriers,
+the empty one included, by subset doubling in uint8, one byte per
+product, and proves each table by the setwise product's recurrence:
+P(S) with the empty set adjoined as a zero. `build_power_semigroups`
+keeps those tables without the empty set; `power_fingerprints` profiles
+them as they are and keeps only the fingerprints.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import numpy as np
 from .errors import (AmbientMismatch, IndexOutOfRange, OrderCapExceeded,
                      PreconditionViolated, TheoremViolation)
 from .semigroups import (_BATCH_CELLS, MAX_ORDER, FiniteSemigroup,
-                         IsoFingerprint, _integer, _semigroups_from_stack,
-                         _sorted_profiles, _table_stacks)
+                         IsoFingerprint, _integer, _profile_rows,
+                         _semigroups_from_stack, _sorted_profiles,
+                         _table_stacks)
 
 # Full materialization of the power semigroup is allowed for carriers up
 # to this order: the power table of an order-n carrier is a FiniteSemigroup
@@ -242,12 +245,14 @@ def build_power_semigroup(semigroup):
 
 def build_power_semigroups(semigroups):
     """build_power_semigroup of each carrier, in the order given: the
-    tables of _proved_power_stacks as read-only FiniteSemigroup views."""
+    tables of _proved_power_stacks with the empty set's row and column
+    cut off and the masks renumbered, mask i + 1 as element i, as
+    read-only FiniteSemigroup views."""
     semigroups = list(semigroups)
     powers = [None] * len(semigroups)
-    for positions, carriers, tables in _proved_power_stacks(semigroups):
+    for positions, carriers, products in _proved_power_stacks(semigroups):
         for p, power in zip(positions, _semigroups_from_stack(
-                tables, [c.commutative for c in carriers],
+                products[:, 1:, 1:] - 1, [c.commutative for c in carriers],
                 [None if c.identity is None else (1 << c.identity) - 1
                  for c in carriers])):
             powers[p] = power
@@ -256,29 +261,41 @@ def build_power_semigroups(semigroups):
 
 def power_fingerprints(semigroups):
     """fingerprint(build_power_semigroup(S)) for each carrier S, in the
-    order given, from the sorted profile rows of the proved tables of
-    _proved_power_stacks; no table outlives its stack. P(S) has an
-    identity iff S has, as build_power_semigroup says."""
+    order given, read off the proved tables of _proved_power_stacks with
+    the empty set in place; no table outlives its stack. P(S) has an
+    identity iff S has, as build_power_semigroup says.
+
+    Such a table is P(S) with the empty set adjoined as a zero, so
+    _profile_rows gives the empty set the row (1, 1, 1, 1, 1, 2**n) and
+    every set X its row in P(S) plus (0, 0, 0, 1, 1, 1): X * {} = {} =
+    {} * X is one more distinct entry in X's row and in its column, and
+    one more element that commutes with X. That row is dropped and the
+    share subtracted before the keys are sorted.
+    """
     semigroups = list(semigroups)
     found = [None] * len(semigroups)
-    for positions, carriers, tables in _proved_power_stacks(semigroups):
+    for positions, carriers, products in _proved_power_stacks(semigroups):
+        keys = _profile_rows(products)[:, 1:]
+        keys[:, :, 3:6] -= 1
         for p, carrier, profiles in zip(positions, carriers,
-                                        _sorted_profiles(tables)):
+                                        _sorted_profiles(keys)):
             found[p] = IsoFingerprint(carrier.identity is not None, profiles)
     return found
 
 
 def _proved_power_stacks(semigroups):
     """Yield the positions of the carriers of one stack in the list, the
-    carriers, and their power tables as one (k, m, m) uint8 array, m =
-    2**n - 1, element i the mask i + 1.
+    carriers, and their products as one (k, 2**n, 2**n) uint8 array, the
+    entry at (t, X, Y) the mask of X * Y: the table of P(S) with the
+    empty set, mask 0, adjoined as a zero, its elements numbered by
+    their masks.
 
-    Carriers of one order n are multiplied over all masks, the empty
-    set's 0 as padding, by _power_products, _BATCH_CELLS // 4**n tables
-    a stack (64 at order 5). With h the lowest element of a set of two
-    or more, each table P must have P[{i}, {j}] = {i*j}, P[{i}, Y] =
-    P[{i}, Y - {h}] | P[{i}, {h}] and P[X, Y] = P[X - {h}, Y] | P[{h}, Y],
-    else TheoremViolation. By induction on |Y|, then on |X|, P is the
+    Carriers of one order n are multiplied over all masks by
+    _power_products, _BATCH_CELLS // 4**n tables a stack (64 at order
+    5). With h the lowest element of a set of two or more, each table P
+    must have P[{i}, {j}] = {i*j}, P[{i}, Y] = P[{i}, Y - {h}] |
+    P[{i}, {h}] and P[X, Y] = P[X - {h}, Y] | P[{h}, Y], else
+    TheoremViolation. By induction on |Y|, then on |X|, P is the
     setwise product over S; the build adds highest elements, so the check
     does not replay it.
     """
@@ -294,11 +311,10 @@ def _proved_power_stacks(semigroups):
         rows = products[:, singles]
         if not ((rows[:, :, singles] == images).all()
                 and (rows == rows[:, :, masks - lows] | rows[:, :, lows]).all()
-                and (products == products[:, masks - lows]
-                     | products[:, lows]).all()):
+                and (products == np.take(products, masks - lows, axis=1)
+                     | np.take(products, lows, axis=1)).all()):
             raise TheoremViolation("a power table is not the setwise product")
-        yield (positions, [semigroups[p] for p in positions],
-               products[:, 1:, 1:] - 1)
+        yield positions, [semigroups[p] for p in positions], products
 
 
 @dataclass(frozen=True)

@@ -30,15 +30,15 @@ CONGRUENCE_MAX = 10
 # Batched table work keeps its temporaries within about 15 * _BATCH_CELLS
 # bytes however many tables a caller passes (tracemalloc peaks below).
 # _profile_rows keeps n-bit sets in the narrowest word that holds them, so
-# it peaks at about 10 bytes per table cell on a stack of 68 order-31
-# power tables (32-bit sets) and 14 on order-63 ones (64-bit sets), and
-# fingerprints, which sorts its rows, at about the same; it profiles
-# _BATCH_CELLS cells at a time (chunks eight times larger ran no faster
-# and left the process's peak RSS about 5 MB higher).
+# fingerprints, which profiles _BATCH_CELLS cells at a time and sorts the
+# rows, peaks at 10.1 bytes per table cell on a stack of 68 order-31
+# power tables (32-bit sets) and 13.7 on 16 order-63 ones (64-bit sets)
+# (chunks eight times larger ran no faster and left the process's peak
+# RSS about 5 MB higher).
 # _proved_power_stacks stacks _BATCH_CELLS one-byte masks of its 2**n by
 # 2**n products, so build_power_semigroups peaks at 4.3 bytes per product
-# cell and power_fingerprints, which also profiles the tables, at 11.7
-# (n = 5) and 15 (n = 6).
+# cell (n = 5) and 4.2 (n = 6), and power_fingerprints, which profiles
+# the stack itself, at 10.3 (n = 5) and 13.8 (n = 6).
 _BATCH_CELLS = 1 << 16
 
 
@@ -228,7 +228,7 @@ def _table_stacks(semigroups, per_stack):
         size = per_stack(n)
         for start in range(0, len(positions), size):
             chunk = positions[start:start + size]
-            yield chunk, np.stack([semigroups[p].table for p in chunk])
+            yield chunk, np.array([semigroups[p].table for p in chunk])
 
 
 class IsoFingerprint(NamedTuple):
@@ -275,21 +275,37 @@ def fingerprints(semigroups):
     pending = [s for s in semigroups if s._fingerprint is None]
     for positions, tables in _table_stacks(
             pending, lambda n: max(1, _BATCH_CELLS // (n * n))):
-        for p, profiles in zip(positions, _sorted_profiles(tables)):
+        for p, profiles in zip(positions,
+                               _sorted_profiles(_profile_rows(tables))):
             semigroup = pending[p]
             semigroup._fingerprint = IsoFingerprint(
                 semigroup.identity is not None, profiles)
     return [fingerprint(semigroup) for semigroup in semigroups]
 
 
-def _sorted_profiles(tables):
-    """The profiles field of the fingerprint of each table of a (k, n, n)
-    uint8 stack: its six-byte _profile_rows, sorted, as bytes."""
-    rows = np.zeros(tables.shape[:2] + (8,), dtype=np.uint8)
-    rows[:, :, :6] = _profile_rows(tables)
+def _cache_profiles(semigroups):
+    """Cache on each semigroup of a list the profiles that its profiles
+    property would compute, element types included, from the rows of
+    _profile_rows on stacks of up to _BATCH_CELLS table cells."""
+    for positions, tables in _table_stacks(
+            semigroups, lambda n: max(1, _BATCH_CELLS // (n * n))):
+        for p, rows in zip(positions,
+                           _profile_rows(tables)[:, :, :6].tolist()):
+            semigroups[p]._profiles = tuple((row[0] == 1, *row[1:])
+                                            for row in rows)
+
+
+def _sorted_profiles(keys):
+    """The profiles field of a fingerprint per table, from the (k, m, 8)
+    sort keys of its elements as _profile_rows lays them out: each
+    table's keys sorted in place, their six-byte rows as bytes. One
+    tobytes call copies the stack's rows, sliced per table."""
     # As zero-padded big-endian keys the rows sort as six-byte strings.
-    rows.view(">u8")[..., 0].sort(axis=1)
-    return [sorted_rows.tobytes() for sorted_rows in rows[:, :, :6]]
+    keys.view(">u8")[..., 0].sort(axis=1)
+    k, m, _ = keys.shape
+    data = keys[:, :, :6].tobytes()
+    step = 6 * m
+    return [data[start:start + step] for start in range(0, k * step, step)]
 
 
 def describe_fingerprint_mismatch(fp_a, fp_b):
@@ -309,47 +325,62 @@ def describe_fingerprint_mismatch(fp_a, fp_b):
 
 
 def _profile_rows(t):
-    """The profile columns of every table of a (k, n, n) stack of uint8
-    tables, as a (k, n, 6) integer array (idempotency as 0/1).
+    """The profiles of every element of every table of a (k, n, n) stack
+    of uint8 tables, as (k, n, 8) uint8 sort keys: the six profile
+    columns (idempotency as 0/1), then two zero bytes, so that a key read
+    as a big-endian uint64 orders as its six profile bytes do.
 
     The powers a, a**2, ... of every element come one at a time, a**(m+1)
-    = a**m * a, by one gather for the whole stack, and each element keeps
-    the set of its powers so far as an n-bit word, in the narrowest
-    unsigned dtype that holds n bits (uint8 up to 8 elements, ..., uint64
-    up to MAX_ORDER). Once no element gains a power, every cyclic
-    subsemigroup is complete: its size s = index + period - 1 is the
-    set's popcount, a**(s+1) = a**index, and index is the least m with
-    a**m = a**(s+1). The rows and columns are n-bit sets too, and their
-    popcounts count distinct entries.
+    = a * a**m, by one gather along the rows of the whole stack, and each
+    element keeps the set of its powers so far as an n-bit word, in the
+    narrowest unsigned dtype that holds n bits (uint8 up to 8 elements,
+    ..., uint64 up to MAX_ORDER). Once no element gains a power, every
+    cyclic subsemigroup is complete: its size s = index + period - 1 is
+    the set's popcount, a**(s+1) = a**index, and index is the least m
+    with a**m = a**(s+1). The other columns reduce over the first axis of
+    two element-major copies of the stack, rows[a, i, x] = columns[x, i,
+    a] = a*x in table i: the entries of each row and column as n-bit
+    sets, whose popcounts count distinct entries, and rows == columns,
+    which marks the pairs that commute.
     """
     k, n, _ = t.shape
     word = next(dtype for dtype in (np.uint8, np.uint16, np.uint32, np.uint64)
                 if n <= np.iinfo(dtype).bits)
-    columns = np.ascontiguousarray(t.transpose(0, 2, 1))
-    flat_columns = columns.reshape(-1)
-    elements = np.arange(n, dtype=np.intp)
-    base = (np.arange(0, k * n * n, n * n, dtype=np.intp)[:, None]
-            + elements * n)
     one = word(1)
+    flat = t.reshape(-1)
+    elements = np.arange(n, dtype=np.intp)
+    row_starts = (np.arange(0, k * n * n, n * n, dtype=np.intp)[:, None]
+                  + elements * n)
     powers = np.empty((n + 1, k, n), dtype=np.uint8)
     current = powers[0] = elements
     seen = np.left_shift(one, powers[0], dtype=word)
     for m in range(1, n + 1):
-        current = powers[m] = flat_columns[base + current]
+        current = powers[m] = flat[row_starts + current]
         bits = np.left_shift(one, current, dtype=word)
         if (seen & bits).all():
             break
         seen |= bits
-    size = np.bitwise_count(seen).astype(np.intp)
-    cycle_start = np.take_along_axis(powers, size[None], axis=0)
-    index = (powers[:m] == cycle_start).argmax(axis=0) + 1
-    sets = np.left_shift(one, t, dtype=word)
-    return np.stack([t[:, elements, elements] == elements,
-                     index,
-                     size - index + 1,
-                     np.bitwise_count(np.bitwise_or.reduce(sets, axis=2)),
-                     np.bitwise_count(np.bitwise_or.reduce(sets, axis=1)),
-                     (t == columns).sum(axis=2)], axis=2)
+    keys = np.zeros((k, n, 8), dtype=np.uint8)
+    idempotent, index, period, row_sizes, column_sizes, commuting = \
+        keys.transpose(2, 0, 1)[:6]
+    np.equal(powers[1], powers[0], out=idempotent)
+    size = np.bitwise_count(seen)
+    cycle_start = np.take_along_axis(powers, size[None].astype(np.intp), 0)
+    # With weights m, ..., 1 on a, ..., a**m, the heaviest power equal
+    # to a**(s+1) is a**index, of weight m + 1 - index.
+    weights = np.arange(m, 0, -1, dtype=np.uint8)[:, None, None]
+    np.subtract(m + 1, np.maximum.reduce(
+        (powers[:m] == cycle_start) * weights, axis=0), out=index)
+    np.subtract(size + 1, index, out=period)
+    rows = np.ascontiguousarray(t.transpose(1, 0, 2))
+    columns = np.ascontiguousarray(t.transpose(2, 0, 1))
+    sets = np.left_shift(one, columns, dtype=word)
+    np.bitwise_count(np.bitwise_or.reduce(sets, axis=0), out=row_sizes)
+    np.left_shift(one, rows, out=sets)
+    np.bitwise_count(np.bitwise_or.reduce(sets, axis=0), out=column_sizes)
+    commuting[...] = np.add.reduce((rows == columns).view(np.uint8), axis=0,
+                                   dtype=np.uint8)
+    return keys
 
 
 class Congruence:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import powersemi.catalog as catalog_module
+import powersemi.semigroups as semigroups_module
 from powersemi import (CatalogEntry, FiniteSemigroup, OrderUnsupported,
                        PreconditionViolated, TheoremViolation,
                        associative_tables, build_power_semigroup,
@@ -361,6 +362,43 @@ def test_probe_builds_no_rows_for_pruned_power_tables(monkeypatch):
         assert [e.power_fingerprint() for e in entries] == want
         assert len(built) == survivors
         monkeypatch.undo()
+
+
+def test_probe_caches_survivor_profiles_from_the_kernel(monkeypatch):
+    # The 10 order-5 power tables the probe rebuilds get their profiles
+    # from one _profile_rows stack: the scalar loop of the profiles
+    # property never runs, and the cached rows equal the loop's on fresh
+    # copies, element types included.
+    entries = [CatalogEntry(e.semigroup, e.canonical_id, e.fingerprint)
+               for e in enumerate_semigroups(5)]
+    built, stacks = [], []
+
+    def recording(semigroups):
+        powers = build_power_semigroups(semigroups)
+        built.extend(powers)
+        return powers
+
+    def counting(tables):
+        stacks.append(tables.shape)
+        return kernel(tables)
+
+    def cached_only(semigroup):
+        assert semigroup._profiles is not None, "the scalar loop ran"
+        return semigroup._profiles
+
+    kernel = semigroups_module._profile_rows
+    monkeypatch.setattr(catalog_module, "build_power_semigroups", recording)
+    monkeypatch.setattr(semigroups_module, "_profile_rows", counting)
+    monkeypatch.setattr(FiniteSemigroup, "profiles", property(cached_only))
+    report = global_iso_probe(5, entries=entries)
+    monkeypatch.undo()
+    assert report["counterexamples"] == [] and len(built) == 10
+    assert stacks == [(10, 31, 31)]
+    for power in built:
+        loop = FiniteSemigroup(power.rows).profiles
+        assert power._profiles == loop
+        assert {tuple(map(type, row)) for row in power._profiles} == \
+            {(bool, int, int, int, int, int)}
 
 
 def test_power_cache_is_not_a_constructor_argument():

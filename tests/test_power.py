@@ -524,6 +524,51 @@ def test_order_6_power_tables_fill_the_byte_masks():
     assert max(int(p.table.max()) for p in powers) == 62
 
 
+def padded_power_tables(carriers):
+    """Per carrier, the proved table of _proved_power_stacks: P(S) with
+    the empty set adjoined as a zero, its elements numbered by masks."""
+    found = [None] * len(carriers)
+    for positions, _, products in power_module._proved_power_stacks(carriers):
+        for p, table in zip(positions, products):
+            found[p] = table
+    return found
+
+
+def test_profile_rows_of_the_padded_table_add_the_empty_sets_share():
+    # Every class of orders 1-5 and the order-6 zoo tables, so padded
+    # widths 2, 4, 8, 16, 32 and 64, one stack per order: _profile_rows
+    # gives the empty set (1, 1, 1, 1, 1, 2**n) and every other set its
+    # profile in P(S), by the scalar loop, plus (0, 0, 0, 1, 1, 1).
+    carriers = [e.semigroup for n in range(1, 6)
+                for e in enumerate_semigroups(n)]
+    carriers += [zoo.cyclic_group(6), zoo.null_semigroup(6),
+                 zoo.left_zero(6), zoo.right_zero(6), zoo.min_chain(6)]
+    padded = padded_power_tables(carriers)
+    powers = build_power_semigroups(carriers)
+    widths = []
+    for n in range(1, 7):
+        at = [p for p, c in enumerate(carriers) if c.order == n]
+        keys = semigroups_module._profile_rows(np.stack([padded[p]
+                                                         for p in at]))
+        widths.append(keys.shape[1])
+        assert not keys[:, :, 6:].any()
+        assert (keys[:, 0, :6] == (1, 1, 1, 1, 1, 1 << n)).all()
+        loop = np.array([FiniteSemigroup(powers[p].rows).profiles
+                         for p in at])
+        assert (keys[:, 1:, :6] == loop + (0, 0, 0, 1, 1, 1)).all()
+    assert widths == [2, 4, 8, 16, 32, 64]
+
+
+def test_power_fingerprints_of_the_order_5_catalog_are_pinned():
+    # sha256 of each fingerprint's identity byte and profile bytes, in
+    # catalog order; the order-6 step of CI pins the same at order 6.
+    fps = power_fingerprints(e.semigroup for e in enumerate_semigroups(5))
+    data = b"".join(bytes([fp.has_identity]) + fp.profiles for fp in fps)
+    assert len(fps) == 1915
+    assert hashlib.sha256(data).hexdigest() == \
+        "82b531fb38ca0775211b29be723a0400118894e3fb41528b7d87579b8378cbaa"
+
+
 @pytest.mark.parametrize("cells", [None, 1000], ids=["default", "small_stacks"])
 def test_power_fingerprints_equal_fingerprints_of_built_tables(monkeypatch,
                                                                cells):

@@ -356,7 +356,8 @@ def test_scalar_queries_match_scalar_scans(catalog):
     assert all(s._profiles is None for s in by_loop + by_batch)
     kernel = [None] * len(tables)
     for positions, stack in _table_stacks(by_batch, lambda n: len(tables)):
-        for p, rows in zip(positions, _profile_rows(stack).tolist()):
+        for p, rows in zip(positions,
+                           _profile_rows(stack)[:, :, :6].tolist()):
             kernel[p] = rows
     for rows, sgr, kernel_rows in zip(tables, by_loop, kernel, strict=True):
         want = scalar_element_queries(rows)
