@@ -95,8 +95,12 @@ def _mapping_search(source, target):
     n = source.order
     s_prof = source.profiles
     t_prof = target.profiles
-    candidates = {x: [y for y in range(n) if t_prof[y] == s_prof[x]]
-                  for x in range(n)}
+    # The ascending positions of each target profile, shared by the
+    # source elements of that profile.
+    positions = {}
+    for y, profile in enumerate(t_prof):
+        positions.setdefault(profile, []).append(y)
+    candidates = {x: positions.get(s_prof[x], []) for x in range(n)}
     order = sorted(range(n),
                    key=lambda x: (len(candidates[x]), s_prof[x], x))
     s_rows = source.rows

@@ -10,9 +10,13 @@ on one pair, and a `SubsetFamily` keeps its members' product matrix.
 `_proved_power_stacks` multiplies all masks of a stack of carriers,
 the empty one included, by subset doubling in uint8, one byte per
 product, and proves each table by the setwise product's recurrence:
-P(S) with the empty set adjoined as a zero. `build_power_semigroups`
-keeps those tables without the empty set; `power_fingerprints` profiles
-them as they are and keeps only the fingerprints.
+P(S) with the empty set adjoined as a zero. Its stacks are element-major
+from the carrier tables to the proof, products[X, t, Y] = X*Y in table
+t, as _table_stacks lays them out, so each doubling step and each proof
+gather moves whole contiguous blocks. `build_power_semigroups`
+transposes them once into the table-major tables without the empty set;
+`power_fingerprints` profiles them as they are and keeps only the
+fingerprints.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .errors import (AmbientMismatch, IndexOutOfRange, OrderCapExceeded,
 from .semigroups import (_BATCH_CELLS, MAX_ORDER, FiniteSemigroup,
                          IsoFingerprint, _integer, _profile_rows,
                          _semigroups_from_stack, _sorted_profiles,
-                         _table_stacks)
+                         _table_stacks, _word_buffer)
 
 # Full materialization of the power semigroup is allowed for carriers up
 # to this order: the power table of an order-n carrier is a FiniteSemigroup
@@ -129,20 +133,26 @@ def family_products(semigroup, xs, ys):
 
 
 def _power_products(images):
-    """The uint8 masks of X * Y at (t, X, Y), for all masks below 2**n,
-    from images[t, i, j] = 1 << i*j over a (k, n, n) stack of carrier
-    tables, n <= POWER_CAP_MAX. By subset doubling, 2n slice-ORs:
-    {i} * (Y + {j}) = {i} * Y | images[t, i, j] for Y below 2**j, then
-    (X + {i}) * Y = X * Y | {i} * Y for X below 2**i."""
-    k, n, _ = images.shape
-    singles = np.zeros((k, n, 1 << n), dtype=np.uint8)
+    """The uint8 masks of X * Y at (X, t, Y), for all masks below 2**n,
+    from images[i, t, j] = 1 << i*j over an element-major (n, k, n) stack
+    of carrier tables, n <= POWER_CAP_MAX. By subset doubling, 2n ORs of
+    whole blocks: {i} * (Y + {j}) = {i} * Y | images[i, t, j] for Y below
+    2**j, as (2**j, n, k) blocks of singles with the masks Y first, then
+    (X + {i}) * Y = X * Y | {i} * Y for X below 2**i, as (2**i, k, 2**n)
+    blocks of products ORed with the one contiguous (k, 2**n) row of
+    {i} * Y, from one transposed copy of the singles."""
+    n, k, _ = images.shape
+    singles = np.empty((1 << n, n, k), dtype=np.uint8)
+    singles[0] = 0
     for j in range(n):
-        np.bitwise_or(singles[:, :, :1 << j], images[:, :, j, None],
-                      out=singles[:, :, 1 << j:2 << j])
-    products = np.zeros((k, 1 << n, 1 << n), dtype=np.uint8)
+        np.bitwise_or(singles[:1 << j], images[:, :, j],
+                      out=singles[1 << j:2 << j])
+    singles = np.ascontiguousarray(singles.transpose(1, 2, 0))
+    products = np.empty((1 << n, k, 1 << n), dtype=np.uint8)
+    products[0] = 0
     for i in range(n):
-        np.bitwise_or(products[:, :1 << i], singles[:, i, None],
-                      out=products[:, 1 << i:2 << i])
+        np.bitwise_or(products[:1 << i], singles[i],
+                      out=products[1 << i:2 << i])
     return products
 
 
@@ -246,13 +256,17 @@ def build_power_semigroup(semigroup):
 def build_power_semigroups(semigroups):
     """build_power_semigroup of each carrier, in the order given: the
     tables of _proved_power_stacks with the empty set's row and column
-    cut off and the masks renumbered, mask i + 1 as element i, as
-    read-only FiniteSemigroup views."""
+    cut off and the masks renumbered, mask i + 1 as element i, written
+    by one subtraction into a table-major (k, m, m) stack whose tables
+    are the read-only FiniteSemigroup views."""
     semigroups = list(semigroups)
     powers = [None] * len(semigroups)
     for positions, carriers, products in _proved_power_stacks(semigroups):
+        m, k, _ = products[1:].shape
+        tables = np.empty((k, m, m), dtype=np.uint8)
+        np.subtract(products[1:, :, 1:].transpose(1, 0, 2), 1, out=tables)
         for p, power in zip(positions, _semigroups_from_stack(
-                products[:, 1:, 1:] - 1, [c.commutative for c in carriers],
+                tables, [c.commutative for c in carriers],
                 [None if c.identity is None else (1 << c.identity) - 1
                  for c in carriers])):
             powers[p] = power
@@ -270,13 +284,20 @@ def power_fingerprints(semigroups):
     every set X its row in P(S) plus (0, 0, 0, 1, 1, 1): X * {} = {} =
     {} * X is one more distinct entry in X's row and in its column, and
     one more element that commutes with X. That row is dropped and the
-    share subtracted before the keys are sorted.
+    share subtracted, one uint64 subtraction per big-endian key, before
+    the keys are sorted. One word buffer serves every stack.
     """
     semigroups = list(semigroups)
     found = [None] * len(semigroups)
+    buffer = None
     for positions, carriers, products in _proved_power_stacks(semigroups):
-        keys = _profile_rows(products)[:, 1:]
-        keys[:, :, 3:6] -= 1
+        buffer = _word_buffer(buffer, products)
+        keys = _profile_rows(products, buffer)[:, 1:]
+        # Bytes 3, 4 and 5 of each key, the row size, column size and
+        # commuting count, lose the empty set's 1 each. No borrow crosses
+        # a byte: each of them is at least 1 for a non-empty set of the
+        # padded table, which counts the empty set in all three.
+        keys.view(">u8")[..., 0] -= 0x0000000101010000
         for p, carrier, profiles in zip(positions, carriers,
                                         _sorted_profiles(keys)):
             found[p] = IsoFingerprint(carrier.identity is not None, profiles)
@@ -285,10 +306,10 @@ def power_fingerprints(semigroups):
 
 def _proved_power_stacks(semigroups):
     """Yield the positions of the carriers of one stack in the list, the
-    carriers, and their products as one (k, 2**n, 2**n) uint8 array, the
-    entry at (t, X, Y) the mask of X * Y: the table of P(S) with the
-    empty set, mask 0, adjoined as a zero, its elements numbered by
-    their masks.
+    carriers, and their products as one element-major (2**n, k, 2**n)
+    uint8 array, the entry at (X, t, Y) the mask of X * Y in table t:
+    the table of P(S) with the empty set, mask 0, adjoined as a zero,
+    its elements numbered by their masks.
 
     Carriers of one order n are multiplied over all masks by
     _power_products, _BATCH_CELLS // 4**n tables a stack (64 at order
@@ -297,7 +318,10 @@ def _proved_power_stacks(semigroups):
     P[{i}, {h}] and P[X, Y] = P[X - {h}, Y] | P[{h}, Y], else
     TheoremViolation. By induction on |Y|, then on |X|, P is the
     setwise product over S; the build adds highest elements, so the check
-    does not replay it.
+    does not replay it. Every gather takes whole blocks along a first
+    axis: the (k, 2**n) rows P[X - {h}] and P[{h}] of the stack, and the
+    entries P[{i}, Y - {h}] and P[{i}, {h}] of one Y-major copy of the
+    singletons' rows.
     """
     for semigroup in semigroups:
         _check_cap(semigroup.order)
@@ -305,14 +329,18 @@ def _proved_power_stacks(semigroups):
             semigroups, lambda n: max(1, _BATCH_CELLS // 4 ** n)):
         images = 1 << tables
         products = _power_products(images)
-        singles = 1 << np.arange(tables.shape[1])
+        singles = 1 << np.arange(tables.shape[0])
         masks = np.arange(2 * singles[-1])
         lows = masks & -masks
-        rows = products[:, singles]
-        if not ((rows[:, :, singles] == images).all()
-                and (rows == rows[:, :, masks - lows] | rows[:, :, lows]).all()
-                and (products == np.take(products, masks - lows, axis=1)
-                     | np.take(products, lows, axis=1)).all()):
+        # columns[Y, i, t] = {i} * Y, so that every gather takes blocks.
+        columns = np.ascontiguousarray(
+            np.take(products, singles, axis=0).transpose(2, 0, 1))
+        if not ((np.take(columns, singles, axis=0)
+                 == images.transpose(2, 0, 1)).all()
+                and (columns == np.take(columns, masks - lows, axis=0)
+                     | np.take(columns, lows, axis=0)).all()
+                and (products == np.take(products, masks - lows, axis=0)
+                     | np.take(products, lows, axis=0)).all()):
             raise TheoremViolation("a power table is not the setwise product")
         yield positions, [semigroups[p] for p in positions], products
 

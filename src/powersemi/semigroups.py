@@ -27,18 +27,19 @@ MAX_ORDER = 64
 _BATCH_FLAGS = 1 << 18
 CONGRUENCE_MAX = 10
 
-# Batched table work keeps its temporaries within about 15 * _BATCH_CELLS
+# Batched table work keeps its temporaries within about 13 * _BATCH_CELLS
 # bytes however many tables a caller passes (tracemalloc peaks below).
-# _profile_rows keeps n-bit sets in the narrowest word that holds them, so
+# _profile_rows keeps n-bit sets in the narrowest word that holds them,
+# in one buffer that each call reuses from stack to stack, so
 # fingerprints, which profiles _BATCH_CELLS cells at a time and sorts the
-# rows, peaks at 10.1 bytes per table cell on a stack of 68 order-31
-# power tables (32-bit sets) and 13.7 on 16 order-63 ones (64-bit sets)
+# rows, peaks at 9.1 bytes per table cell on a stack of 68 order-31
+# power tables (32-bit sets) and 12.7 on 16 order-63 ones (64-bit sets)
 # (chunks eight times larger ran no faster and left the process's peak
 # RSS about 5 MB higher).
 # _proved_power_stacks stacks _BATCH_CELLS one-byte masks of its 2**n by
 # 2**n products, so build_power_semigroups peaks at 4.3 bytes per product
 # cell (n = 5) and 4.2 (n = 6), and power_fingerprints, which profiles
-# the stack itself, at 10.3 (n = 5) and 13.8 (n = 6).
+# the stack itself, at 9.2 (n = 5) and 12.8 (n = 6).
 _BATCH_CELLS = 1 << 16
 
 
@@ -220,7 +221,9 @@ def _semigroups_from_stack(tables, commutative, identities):
 
 def _table_stacks(semigroups, per_stack):
     """Yield the positions of at most per_stack(n) semigroups of one order
-    n in a list, and their tables as one (k, n, n) array."""
+    n in a list, and their tables as one element-major (n, k, n) stack,
+    stack[a, t, x] = a*x in table t: the layout of every stack that the
+    batched kernels build, prove and profile."""
     by_order = {}
     for position, semigroup in enumerate(semigroups):
         by_order.setdefault(semigroup.order, []).append(position)
@@ -228,7 +231,10 @@ def _table_stacks(semigroups, per_stack):
         size = per_stack(n)
         for start in range(0, len(positions), size):
             chunk = positions[start:start + size]
-            yield chunk, np.array([semigroups[p].table for p in chunk])
+            # Row a of the concatenation is row a of each table in turn.
+            yield chunk, np.concatenate(
+                [semigroups[p].table for p in chunk], axis=1).reshape(
+                    n, len(chunk), n)
 
 
 class IsoFingerprint(NamedTuple):
@@ -273,10 +279,12 @@ def fingerprints(semigroups):
     stacks of up to _BATCH_CELLS table cells."""
     semigroups = list(semigroups)
     pending = [s for s in semigroups if s._fingerprint is None]
+    buffer = None
     for positions, tables in _table_stacks(
             pending, lambda n: max(1, _BATCH_CELLS // (n * n))):
-        for p, profiles in zip(positions,
-                               _sorted_profiles(_profile_rows(tables))):
+        buffer = _word_buffer(buffer, tables)
+        for p, profiles in zip(positions, _sorted_profiles(
+                _profile_rows(tables, buffer))):
             semigroup = pending[p]
             semigroup._fingerprint = IsoFingerprint(
                 semigroup.identity is not None, profiles)
@@ -287,10 +295,12 @@ def _cache_profiles(semigroups):
     """Cache on each semigroup of a list the profiles that its profiles
     property would compute, element types included, from the rows of
     _profile_rows on stacks of up to _BATCH_CELLS table cells."""
+    buffer = None
     for positions, tables in _table_stacks(
             semigroups, lambda n: max(1, _BATCH_CELLS // (n * n))):
+        buffer = _word_buffer(buffer, tables)
         for p, rows in zip(positions,
-                           _profile_rows(tables)[:, :, :6].tolist()):
+                           _profile_rows(tables, buffer)[:, :, :6].tolist()):
             semigroups[p]._profiles = tuple((row[0] == 1, *row[1:])
                                             for row in rows)
 
@@ -324,33 +334,52 @@ def describe_fingerprint_mismatch(fp_a, fp_b):
     return "per-element invariant multisets differ"
 
 
-def _profile_rows(t):
-    """The profiles of every element of every table of a (k, n, n) stack
-    of uint8 tables, as (k, n, 8) uint8 sort keys: the six profile
-    columns (idempotency as 0/1), then two zero bytes, so that a key read
-    as a big-endian uint64 orders as its six profile bytes do.
+def _word(n):
+    """The narrowest unsigned dtype that holds an n-bit set: uint8 up to
+    8 elements, ..., uint64 up to MAX_ORDER."""
+    return next(dtype for dtype in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if n <= np.iinfo(dtype).bits)
+
+
+def _word_buffer(buffer, t):
+    """buffer if it has a word at least as wide as _word(n) for every
+    cell of the (n, k, n) stack t, to hold one n-bit set each; else a
+    fresh buffer of exactly t.size words of _word(n). The callers of _profile_rows allocate it on
+    their first stack and regrow it only when a later stack needs a
+    larger shape or a wider word, so no buffer outlives a call."""
+    word = _word(t.shape[0])
+    if (buffer is None or buffer.size < t.size
+            or buffer.itemsize < np.dtype(word).itemsize):
+        buffer = np.empty(t.size, word)
+    return buffer
+
+
+def _profile_rows(t, buffer=None):
+    """The profiles of every element of every table of an element-major
+    (n, k, n) stack of uint8 tables, t[a, i, x] = a*x in table i, as (k,
+    n, 8) uint8 sort keys: the six profile columns (idempotency as 0/1),
+    then two zero bytes, so that a key read as a big-endian uint64 orders
+    as its six profile bytes do. The n-bit sets are shifted into buffer,
+    from _word_buffer, or into a fresh one.
 
     The powers a, a**2, ... of every element come one at a time, a**(m+1)
     = a * a**m, by one gather along the rows of the whole stack, and each
-    element keeps the set of its powers so far as an n-bit word, in the
-    narrowest unsigned dtype that holds n bits (uint8 up to 8 elements,
-    ..., uint64 up to MAX_ORDER). Once no element gains a power, every
-    cyclic subsemigroup is complete: its size s = index + period - 1 is
-    the set's popcount, a**(s+1) = a**index, and index is the least m
-    with a**m = a**(s+1). The other columns reduce over the first axis of
-    two element-major copies of the stack, rows[a, i, x] = columns[x, i,
-    a] = a*x in table i: the entries of each row and column as n-bit
-    sets, whose popcounts count distinct entries, and rows == columns,
-    which marks the pairs that commute.
+    element keeps the set of its powers so far as an n-bit word of
+    _word(n). Once no element gains a power, every cyclic subsemigroup is
+    complete: its size s = index + period - 1 is the set's popcount,
+    a**(s+1) = a**index, and index is the least m with a**m = a**(s+1).
+    The other columns reduce over the first axis of the stack itself and
+    of its one transposed copy, columns[x, i, a] = a*x: the entries of
+    each row and column as n-bit sets, whose popcounts count distinct
+    entries, and t == columns, which marks the pairs that commute.
     """
-    k, n, _ = t.shape
-    word = next(dtype for dtype in (np.uint8, np.uint16, np.uint32, np.uint64)
-                if n <= np.iinfo(dtype).bits)
+    n, k, _ = t.shape
+    word = _word(n)
     one = word(1)
     flat = t.reshape(-1)
     elements = np.arange(n, dtype=np.intp)
-    row_starts = (np.arange(0, k * n * n, n * n, dtype=np.intp)[:, None]
-                  + elements * n)
+    row_starts = (np.arange(0, k * n, n, dtype=np.intp)[:, None]
+                  + elements * (k * n))
     powers = np.empty((n + 1, k, n), dtype=np.uint8)
     current = powers[0] = elements
     seen = np.left_shift(one, powers[0], dtype=word)
@@ -365,20 +394,22 @@ def _profile_rows(t):
         keys.transpose(2, 0, 1)[:6]
     np.equal(powers[1], powers[0], out=idempotent)
     size = np.bitwise_count(seen)
-    cycle_start = np.take_along_axis(powers, size[None].astype(np.intp), 0)
+    # powers[size] = a**(s+1), gathered from the flat powers.
+    cycle_start = np.take(powers, size * np.intp(k * n)
+                          + np.arange(k * n, dtype=np.intp).reshape(k, n))
     # With weights m, ..., 1 on a, ..., a**m, the heaviest power equal
     # to a**(s+1) is a**index, of weight m + 1 - index.
     weights = np.arange(m, 0, -1, dtype=np.uint8)[:, None, None]
     np.subtract(m + 1, np.maximum.reduce(
         (powers[:m] == cycle_start) * weights, axis=0), out=index)
     np.subtract(size + 1, index, out=period)
-    rows = np.ascontiguousarray(t.transpose(1, 0, 2))
-    columns = np.ascontiguousarray(t.transpose(2, 0, 1))
-    sets = np.left_shift(one, columns, dtype=word)
+    columns = np.ascontiguousarray(t.transpose(2, 1, 0))
+    sets = _word_buffer(buffer, t).view(word)[:t.size].reshape(t.shape)
+    np.left_shift(one, columns, out=sets)
     np.bitwise_count(np.bitwise_or.reduce(sets, axis=0), out=row_sizes)
-    np.left_shift(one, rows, out=sets)
+    np.left_shift(one, t, out=sets)
     np.bitwise_count(np.bitwise_or.reduce(sets, axis=0), out=column_sizes)
-    commuting[...] = np.add.reduce((rows == columns).view(np.uint8), axis=0,
+    commuting[...] = np.add.reduce((t == columns).view(np.uint8), axis=0,
                                    dtype=np.uint8)
     return keys
 

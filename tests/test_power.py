@@ -529,7 +529,7 @@ def padded_power_tables(carriers):
     the empty set adjoined as a zero, its elements numbered by masks."""
     found = [None] * len(carriers)
     for positions, _, products in power_module._proved_power_stacks(carriers):
-        for p, table in zip(positions, products):
+        for p, table in zip(positions, products.transpose(1, 0, 2)):
             found[p] = table
     return found
 
@@ -548,8 +548,8 @@ def test_profile_rows_of_the_padded_table_add_the_empty_sets_share():
     widths = []
     for n in range(1, 7):
         at = [p for p, c in enumerate(carriers) if c.order == n]
-        keys = semigroups_module._profile_rows(np.stack([padded[p]
-                                                         for p in at]))
+        keys = semigroups_module._profile_rows(
+            np.stack([padded[p] for p in at], axis=1))
         widths.append(keys.shape[1])
         assert not keys[:, :, 6:].any()
         assert (keys[:, 0, :6] == (1, 1, 1, 1, 1, 1 << n)).all()
@@ -569,25 +569,36 @@ def test_power_fingerprints_of_the_order_5_catalog_are_pinned():
         "82b531fb38ca0775211b29be723a0400118894e3fb41528b7d87579b8378cbaa"
 
 
-@pytest.mark.parametrize("cells", [None, 1000], ids=["default", "small_stacks"])
+ORDER_6_ZOO = [zoo.cyclic_group(6), zoo.null_semigroup(6), zoo.left_zero(6),
+               zoo.right_zero(6), zoo.min_chain(6)]
+
+
+@pytest.mark.parametrize("case", ["default", "small_stacks", "mixed_orders"])
 def test_power_fingerprints_equal_fingerprints_of_built_tables(monkeypatch,
-                                                               cells):
+                                                               case):
     # Every class of orders 1-5, the order-6 zoo tables and seeded
     # relabelings of both, shuffled so that stacks of several orders
     # interleave: power_fingerprints gives each carrier the fingerprint
     # that fingerprints gives its built power table, and the scalar
-    # profiles loop of the tuple oracle agrees.
+    # profiles loop of the tuple oracle agrees. In the mixed case, stacks
+    # of 1000 cells come in the order 15 and 9 order-3 tables (8-bit
+    # sets), 3 order-4 ones (16-bit sets in fewer cells), 5 order-2 ones
+    # (k grows, the word narrows), then single order-5 and order-6 ones:
+    # the one word buffer must fit each stack's shape and word.
     rng = random.Random(27)
     carriers = [e.semigroup for n in range(1, 6)
                 for e in enumerate_semigroups(n)]
-    carriers += [zoo.cyclic_group(6), zoo.null_semigroup(6),
-                 zoo.left_zero(6), zoo.right_zero(6), zoo.min_chain(6)]
+    carriers += ORDER_6_ZOO
     carriers += [relabeled(c, rng) for c in rng.sample(carriers, 40)
                  + carriers[-5:]]
     rng.shuffle(carriers)
-    if cells is not None:
+    if case == "small_stacks":
         carriers = carriers[::10]
-        monkeypatch.setattr(power_module, "_BATCH_CELLS", cells)
+    if case == "mixed_orders":
+        carriers = [e.semigroup for n in (3, 4, 2, 5)
+                    for e in enumerate_semigroups(n)[:24]] + ORDER_6_ZOO
+    if case != "default":
+        monkeypatch.setattr(power_module, "_BATCH_CELLS", 1000)
     found = power_fingerprints(carriers)
     powers = build_power_semigroups(carriers)
     assert found == fingerprints(powers)
@@ -596,6 +607,29 @@ def test_power_fingerprints_equal_fingerprints_of_built_tables(monkeypatch,
         assert fp.has_identity == oracle.has_identity
         assert fp.profiles == bytes(chain.from_iterable(oracle.profiles))
     assert power_fingerprints([]) == []
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_power_stacks_keep_scratch_within_a_multiple_of_batch_cells(order):
+    # The order-5 catalog, 30 stacks, and the order-6 zoo tables, one:
+    # beyond what the call returns, power_fingerprints peaks at 10.2 and
+    # 4.7 times _BATCH_CELLS bytes under tracemalloc, and
+    # build_power_semigroups at 5.0 and 1.0, however many carriers come.
+    # Scratch that grew with the input, such as a word buffer sized for
+    # every stack at once, would exceed these bounds at order 5.
+    carriers = ([e.semigroup for e in enumerate_semigroups(5)]
+                if order == 5 else ORDER_6_ZOO)
+    cells = semigroups_module._BATCH_CELLS
+    for build, bound in ((power_fingerprints, 16), (build_power_semigroups, 8)):
+        tracemalloc.start()
+        try:
+            found = build(carriers)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(found) == len(carriers)
+        assert peak - kept <= bound * cells
+        del found
 
 
 def test_small_batch_cells_build_one_table_per_stack(monkeypatch):
@@ -615,7 +649,7 @@ def test_small_batch_cells_build_one_table_per_stack(monkeypatch):
     monkeypatch.setattr(power_module, "_power_products", recording)
     assert [semigroup_state(p)
             for p in build_power_semigroups(carriers)] == want
-    assert stacks == [(1, 5, 5)] * 6 + [(1, 6, 6)] * 2
+    assert stacks == [(5, 1, 5)] * 6 + [(6, 1, 6)] * 2
 
 
 def test_batched_power_build_checks_the_cap_of_every_carrier(monkeypatch):
@@ -687,18 +721,19 @@ KERNEL = power_module._power_products
 def left_zero_in_place_of_null(images):
     # P(left_zero(3)) is associative, so an associativity check passes
     # it, but it is not P(null(3)).
-    return KERNEL(np.broadcast_to(1 << zoo.left_zero(3).table, images.shape))
+    return KERNEL(np.broadcast_to((1 << zoo.left_zero(3).table)[:, None],
+                                  images.shape))
 
 
 def one_flipped_bit(images):
     products = KERNEL(images)
-    products[0, 5, 6] ^= 2
+    products[5, 0, 6] ^= 2
     return products
 
 
 def two_swapped_entries(images):
     products = KERNEL(images)
-    products[0, [3, 5], [5, 3]] = products[0, [5, 3], [3, 5]]
+    products[[3, 5], 0, [5, 3]] = products[[5, 3], 0, [3, 5]]
     return products
 
 
@@ -714,7 +749,7 @@ WRONG_KERNELS = {
                          ids=WRONG_KERNELS)
 def test_power_table_that_is_not_the_setwise_product_is_rejected(
         monkeypatch, kernel, carrier):
-    images = 1 << carrier.table[None]
+    images = 1 << carrier.table[:, None]
     assert not np.array_equal(kernel(images), KERNEL(images))
     monkeypatch.setattr(power_module, "_power_products", kernel)
     with pytest.raises(TheoremViolation, match="not the setwise product"):
@@ -728,7 +763,7 @@ def test_every_single_bit_flip_of_a_power_table_is_rejected(monkeypatch):
     for x, y, bit in product(range(1, 8), range(1, 8), range(3)):
         def flipped(images):
             products = KERNEL(images)
-            products[0, x, y] ^= 1 << bit
+            products[x, 0, y] ^= 1 << bit
             return products
         monkeypatch.setattr(power_module, "_power_products", flipped)
         with pytest.raises(TheoremViolation):
