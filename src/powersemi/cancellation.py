@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .errors import IndexOutOfRange, PreconditionViolated, TheoremViolation
-from .power import SubsetElement, _as_mask, _bits
+from .power import SubsetElement, _as_mask, _bits, _fits_power_table
 
 CASE1 = "Case1"
 CASE2 = "Case2"
@@ -56,14 +56,26 @@ def cancellative_elements_bruteforce(family):
 
     Member a is cancellative iff neither row a (X -> a*X) nor column a
     (X -> X*a) of the family's product matrix repeats a value, checked
-    for all members at once on the matrix sorted along each axis.
+    for all members at once. Over a carrier of order at most
+    POWER_CAP_MAX every product is below 64, so a line of k products
+    repeats none iff the OR of 1 << product along it has k bits set;
+    above it, the matrix is sorted along each axis and neighbours
+    compared.
     """
     if not family.is_subsemigroup:
         raise PreconditionViolated("family is not closed under products")
-    rows = np.sort(family.products, axis=1)
-    columns = np.sort(family.products, axis=0)
-    cancellative = ((rows[:, 1:] != rows[:, :-1]).all(axis=1)
-                    & (columns[1:] != columns[:-1]).all(axis=0))
+    products = family.products
+    if _fits_power_table(family.semigroup):
+        words = np.uint64(1) << products
+        k = len(family.masks)
+        cancellative = (
+            (np.bitwise_count(np.bitwise_or.reduce(words, axis=1)) == k)
+            & (np.bitwise_count(np.bitwise_or.reduce(words, axis=0)) == k))
+    else:
+        rows = np.sort(products, axis=1)
+        columns = np.sort(products, axis=0)
+        cancellative = ((rows[:, 1:] != rows[:, :-1]).all(axis=1)
+                        & (columns[1:] != columns[:-1]).all(axis=0))
     return {SubsetElement._proved(family.semigroup, m)
             for m, ok in zip(family.masks, cancellative.tolist()) if ok}
 

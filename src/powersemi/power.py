@@ -5,8 +5,11 @@ i belongs to the subset. The full power semigroup of S lists all non-zero
 masks in ascending order, so element k corresponds to mask k + 1.
 
 Products come from two kernels. `family_products` multiplies listed
-masks in uint64, for any carrier order up to 64; `setwise_product` is it
-on one pair, and a `SubsetFamily` keeps its members' product matrix.
+masks into a uint64 matrix; `setwise_product` is it on one pair, and a
+`SubsetFamily` keeps its members' product matrix. Over a carrier of
+order at most POWER_CAP_MAX it gathers them from the carrier's padded
+power table, which the second kernel builds on a stack of one and the
+carrier caches; above it, up to order 64, it runs a bit-DP.
 `_proved_power_stacks` multiplies all masks of a stack of carriers,
 the empty one included, by subset doubling in uint8, one byte per
 product, and proves each table by the setwise product's recurrence:
@@ -16,7 +19,7 @@ t, as _table_stacks lays them out, so each doubling step and each proof
 gather moves whole contiguous blocks. `build_power_semigroups`
 transposes them once into the table-major tables without the empty set;
 `power_fingerprints` profiles them as they are and keeps only the
-fingerprints.
+fingerprints. Neither reads nor fills the carriers' cached tables.
 """
 
 from __future__ import annotations
@@ -105,16 +108,55 @@ def _submasks(mask):
         sub = (sub - 1) & mask
 
 
+def _fits_power_table(semigroup):
+    """True iff the carrier's order is at most POWER_CAP_MAX, so that
+    every mask over it is below 64: its products are read off its cached
+    power table, and a set of its masks is one uint64 word."""
+    return semigroup.order <= POWER_CAP_MAX
+
+
+def _power_table(semigroup):
+    """The carrier's padded power table, the read-only uint8 (2**n, 2**n)
+    array of _proved_power_stacks on a stack of one, entry (X, Y) the
+    mask of X * Y; built on first use and cached on the carrier."""
+    if semigroup._power_table is None:
+        (_, _, products), = _proved_power_stacks([semigroup])
+        # A copy, not a view that would keep the stack's array alive.
+        table = products.reshape(products.shape[0], -1).copy()
+        table.setflags(write=False)
+        semigroup._power_table = table
+    return semigroup._power_table
+
+
 def family_products(semigroup, xs, ys):
     """The uint64 matrix whose entry (a, b) is the mask of xs[a] * ys[b].
 
-    A bit-DP over the listed masks: first the masks of {i} * ys[b] for
+    Every listed item must be a mask of a non-empty subset of the
+    carrier, an integer in (0, 2**n), read as _as_mask reads one;
+    anything else raises IndexOutOfRange.
+    """
+    checked = [_as_mask(semigroup, x) for x in xs]
+    return _family_products(semigroup, checked, checked if ys is xs else
+                            [_as_mask(semigroup, y) for y in ys])
+
+
+def _family_products(semigroup, xs, ys):
+    """family_products of masks known to be valid; not checked again.
+
+    Over a carrier of order at most POWER_CAP_MAX the matrix is one
+    row-then-column gather from its cached _power_table. Above it, a
+    bit-DP over the listed masks: first the masks of {i} * ys[b] for
     every carrier element i, as the OR of 1 << i*j over the bits j of
     ys[b]; then xs[a] * ys[b] as the OR of {i} * ys[b] over the bits i of
     xs[a]. Each step is one masked OR-reduction over a zero-stride
     ndarray view of an (n, n) or (n, ky) array, never an (n, kx, ky)
     temporary, so memory is the result plus O(n * (kx + ky)) scratch.
     """
+    if _fits_power_table(semigroup):
+        rows = np.asarray(xs, dtype=np.intp)
+        columns = rows if ys is xs else np.asarray(ys, dtype=np.intp)
+        return _power_table(semigroup).take(rows, axis=0).take(
+            columns, axis=1).astype(np.uint64)
     n = semigroup.order
     shifts = np.arange(n, dtype=np.uint64)[:, None]
     xbits = (np.asarray(xs, dtype=np.uint64) >> shifts & 1).astype(bool)
@@ -236,7 +278,7 @@ def setwise_product(x, y):
     """The subset {a*b : a in x, b in y}; both over the same ambient."""
     if x.semigroup != y.semigroup:
         raise AmbientMismatch("operands live over different ambient semigroups")
-    product = family_products(x.semigroup, [x.mask], [y.mask])
+    product = _family_products(x.semigroup, [x.mask], [y.mask])
     return SubsetElement(x.semigroup, int(product[0, 0]))
 
 
@@ -315,10 +357,13 @@ def _proved_power_stacks(semigroups):
     _power_products, _BATCH_CELLS // 4**n tables a stack (64 at order
     5). With h the lowest element of a set of two or more, each table P
     must have P[{i}, {j}] = {i*j}, P[{i}, Y] = P[{i}, Y - {h}] |
-    P[{i}, {h}] and P[X, Y] = P[X - {h}, Y] | P[{h}, Y], else
-    TheoremViolation. By induction on |Y|, then on |X|, P is the
-    setwise product over S; the build adds highest elements, so the check
-    does not replay it. Every gather takes whole blocks along a first
+    P[{i}, {h}], P[X, Y] = P[X - {h}, Y] | P[{h}, Y], P[{}, Y] = {}
+    and P[{i}, {}] = {}, else TheoremViolation. By induction on |Y|,
+    then on |X|, P is the setwise product over S with the empty set a
+    zero: the recurrences alone leave the empty set's row and the
+    entries P[{i}, {}] free, and the last one then gives P[X, {}] = {}.
+    The build adds highest elements, so the check does not replay it.
+    Every gather takes whole blocks along a first
     axis: the (k, 2**n) rows P[X - {h}] and P[{h}] of the stack, and the
     entries P[{i}, Y - {h}] and P[{i}, {h}] of one Y-major copy of the
     singletons' rows.
@@ -340,7 +385,9 @@ def _proved_power_stacks(semigroups):
                 and (columns == np.take(columns, masks - lows, axis=0)
                      | np.take(columns, lows, axis=0)).all()
                 and (products == np.take(products, masks - lows, axis=0)
-                     | np.take(products, lows, axis=0)).all()):
+                     | np.take(products, lows, axis=0)).all()
+                and not np.count_nonzero(products[0])
+                and not np.count_nonzero(columns[0])):
             raise TheoremViolation("a power table is not the setwise product")
         yield positions, [semigroups[p] for p in positions], products
 
@@ -367,13 +414,13 @@ class SubsetFamily:
     """A deduplicated family of non-empty subsets over one ambient.
 
     Masks are kept sorted; membership is answered by a dict from mask
-    to position.
-    Construction computes the matrix of all member products with
-    family_products (8 * k**2 bytes for k members, at most FAMILY_MAX
-    of them) and, from it, the
-    closure and downward-completeness flags; the matrix also serves
-    as_semigroup, the brute-force cancellativity classifier and the
-    witnesses. Instances are immutable afterwards.
+    to position. Construction validates the masks once, then computes
+    the uint64 matrix of all member products as family_products does,
+    without checking them again (8 * k**2 bytes for k members, at most
+    FAMILY_MAX of them), and, from it, the closure and
+    downward-completeness flags; the matrix also serves as_semigroup,
+    the brute-force cancellativity classifier and the witnesses.
+    Instances are immutable afterwards.
     """
 
     __slots__ = ("semigroup", "masks", "products", "is_subsemigroup",
@@ -386,7 +433,7 @@ class SubsetFamily:
         self.semigroup = semigroup
         self.masks = cleaned
         self._positions = {m: i for i, m in enumerate(cleaned)}
-        self.products = family_products(semigroup, cleaned, cleaned)
+        self.products = _family_products(semigroup, cleaned, cleaned)
         self.products.setflags(write=False)
         cert = downward_completeness(self)
         self.is_subsemigroup = cert.failed != "closure"
@@ -402,7 +449,19 @@ class SubsetFamily:
 
     def _closure_witness(self):
         """The first pair of members, in row-major order, whose product
-        is not a member, with that product; None for a closed family."""
+        is not a member, with that product; None for a closed family.
+        Over a carrier of order at most POWER_CAP_MAX one word comparison
+        tells a closed family: the set of its products, the OR of
+        1 << product, is a subset of the set of its members; the scan
+        for the certificate runs only on a family that fails it."""
+        if _fits_power_table(self.semigroup):
+            produced = np.bitwise_or.reduce(
+                np.uint64(1) << self.products, axis=None)
+            members = 0
+            for m in self.masks:
+                members |= 1 << m
+            if not int(produced) & ~members:
+                return None
         _, member = self._product_indices()
         if member.all():
             return None

@@ -48,12 +48,17 @@ class FiniteSemigroup:
 
     Construction rejects tables that are not associative. ``table`` is a
     read-only uint8 array and ``rows`` the same table as plain lists,
-    built on first use, as are the ``profiles``. Instances are immutable
-    afterwards and safe to share across threads.
+    built on first use, as are the ``profiles``. A carrier of order at
+    most POWER_CAP_MAX also caches, from the first setwise product over
+    it on (a SubsetFamily, family_products or setwise_product), its
+    padded power table: the read-only uint8 (2**n, 2**n) array of
+    power._power_table, 1 KB at order 5, from which those products are
+    read. Instances are immutable afterwards and safe to share across
+    threads.
     """
 
     __slots__ = ("table", "order", "commutative", "identity", "_rows",
-                 "_profiles", "_fingerprint", "_hash")
+                 "_profiles", "_fingerprint", "_power_table", "_hash")
 
     def __init__(self, table):
         try:
@@ -91,6 +96,7 @@ class FiniteSemigroup:
         self._rows = None
         self._profiles = None
         self._fingerprint = None
+        self._power_table = None
         self._hash = hash((self.order, table.tobytes()))
 
     @property

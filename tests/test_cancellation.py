@@ -10,7 +10,7 @@ from powersemi import (CASE1, CASE2, AmbientMismatch, CancellationWitness,
                        TheoremViolation,
                        all_congruences, cancellative_elements_bruteforce,
                        congruence_family, congruence_from_partition,
-                       full_family, mask_of,
+                       downward_completeness, full_family, mask_of,
                        singleton_cancellative_elements,
                        singleton_characterization_check, singleton_family,
                        verify_witness, witness_noncancellative)
@@ -270,3 +270,35 @@ def test_witness_reports_on_the_order_4_prop1_families_are_pinned(
     assert len(reports) == 2573
     assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() \
         == PROP1_WITNESS_DIGEST
+
+
+# Computed before family products were read from the carrier's power
+# table, over the bit-DP products and the sorted-line classifier.
+PROP1_ORDER5_FAMILIES_DIGEST = \
+    "cb992a8c46adcc897c244844fe450eae9c907b67aac352462ff6bcb587348e07"
+
+
+def test_every_order_5_prop1_family_and_classification_is_pinned(
+        monkeypatch):
+    # Each family that prop1-check --order 5 --seed 0 classifies, in
+    # order: its masks, flags and certificate, and what each classifier
+    # returns on it.
+    lines = []
+    rule = catalog_module.singleton_cancellative_elements
+
+    def recording(family):
+        found = rule(family)
+        lines.append(repr((
+            family.masks, family.is_subsemigroup,
+            family.is_downward_complete, repr(downward_completeness(family)),
+            sorted(masks_of(cancellative_elements_bruteforce(family))),
+            sorted(masks_of(found)))))
+        return found
+
+    monkeypatch.setattr(catalog_module, "singleton_cancellative_elements",
+                        recording)
+    report = singleton_characterization_check(5, seed=0)
+    assert report["families_checked"] == len(lines) == 6145
+    assert report["violations"] == []
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
+        == PROP1_ORDER5_FAMILIES_DIGEST

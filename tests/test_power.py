@@ -21,7 +21,8 @@ from powersemi import (FAMILY_MAX, MAX_ORDER, POWER_CAP_MAX, AmbientMismatch,
                        OrderCapExceeded, SubsetElement, SubsetFamily,
                        TheoremViolation, all_congruences, bits,
                        build_power_semigroup,
-                       build_power_semigroups, enumerate_semigroups,
+                       build_power_semigroups,
+                       cancellative_elements_bruteforce, enumerate_semigroups,
                        global_iso_probe,
                        congruence_from_partition, congruence_family,
                        downward_complete_closure, downward_completeness,
@@ -31,8 +32,8 @@ from powersemi import (FAMILY_MAX, MAX_ORDER, POWER_CAP_MAX, AmbientMismatch,
                        submasks, witness_noncancellative)
 from powersemi import zoo
 
-from oracles import (downward_completeness_bruteforce, mask_product,
-                     semigroup_state, tuple_fingerprint)
+from oracles import (downward_completeness_bruteforce, is_cancellative_in,
+                     mask_product, semigroup_state, tuple_fingerprint)
 
 
 def int_set_product(rows, xs, ys):
@@ -737,9 +738,19 @@ def two_swapped_entries(images):
     return products
 
 
+def empty_set_absorbed(images):
+    # On null(3), P[{}, Y] = P[X, {}] = {0} for non-empty X and Y keeps
+    # every recurrence of the proof, but {} is no longer a zero, and the
+    # power fingerprint changes.
+    products = KERNEL(images)
+    products[0, :, 1:] = products[1:, :, 0] = 1
+    return products
+
+
 WRONG_KERNELS = {
     "left_zero_in_place_of_null": (left_zero_in_place_of_null,
                                    zoo.null_semigroup(3)),
+    "empty_set_absorbed": (empty_set_absorbed, zoo.null_semigroup(3)),
     "one_flipped_bit": (one_flipped_bit, zoo.left_zero(3)),
     "two_swapped_entries": (two_swapped_entries, zoo.left_zero(3)),
 }
@@ -895,6 +906,123 @@ def test_closure_witness_matches_row_major_scan(catalog):
         assert fam._closure_witness() == scalar_closure_witness(fam)
 
 
+NOT_AN_INTEGER = [1.5, "3", True, None, np.float64(2.0)]
+
+
+@pytest.mark.parametrize("sgr", [zoo.cyclic_group(3), zoo.cyclic_group(9)],
+                         ids=["order3", "order9"])
+def test_family_products_reject_what_is_not_a_mask(sgr):
+    # Either side, and the same list on both: a mask dropped to its low
+    # bits, read as int() reads it, or wrapped as a negative index would
+    # all give a product of some other subset.
+    n = sgr.order
+    cases = [(x, f"mask {x!r} is not an integer") for x in NOT_AN_INTEGER]
+    cases += [(x, f"mask {x} is not a non-empty subset of a carrier of "
+                  f"order {n}") for x in (0, -1, 1 << n, 9 << n, (1 << n) | 1)]
+    for bad, message in cases:
+        for xs, ys in (([bad], [1]), ([1, 2], [2, bad]), ([bad, 3],) * 2):
+            with pytest.raises(IndexOutOfRange, match=f"^{re.escape(message)}$"):
+                family_products(sgr, xs, ys)
+    assert family_products(sgr, [1], [2]).tolist() == [[2]]
+
+
+def test_family_construction_does_not_check_its_masks_again(monkeypatch):
+    def refuse(semigroup, x):
+        raise RuntimeError("plain int masks are proved by _distinct_masks")
+
+    monkeypatch.setattr(power_module, "_as_mask", refuse)
+    for sgr in (zoo.cyclic_group(5), zoo.cyclic_group(7)):
+        assert len(SubsetFamily(sgr, [1, 2, 3, 1])) == 3
+        full = range(1, 1 << sgr.order)
+        assert len(SubsetFamily(sgr, full)) == len(full)
+
+
+ORACLE_CARRIERS = {
+    5: None,
+    6: ORDER_6_ZOO,
+    7: [zoo.cyclic_group(7), zoo.null_semigroup(7), zoo.left_zero(7),
+        zoo.min_chain(7)],
+    9: [zoo.cyclic_group(9), zoo.null_semigroup(9), zoo.right_zero(9),
+        zoo.min_chain(9)],
+}
+
+
+@pytest.mark.parametrize("order", ORACLE_CARRIERS)
+def test_family_products_closure_and_bruteforce_match_oracles(order):
+    # Orders 5 and 6 read the carrier's power table, word-test closure
+    # and count distinct products by popcount; orders 7 and 9 take the
+    # bit-DP, the row-major scan and the sorts. Each carrier gets seeded
+    # families that are mostly not closed, and closed ones to classify.
+    rng = random.Random(order)
+    carriers = ORACLE_CARRIERS[order] or rng.sample(
+        [e.semigroup for e in enumerate_semigroups(5)], 8)
+    assert (order <= POWER_CAP_MAX) == (order < 7)
+    for sgr in carriers:
+        families = [SubsetFamily(sgr, random_masks(rng, order,
+                                                   rng.randint(1, 12)))
+                    for _ in range(6)]
+        families.append(singleton_family(sgr))
+        if order <= POWER_CAP_MAX or not sgr.table.any():
+            families.append(downward_complete_closure(
+                sgr, random_masks(rng, order, 1)))
+        if order <= POWER_CAP_MAX:
+            families.append(full_family(sgr))
+        closed = 0
+        for fam in families:
+            xs = random_masks(rng, order, rng.randint(1, 5))
+            assert_products_match_mask_product(sgr, xs, fam.masks)
+            assert fam.products.tolist() == [
+                [mask_product(sgr, a, b) for b in fam.masks]
+                for a in fam.masks]
+            assert fam._closure_witness() == scalar_closure_witness(fam)
+            assert downward_completeness(fam) == \
+                downward_completeness_bruteforce(fam)
+            if fam.is_subsemigroup:
+                closed += 1
+                assert {m.mask for m in cancellative_elements_bruteforce(
+                    fam)} == {m for m in fam.masks
+                              if is_cancellative_in(m, fam)}
+        assert closed >= 1
+
+
+def test_families_read_one_cached_power_table_per_carrier():
+    carrier = FiniteSemigroup(zoo.cyclic_group(5).table)
+    assert carrier._power_table is None
+    fam = full_family(carrier)
+    table = carrier._power_table
+    (_, _, padded), = power_module._proved_power_stacks([carrier])
+    assert table.dtype == np.uint8 and table.shape == (32, 32)
+    assert not table.flags.writeable
+    assert np.array_equal(table, padded[:, 0])
+    downward_complete_closure(carrier, [0b101])
+    singleton_family(carrier)
+    setwise_product(SubsetElement(carrier, 3), SubsetElement(carrier, 6))
+    assert carrier._power_table is table
+    assert fam.products.tolist() == table[1:, 1:].tolist()
+
+
+def test_power_builds_and_the_probe_leave_the_power_table_unset():
+    entries = [CatalogEntry(FiniteSemigroup(e.semigroup.table),
+                            e.canonical_id, e.fingerprint)
+               for e in enumerate_semigroups(3)]
+    carriers = [e.semigroup for e in entries]
+    power_fingerprints(carriers)
+    build_power_semigroups(carriers)
+    build_power_semigroup(carriers[0])
+    global_iso_probe(3, entries=entries)
+    assert all(c._power_table is None for c in carriers)
+
+
+def test_carriers_above_the_cap_get_no_power_table():
+    for sgr in (zoo.cyclic_group(7), zoo.min_chain(9)):
+        full = (1 << sgr.order) - 1
+        downward_complete_closure(sgr, [0b11])
+        SubsetFamily(sgr, [1, full])
+        family_products(sgr, [full], [3])
+        setwise_product(SubsetElement(sgr, full), SubsetElement(sgr, 3))
+        assert sgr._power_table is None
+
+
 def closed_families(sgr):
     families = [full_family(sgr), singleton_family(sgr)]
     families += [congruence_family(c) for c in all_congruences(sgr)]
@@ -948,13 +1076,13 @@ def test_closure_multiplies_each_member_list_once(monkeypatch):
     # Each round is one SubsetFamily; the closed round is the result and
     # is not rebuilt.
     sizes = []
-    products = power_module.family_products
+    products = power_module._family_products
 
     def counted(semigroup, xs, ys):
         sizes.append(len(xs))
         return products(semigroup, xs, ys)
 
-    monkeypatch.setattr(power_module, "family_products", counted)
+    monkeypatch.setattr(power_module, "_family_products", counted)
     fam = downward_complete_closure(zoo.cyclic_group(4), [0b11])
     assert sizes == [5, 10, 15]
     assert len(fam) == 15 and fam.is_downward_complete
