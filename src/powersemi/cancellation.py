@@ -16,7 +16,8 @@ from typing import Any
 import numpy as np
 
 from .errors import IndexOutOfRange, PreconditionViolated, TheoremViolation
-from .power import SubsetElement, _as_mask, _bits, _fits_power_table
+from .power import (SubsetElement, _as_mask, _bits, _family_products,
+                    _fits_power_table)
 
 CASE1 = "Case1"
 CASE2 = "Case2"
@@ -103,60 +104,78 @@ def singleton_cancellative_elements(family):
             if S.is_cancellative(u)}
 
 
+def _scan_witness_sides(semigroup, amask):
+    """The carrier-level part of the witness for the subset A of mask
+    amask, |A| >= 2, of a commutative carrier: (lhs mask, rhs mask,
+    case). It scans ordered pairs (a, b) of distinct elements of A in
+    ascending order:
+
+    * if some pair has a*a == a*b, the sides are A and A minus {a};
+    * otherwise a, b are the two smallest elements of A and the sides
+      are A*A and A*A minus {a*b}; b*b then always survives in the rhs.
+
+    A*A is a 1x1 _family_products, the setwise product of every order.
+    """
+    rows = semigroup.rows
+    elems = list(_bits(amask))
+    for a in elems:
+        row = rows[a]
+        for b in elems:
+            if a != b and row[a] == row[b]:
+                return amask, amask & ~(1 << a), CASE1
+    square = int(_family_products(semigroup, [amask], [amask])[0, 0])
+    a, b = elems[0], elems[1]
+    rhs = square & ~(1 << rows[a][b])
+    # b*b != a*b here, otherwise the pair (b, a) would have hit above.
+    if not rhs >> rows[b][b] & 1:
+        raise TheoremViolation(
+            f"Case2 witness for mask {amask} lost b*b from its rhs")
+    return square, rhs, CASE2
+
+
 def witness_noncancellative(subset, family):
     """Deterministic non-cancellativity witness for a member with >= 2 elements.
 
     Requires a commutative carrier and a downward-complete family
     containing the subset, which guarantees both returned sets are
-    members. Writing A for the subset, the construction scans ordered
-    pairs (a, b) of distinct elements of A in ascending order:
+    members. Writing A for the subset, the sides are those of
+    _scan_witness_sides: (A, A, A minus {a}) for the first pair of
+    distinct elements with a*a == a*b, else (A, A*A, A*A minus {a*b}).
+    They depend only on the carrier and A, so the carrier keeps them in
+    its _witness_sides dict, one packed int per mask, from the first
+    request on, whatever the family.
 
-    * if some pair has a*a == a*b, the witness is (A, A, A minus {a});
-    * otherwise a, b are the two smallest elements of A and the witness
-      is (A, A*A, A*A minus {a*b}); b*b then always survives in the rhs.
-
-    The subset is validated once, on entry; the sides are built from
-    its mask and the product matrix unchecked. Before returning, the
-    witness is re-checked by verify_witness (both sides distinct members,
-    multiplier * lhs == multiplier * rhs); a failure raises
-    TheoremViolation. The carrier is commutative, so the product matrix
-    is symmetric and the left products settle both sides.
+    Every call checks the hypotheses and the subset, a member of the
+    family that is given, then builds a fresh witness from the sides
+    and re-checks it by verify_witness (both sides distinct members,
+    multiplier * lhs == multiplier * rhs), sides from the cache
+    included; a failure raises TheoremViolation. The carrier is
+    commutative, so the left products settle both sides.
     """
     _require_rule_hypotheses(family)
     S = family.semigroup
-    amask = _as_mask(S, subset)
+    positions = family._positions
+    # An exact int that is a member is a valid mask already.
+    amask = (subset if type(subset) is int and subset in positions
+             else _as_mask(S, subset))
     if amask.bit_count() < 2:
         raise PreconditionViolated("subset must have at least two elements")
-    i = family._positions.get(amask)
-    if i is None:
+    if amask not in positions:
         raise PreconditionViolated("subset is not a member of the family")
 
-    rows = S.rows
-    elems = list(_bits(amask))
-    hit = None
-    for a in elems:
-        for b in elems:
-            if a != b and rows[a][a] == rows[a][b]:
-                hit = (a, b)
-                break
-        if hit:
-            break
-
-    if hit is not None:
-        a, _ = hit
-        lhs_mask = amask
-        rhs_mask = amask & ~(1 << a)
-        tag = CASE1
-    else:
-        a, b = elems[0], elems[1]
-        square = int(family.products[i, i])
-        lhs_mask = square
-        rhs_mask = square & ~(1 << rows[a][b])
-        tag = CASE2
-        # b*b != a*b here, otherwise the pair (b, a) would have hit above.
-        if not rhs_mask >> rows[b][b] & 1:
-            raise TheoremViolation(
-                f"Case2 witness for mask {amask} lost b*b from its rhs")
+    cache = S._witness_sides
+    if cache is None:
+        cache = S._witness_sides = {}
+    n = S.order
+    packed = cache.get(amask)
+    if packed is None:
+        lhs_mask, rhs_mask, tag = _scan_witness_sides(S, amask)
+        # The lhs in the low n bits, the rhs in the next n, then the case.
+        packed = cache[amask] = (lhs_mask | rhs_mask << n
+                                 | (tag is CASE2) << 2 * n)
+    full = (1 << n) - 1
+    lhs_mask, rhs_mask = packed & full, packed >> n & full
+    tag = CASE2 if packed >> 2 * n else CASE1
 
     witness = CancellationWitness(
         SubsetElement._proved(S, amask),
@@ -176,12 +195,22 @@ def verify_witness(witness, family):
     True iff the multiplier and both sides are members of the family,
     the sides differ, and multiplier * lhs == multiplier * rhs there;
     False otherwise. A witness over another ambient raises
-    AmbientMismatch.
+    AmbientMismatch. A SubsetElement over the family's own carrier
+    object is looked up in the family's positions as it is, as
+    SubsetFamily.index looks up an exact int; every other input, and
+    every miss, goes through SubsetFamily.index.
     """
-    try:
-        i, lhs, rhs = [family.index(s) for s in
-                       (witness.multiplier, witness.lhs, witness.rhs)]
-    except IndexOutOfRange:
-        return False
+    S, positions = family.semigroup, family._positions
+    found = []
+    for side in (witness.multiplier, witness.lhs, witness.rhs):
+        i = (positions.get(side.mask) if isinstance(side, SubsetElement)
+             and side.semigroup is S else None)
+        if i is None:
+            try:
+                i = family.index(side)
+            except IndexOutOfRange:
+                return False
+        found.append(i)
+    i, lhs, rhs = found
     products = family.products
     return lhs != rhs and bool(products[i, lhs] == products[i, rhs])

@@ -447,19 +447,28 @@ class SubsetFamily:
         np.minimum(idx, len(self.masks) - 1, out=idx)
         return idx, sorted_masks[idx] == self.products
 
-    def _closure_witness(self):
+    def _members_word(self):
+        """The set of members as one int, bit m set iff mask m is a
+        member: below 2**64 over a carrier of order at most
+        POWER_CAP_MAX."""
+        members = 0
+        for m in self.masks:
+            members |= 1 << m
+        return members
+
+    def _closure_witness(self, members=None):
         """The first pair of members, in row-major order, whose product
         is not a member, with that product; None for a closed family.
         Over a carrier of order at most POWER_CAP_MAX one word comparison
         tells a closed family: the set of its products, the OR of
-        1 << product, is a subset of the set of its members; the scan
-        for the certificate runs only on a family that fails it."""
+        1 << product, is a subset of members, the _members_word that the
+        caller may pass; the scan for the certificate runs only on a
+        family that fails it."""
         if _fits_power_table(self.semigroup):
+            if members is None:
+                members = self._members_word()
             produced = np.bitwise_or.reduce(
                 np.uint64(1) << self.products, axis=None)
-            members = 0
-            for m in self.masks:
-                members |= 1 << m
             if not int(produced) & ~members:
                 return None
         _, member = self._product_indices()
@@ -530,8 +539,14 @@ def downward_completeness(family):
     misses m - {b} for b in m - s, which contains s and, being smaller
     than m, would otherwise fail first. So the same member fails first,
     and only its submasks are scanned for the certificate's subset.
+    Over a carrier of order at most POWER_CAP_MAX, the members word of
+    the closure test answers for every removal at once, by
+    _removals_are_members; the scan of the position dict runs above it,
+    and for the certificate of a family that fails the word test.
     """
-    witness = family._closure_witness()
+    members = (family._members_word()
+               if _fits_power_table(family.semigroup) else None)
+    witness = family._closure_witness(members)
     if witness is not None:
         return CompletenessCertificate(False, "closure", witness)
     covered = 0
@@ -541,6 +556,9 @@ def downward_completeness(family):
         missing = next(x for x in range(family.semigroup.order)
                        if not covered >> x & 1)
         return CompletenessCertificate(False, "coverage", (missing,))
+    if members is not None and _removals_are_members(
+            members, family.semigroup.order):
+        return CompletenessCertificate(True)
     positions = family._positions
     for m in family.masks:
         rest = m if m & (m - 1) else 0
@@ -550,6 +568,25 @@ def downward_completeness(family):
             sub = next(s for s in _submasks(m) if s not in positions)
             return CompletenessCertificate(False, "subsets", (m, sub))
     return CompletenessCertificate(True)
+
+
+# _HAS_ELEMENT[b] is the word of every mask below 64 that holds element
+# b: bit m set iff m >> b & 1.
+_HAS_ELEMENT = tuple(sum(1 << m for m in range(64) if m >> b & 1)
+                     for b in range(POWER_CAP_MAX))
+
+
+def _removals_are_members(members, n):
+    """True iff m - {b} is a member for every member m of two or more
+    elements and every b in m, with members the word of member masks
+    over a carrier of order n <= POWER_CAP_MAX: for each b, the members
+    that hold b and are not {b} itself, shifted down by 2**b onto their
+    removals, must lie inside the word."""
+    removals = 0
+    for b in range(n):
+        step = 1 << b
+        removals |= (members & _HAS_ELEMENT[b] & ~(1 << step)) >> step
+    return not removals & ~members
 
 
 def full_family(semigroup):

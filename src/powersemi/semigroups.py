@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 import re
-from itertools import chain, islice
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -22,10 +22,14 @@ from .errors import (IndexOutOfRange, NonAssociative, NotCompatible,
 MAX_ORDER = 64
 
 # all_congruences checks partitions in batches of at most this many
-# quadruple flags (n**4 per partition), a few MB of temporaries. It checks
+# triple flags (n**3 per partition), a few MB of temporaries. It checks
 # all Bell(n) partitions, so it refuses carriers above CONGRUENCE_MAX.
 _BATCH_FLAGS = 1 << 18
 CONGRUENCE_MAX = 10
+
+# The restricted-growth strings of each order all_congruences has checked,
+# as built by _label_array; 1.1 MB at order 10, 260 bytes at order 5.
+_LABEL_ARRAYS = {}
 
 # Batched table work keeps its temporaries within about 13 * _BATCH_CELLS
 # bytes however many tables a caller passes (tracemalloc peaks below).
@@ -53,12 +57,18 @@ class FiniteSemigroup:
     it on (a SubsetFamily, family_products or setwise_product), its
     padded power table: the read-only uint8 (2**n, 2**n) array of
     power._power_table, 1 KB at order 5, from which those products are
-    read. Instances are immutable afterwards and safe to share across
-    threads.
+    read. A commutative carrier of any order caches, from its first
+    non-cancellativity witness on, the carrier-level part of each
+    witness asked for: a dict from the subset's mask to one int that
+    packs the two sides' masks and the case, filled as
+    cancellation.witness_noncancellative asks. These caches only grow
+    with values that the table determines, so instances are immutable
+    in every observable way afterwards and safe to share across threads.
     """
 
     __slots__ = ("table", "order", "commutative", "identity", "_rows",
-                 "_profiles", "_fingerprint", "_power_table", "_hash")
+                 "_profiles", "_fingerprint", "_power_table",
+                 "_witness_sides", "_hash")
 
     def __init__(self, table):
         try:
@@ -97,6 +107,7 @@ class FiniteSemigroup:
         self._profiles = None
         self._fingerprint = None
         self._power_table = None
+        self._witness_sides = None
         self._hash = hash((self.order, table.tobytes()))
 
     @property
@@ -486,6 +497,21 @@ def _incompatible(semigroup, labels):
                != product_label[:, None, :, None, :]))
 
 
+def _one_sided_incompatible(semigroup, labels):
+    """bad[k, x, y, z] for each labelling labels[k]: x ~ y under it, but
+    x*z and y*z, or z*x and z*y, fall in different blocks. An equivalence
+    is a congruence iff no flag is set (Howie, Fundamentals of Semigroup
+    Theory, 1.5): x1 ~ y1 and x2 ~ y2 then give x1*x2 ~ y1*x2 ~ y1*y2,
+    the condition that _incompatible checks quadruple by quadruple."""
+    same = labels[:, :, None] == labels[:, None, :]
+    # right[k, x, z] is the block of x*z, left[k, x, z] that of z*x.
+    right = labels[:, semigroup.table]
+    left = right.transpose(0, 2, 1)
+    return same[:, :, :, None] & (
+        (right[:, :, None, :] != right[:, None, :, :])
+        | (left[:, :, None, :] != left[:, None, :, :]))
+
+
 def _label_vectors(n):
     # Restricted-growth strings: labels[0] = 0, labels[i] <= max so far + 1.
     labels = [0] * n
@@ -501,21 +527,39 @@ def _label_vectors(n):
     yield from rec(1, 1)
 
 
+def _label_array(n):
+    """The strings of _label_vectors(n), in its order, as one read-only
+    uint8 (Bell(n), n) array, built on the first call for each order and
+    kept in _LABEL_ARRAYS."""
+    labels = _LABEL_ARRAYS.get(n)
+    if labels is None:
+        labels = np.fromiter(chain.from_iterable(_label_vectors(n)),
+                             dtype=np.uint8).reshape(-1, n)
+        labels.setflags(write=False)
+        _LABEL_ARRAYS[n] = labels
+    return labels
+
+
 def all_congruences(semigroup):
-    """Every congruence of the semigroup, by checking all set partitions,
-    as many at once as keep the n**4 flags of each within _BATCH_FLAGS."""
-    if semigroup.order > CONGRUENCE_MAX:
+    """Every congruence of the semigroup, in the order of _label_vectors:
+    each set partition whose equivalence is compatible on both sides,
+    x ~ y giving x*z ~ y*z and z*x ~ z*y for every z, as
+    _one_sided_incompatible checks it, on as many partitions at once as
+    keep their n**3 flags each within _BATCH_FLAGS."""
+    n = semigroup.order
+    if n > CONGRUENCE_MAX:
         raise OrderCapExceeded(
             f"all_congruences checks every partition, so order "
-            f"{semigroup.order} is above its cap {CONGRUENCE_MAX}")
-    vectors = _label_vectors(semigroup.order)
-    per_batch = max(1, _BATCH_FLAGS // semigroup.order ** 4)
+            f"{n} is above its cap {CONGRUENCE_MAX}")
+    labels = _label_array(n)
+    per_batch = max(1, _BATCH_FLAGS // n ** 3)
     found = []
-    while batch := list(islice(vectors, per_batch)):
-        bad = _incompatible(semigroup, np.array(batch))
+    for start in range(0, len(labels), per_batch):
+        batch = labels[start:start + per_batch]
+        bad = _one_sided_incompatible(semigroup, batch)
         compatible = ~bad.reshape(len(batch), -1).any(axis=1)
-        found.extend(Congruence(semigroup, labels)
-                     for labels, ok in zip(batch, compatible.tolist()) if ok)
+        found.extend(Congruence(semigroup, row)
+                     for row in batch[compatible].tolist())
     return found
 
 

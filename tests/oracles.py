@@ -9,8 +9,11 @@ package's `downward_completeness`, which looks up one-element removals.
 `naive_is_associative` checks every triple of a table one at a time,
 independent of the validator's vectorised check. The cancellation oracles
 multiply one member by every member with it, independent of the family's
-product matrix. `semigroup_state` lists what a FiniteSemigroup
-exposes, so two construction paths can be compared field by field.
+product matrix. `pair_scan_witness` is the witness construction the
+package used before it kept each carrier's witness sides, run afresh on
+every call with its square from `mask_product`. `semigroup_state`
+lists what a FiniteSemigroup exposes, so two construction paths can be
+compared field by field.
 `scalar_element_queries` answers the scalar queries by pairwise scans of
 the rows, independent of the cached per-element profiles.
 `tuple_fingerprint` keeps a fingerprint as the sorted tuple of profile
@@ -174,6 +177,27 @@ def find_witness_bruteforce(mask, family):
             )
         seen[p] = x
     return None
+
+
+def pair_scan_witness(mask, family):
+    """The non-cancellativity witness of a member of two or more elements
+    by the pair scan, built from scratch: the first ordered pair (a, b) of
+    distinct elements of A, ascending, with a*a == a*b gives (A, A,
+    A - {a}); with none, a < b the two smallest give (A, A*A,
+    A*A - {a*b})."""
+    S = family.semigroup
+    rows = S.rows
+    elems = [x for x in range(S.order) if mask >> x & 1]
+    hit = next(((a, b) for a in elems for b in elems
+                if a != b and rows[a][a] == rows[a][b]), None)
+    if hit is not None:
+        sides, tag = (mask, mask & ~(1 << hit[0])), "Case1"
+    else:
+        square = mask_product(S, mask, mask)
+        sides = square, square & ~(1 << rows[elems[0]][elems[1]])
+        tag = "Case2"
+    return CancellationWitness(SubsetElement(S, mask),
+                               *(SubsetElement(S, m) for m in sides), tag)
 
 
 class TupleFingerprint(NamedTuple):

@@ -6,17 +6,21 @@ import pytest
 import powersemi.cancellation as cancellation_module
 import powersemi.catalog as catalog_module
 from powersemi import (CASE1, CASE2, AmbientMismatch, CancellationWitness,
-                       PreconditionViolated, SubsetElement, SubsetFamily,
-                       TheoremViolation,
-                       all_congruences, cancellative_elements_bruteforce,
+                       FiniteSemigroup, IndexOutOfRange, PreconditionViolated,
+                       SubsetElement, SubsetFamily, TheoremViolation,
+                       all_congruences, build_power_semigroup,
+                       cancellative_elements_bruteforce,
                        congruence_family, congruence_from_partition,
-                       downward_completeness, full_family, mask_of,
+                       downward_complete_closure, downward_completeness,
+                       enumerate_semigroups, full_family, mask_of,
                        singleton_cancellative_elements,
                        singleton_characterization_check, singleton_family,
                        verify_witness, witness_noncancellative)
 from powersemi import zoo
 
-from oracles import find_witness_bruteforce, is_cancellative_in, mask_product
+from oracles import (find_witness_bruteforce, is_cancellative_in,
+                     mask_product, pair_scan_witness)
+from test_power import ORDER_6_ZOO
 
 
 def masks_of(members):
@@ -302,3 +306,115 @@ def test_every_order_5_prop1_family_and_classification_is_pinned(
     assert report["violations"] == []
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
         == PROP1_ORDER5_FAMILIES_DIGEST
+
+
+# sha256 of the JSON list of witness reports below, computed before each
+# carrier kept its witness sides, when every witness was built afresh.
+PROP1_ORDER5_WITNESS_DIGEST = \
+    "40032fee90a37189267a4c912dd1a8691b394d74ba3f83b57e745eb1152ab2a3"
+
+
+def test_witness_reports_on_the_order_5_prop1_families_are_pinned(
+        monkeypatch):
+    # Every family that prop1-check --order 5 --seed 0 classifies, in
+    # order, and the witness of each non-singleton member of the
+    # downward-complete ones.
+    families = []
+    rule = catalog_module.singleton_cancellative_elements
+
+    def recording(family):
+        families.append(family)
+        return rule(family)
+
+    monkeypatch.setattr(catalog_module, "singleton_cancellative_elements",
+                        recording)
+    report = singleton_characterization_check(5, seed=0)
+    reports = [witness_noncancellative(m, family).report()
+               for family in families if family.is_downward_complete
+               for m in family.masks if m.bit_count() >= 2]
+    assert report["families_checked"] == len(families) == 6145
+    assert len(reports) == 40153
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() \
+        == PROP1_ORDER5_WITNESS_DIGEST
+
+
+WITNESS_CARRIERS = {
+    "orders_1_to_5": None,
+    "order_6_zoo": ORDER_6_ZOO,
+    "above_the_cap": [zoo.cyclic_group(7), zoo.min_chain(9)],
+}
+
+
+@pytest.mark.parametrize("carriers", WITNESS_CARRIERS.values(),
+                         ids=WITNESS_CARRIERS.keys())
+def test_witnesses_equal_the_pair_scan_through_two_families(carriers):
+    # Each carrier is a fresh copy, so its witness sides start empty.
+    # The closure of {0, 1} asks first and fills them; the full family
+    # then reads those sides and adds the rest; both ask once more, so
+    # every witness comes from the carrier's sides at least twice.
+    if carriers is None:
+        carriers = [e.semigroup for n in range(1, 6)
+                    for e in enumerate_semigroups(n)
+                    if e.semigroup.commutative]
+        assert len(carriers) == 399
+    cases = set()
+    for original in carriers:
+        sgr = FiniteSemigroup(original.table)
+        full = SubsetFamily(sgr, range(1, 1 << sgr.order))
+        if not sgr.commutative:
+            with pytest.raises(PreconditionViolated, match="NotCommutative"):
+                witness_noncancellative(0b11, full)
+            assert sgr._witness_sides is None
+            continue
+        closure = downward_complete_closure(sgr, [0b11] if sgr.order > 1
+                                            else [])
+        for family in (closure, full, closure, full):
+            for mask in family.masks:
+                if mask.bit_count() < 2:
+                    continue
+                witness = witness_noncancellative(mask, family)
+                expected = pair_scan_witness(mask, family)
+                assert witness == expected
+                assert witness.report() == expected.report()
+                cases.add(witness.case_tag)
+        sides = sgr._witness_sides or {}
+        assert sorted(sides) == [m for m in full.masks
+                                 if m.bit_count() >= 2]
+        assert all(type(packed) is int for packed in sides.values())
+    assert cases == {CASE1, CASE2}
+
+
+def test_witness_from_the_carriers_sides_is_verified_again(monkeypatch):
+    sgr = FiniteSemigroup(Z3.table)
+    family = full_family(sgr)
+    first = witness_noncancellative(0b011, family)
+    assert 0b011 in sgr._witness_sides
+    monkeypatch.setattr(cancellation_module, "verify_witness",
+                        lambda witness, family: False)
+    with pytest.raises(TheoremViolation, match="fails verify_witness"):
+        witness_noncancellative(0b011, family)
+    monkeypatch.undo()
+    assert witness_noncancellative(0b011, family) == first
+    # Sides that were kept wrong, here rhs = lhs = {0, 1}, are refused
+    # by the same check, not returned.
+    sgr._witness_sides[0b011] = 0b011 | 0b011 << 3
+    with pytest.raises(TheoremViolation, match="Case1 witness for mask 3"):
+        witness_noncancellative(0b011, family)
+
+
+def test_only_witnesses_fill_a_carriers_sides():
+    sgr = FiniteSemigroup(zoo.cyclic_group(4).table)
+    family = full_family(sgr)
+    build_power_semigroup(sgr)
+    cancellative_elements_bruteforce(family)
+    singleton_cancellative_elements(family)
+    for bad in (0b0001, 0b10000, 2.0):
+        with pytest.raises((PreconditionViolated, IndexOutOfRange)):
+            witness_noncancellative(bad, family)
+    assert sgr._witness_sides is None
+    # {0, 2} + {0, 2} = {0, 2} in Z4, and 0 + 2 = 2: a Case2 witness,
+    # kept as lhs, rhs << 4 and the case bit << 8.
+    witness = witness_noncancellative(SubsetElement(sgr, 0b0101), family)
+    assert witness.report() == {"case": "Case2", "multiplier": 0b0101,
+                                "lhs": 0b0101, "rhs": 0b0001}
+    assert sgr._witness_sides == {0b0101: 0b0101 | 0b0001 << 4 | 1 << 8}

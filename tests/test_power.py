@@ -373,6 +373,34 @@ def test_downward_completeness_matches_the_full_submask_oracle(catalog):
         assert set(failed) == {None, "closure", "coverage", "subsets"}
 
 
+def test_removals_word_test_matches_a_scan_of_every_removal():
+    # Every set of masks at orders 1-3, then seeded ones at orders 4-6:
+    # random sets, down-sets and down-sets less one mask. The word test
+    # must say what a scan of each member's one-element removals says.
+    def scanned(members, n):
+        return all(members >> (m ^ 1 << b) & 1
+                   for m in range(1, 1 << n) if members >> m & 1
+                   and m & (m - 1) for b in range(n) if m >> b & 1)
+
+    rng = random.Random(33)
+    words = {n: range(0, 1 << (1 << n), 2) for n in (1, 2, 3)}
+    for n in (4, 5, 6):
+        words[n] = []
+        for _ in range(400):
+            down = 0
+            for m in random_masks(rng, n, rng.randint(1, 6)):
+                down |= sum(1 << s for s in submasks(m))
+            words[n] += [rng.getrandbits(1 << n) & ~1, down,
+                         down & ~(1 << rng.choice(
+                             [m for m in range(1, 1 << n) if down >> m & 1]))]
+    outcomes = Counter()
+    for n, members in ((n, w) for n in words for w in words[n]):
+        expected = scanned(members, n)
+        assert power_module._removals_are_members(members, n) == expected
+        outcomes[expected] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
 def test_closure_of_full_mask_on_z2():
     z2 = zoo.cyclic_group(2)
     fam = downward_complete_closure(z2, [0b11])

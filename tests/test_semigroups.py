@@ -13,12 +13,21 @@ from powersemi import (FiniteSemigroup, IndexOutOfRange, NonAssociative,
                        NotCompatible, all_congruences,
                        congruence_from_partition, format_table, parse_table)
 from powersemi import zoo
-from powersemi.semigroups import (_label_vectors, _profile_rows,
-                                  _semigroups_from_stack, _table_stacks,
-                                  _validate)
+from powersemi.semigroups import (_incompatible, _label_array,
+                                  _label_vectors, _one_sided_incompatible,
+                                  _profile_rows, _semigroups_from_stack,
+                                  _table_stacks, _validate)
 
 from oracles import (naive_is_associative, scalar_element_queries,
                      semigroup_state)
+
+
+@pytest.fixture(autouse=True)
+def fresh_label_arrays(monkeypatch):
+    """Each test starts with no restricted-growth strings kept, and what
+    it keeps is dropped after it: strings drawn from a monkeypatched
+    _label_vectors must not reach a later test."""
+    monkeypatch.setattr(semigroups_module, "_LABEL_ARRAYS", {})
 
 
 def test_z2_is_a_commutative_monoid():
@@ -440,3 +449,78 @@ def test_all_congruences_across_batches(monkeypatch):
     whole = [c.labels for c in all_congruences(z4)]
     monkeypatch.setattr(semigroups_module, "_BATCH_FLAGS", 2 * 4 ** 4)
     assert [c.labels for c in all_congruences(z4)] == whole
+
+
+def symmetric_group_3():
+    """S3 as permutations of {0, 1, 2} in lexicographic order, p*q = p o q."""
+    perms = list(itertools.permutations(range(3)))
+    return FiniteSemigroup([[perms.index(tuple(p[i] for i in q))
+                             for q in perms] for p in perms])
+
+
+# Orders 6-8, one-sided compatibility against the quadruple check. S3's
+# cosets of a non-normal subgroup are compatible on one side only; left
+# and right zero bands and null semigroups accept every partition.
+ONE_SIDED_CARRIERS = {
+    "s3": symmetric_group_3(),
+    **{f"{name}{n}": getattr(zoo, name)(n) for n in (6, 7, 8)
+       for name in ("cyclic_group", "min_chain")},
+    "left_zero7": zoo.left_zero(7),
+    "right_zero6": zoo.right_zero(6),
+    "null7": zoo.null_semigroup(7),
+}
+
+
+@pytest.mark.parametrize("sgr", ONE_SIDED_CARRIERS.values(),
+                         ids=ONE_SIDED_CARRIERS.keys())
+def test_one_sided_check_accepts_what_the_quadruple_check_accepts(sgr):
+    labels = _label_array(sgr.order)
+    one_sided, quadruple = [], []
+    for start in range(0, len(labels), 64):
+        batch = labels[start:start + 64]
+        for flags, found in ((_one_sided_incompatible, one_sided),
+                             (_incompatible, quadruple)):
+            found += flags(sgr, batch).reshape(len(batch), -1).any(
+                axis=1).tolist()
+    assert one_sided == quadruple
+    accepted = [tuple(row) for row, bad in zip(labels.tolist(), quadruple)
+                if not bad]
+    assert [c.labels for c in all_congruences(sgr)] == accepted
+    if sgr is ONE_SIDED_CARRIERS["s3"]:
+        # The normal subgroups {e}, A3 and S3.
+        assert len(accepted) == 3
+    if sgr is ONE_SIDED_CARRIERS["null7"]:
+        assert len(accepted) == len(labels) == 877
+
+
+def test_label_arrays_are_the_restricted_growth_strings():
+    for n in range(1, 7):
+        labels = _label_array(n)
+        assert labels.dtype == np.uint8 and not labels.flags.writeable
+        assert labels.tolist() == list(_label_vectors(n))
+        assert _label_array(n) is labels
+    assert [len(_label_array(n)) for n in range(1, 7)] == [1, 2, 5, 15, 52,
+                                                           203]
+
+
+def test_all_congruences_batches_partitions_by_their_cubed_flags(
+        monkeypatch):
+    # 2 * 4**3 flags hold 2 order-4 partitions; the 15 of order 4 then
+    # take 8 batches, the last of one partition.
+    sizes = []
+    check = semigroups_module._one_sided_incompatible
+
+    def counting(semigroup, labels):
+        sizes.append(len(labels))
+        return check(semigroup, labels)
+
+    monkeypatch.setattr(semigroups_module, "_one_sided_incompatible",
+                        counting)
+    monkeypatch.setattr(semigroups_module, "_BATCH_FLAGS", 2 * 4 ** 3)
+    assert [c.labels for c in all_congruences(zoo.cyclic_group(4))] == [
+        (0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 2, 3)]
+    assert sizes == [2] * 7 + [1]
+    sizes.clear()
+    monkeypatch.setattr(semigroups_module, "_BATCH_FLAGS", 2 * 4 ** 4)
+    all_congruences(zoo.cyclic_group(4))
+    assert sizes == [8, 7]
