@@ -38,6 +38,19 @@ class CancellationWitness:
     rhs: Any
     case_tag: str
 
+    @classmethod
+    def _proved(cls, multiplier, lhs, rhs, case_tag):
+        """The witness of these fields, equal to what the constructor
+        gives, built without the generated __init__, which sets each
+        field of the frozen instance through object.__setattr__."""
+        witness = object.__new__(cls)
+        fields = witness.__dict__
+        fields["multiplier"] = multiplier
+        fields["lhs"] = lhs
+        fields["rhs"] = rhs
+        fields["case_tag"] = case_tag
+        return witness
+
     def report(self):
         def encode(value):
             if isinstance(value, SubsetElement):
@@ -177,7 +190,7 @@ def witness_noncancellative(subset, family):
     lhs_mask, rhs_mask = packed & full, packed >> n & full
     tag = CASE2 if packed >> 2 * n else CASE1
 
-    witness = CancellationWitness(
+    witness = CancellationWitness._proved(
         SubsetElement._proved(S, amask),
         SubsetElement._proved(S, lhs_mask),
         SubsetElement._proved(S, rhs_mask),

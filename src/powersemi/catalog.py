@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -204,10 +205,13 @@ def _catalog(n):
 
 def _same_fingerprint_pairs(fps):
     """Every pair (i, j), i < j, of positions whose fingerprints fps[i]
-    and fps[j] agree, in ascending order."""
+    and fps[j] agree, in ascending order. Only the fingerprints that
+    occur more than once are bucketed."""
+    counts = Counter(fps)
     buckets = {}
     for idx, fp in enumerate(fps):
-        buckets.setdefault(fp, []).append(idx)
+        if counts[fp] > 1:
+            buckets.setdefault(fp, []).append(idx)
     return sorted(pair for bucket in buckets.values()
                   for pair in combinations(bucket, 2))
 

@@ -13,13 +13,14 @@ carrier caches; above it, up to order 64, it runs a bit-DP.
 `_proved_power_stacks` multiplies all masks of a stack of carriers,
 the empty one included, by subset doubling in uint8, one byte per
 product, and proves each table by the setwise product's recurrence:
-P(S) with the empty set adjoined as a zero. Its stacks are element-major
-from the carrier tables to the proof, products[X, t, Y] = X*Y in table
-t, as _table_stacks lays them out, so each doubling step and each proof
-gather moves whole contiguous blocks. `build_power_semigroups`
-transposes them once into the table-major tables without the empty set;
-`power_fingerprints` profiles them as they are and keeps only the
-fingerprints. Neither reads nor fills the carriers' cached tables.
+P(S) with the empty set adjoined as a zero. Its stacks are
+table-innermost from the carrier tables to the proof, products[X, Y, t]
+= X*Y in table t, as _table_stacks lays them out, so each doubling step
+and each proof gather moves whole contiguous blocks.
+`build_power_semigroups` transposes them once into the table-major
+tables without the empty set; `power_fingerprints` profiles them as
+they are, with no copy, and keeps only the fingerprints. Neither reads
+nor fills the carriers' cached tables.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import (AmbientMismatch, IndexOutOfRange, OrderCapExceeded,
                      PreconditionViolated, TheoremViolation)
-from .semigroups import (_BATCH_CELLS, MAX_ORDER, FiniteSemigroup,
+from .semigroups import (MAX_ORDER, FiniteSemigroup,
                          IsoFingerprint, _integer, _profile_rows,
                          _semigroups_from_stack, _sorted_profiles,
                          _table_stacks, _word_buffer)
@@ -40,6 +41,16 @@ from .semigroups import (_BATCH_CELLS, MAX_ORDER, FiniteSemigroup,
 # to this order: the power table of an order-n carrier is a FiniteSemigroup
 # of 2**n - 1 elements, so 2**n - 1 <= MAX_ORDER (63 <= 64, 127 > 64).
 POWER_CAP_MAX = MAX_ORDER.bit_length() - 1
+
+# _proved_power_stacks multiplies carriers of order n, _POWER_CELLS //
+# 4**n of them a stack (128 at order 5, 32 at order 6), into one-byte
+# masks of their 2**n by 2**n products. Under tracemalloc
+# build_power_semigroups peaks at 4.5 bytes per product cell (n = 5) and
+# 3.1 (n = 6), and power_fingerprints, which profiles the stack itself,
+# at 9.7 (n = 5) and 11.7 (n = 6). Twice the cells made power_fingerprints
+# 4% faster at order 5 but the probe's peak RSS 1.8 MB higher; half made
+# it 25% slower.
+_POWER_CELLS = 1 << 17
 
 # A SubsetFamily holds the matrix of its member products, 8 * k**2 bytes
 # for k members: 32 MiB at this ceiling, which an order-11 full family
@@ -117,12 +128,12 @@ def _fits_power_table(semigroup):
 
 def _power_table(semigroup):
     """The carrier's padded power table, the read-only uint8 (2**n, 2**n)
-    array of _proved_power_stacks on a stack of one, entry (X, Y) the
-    mask of X * Y; built on first use and cached on the carrier."""
+    array of _proved_power_stacks on a stack of one, reshaped, entry (X,
+    Y) the mask of X * Y; built on first use and cached on the carrier."""
     if semigroup._power_table is None:
         (_, _, products), = _proved_power_stacks([semigroup])
         # A copy, not a view that would keep the stack's array alive.
-        table = products.reshape(products.shape[0], -1).copy()
+        table = products.reshape(products.shape[:2]).copy()
         table.setflags(write=False)
         semigroup._power_table = table
     return semigroup._power_table
@@ -175,22 +186,23 @@ def _family_products(semigroup, xs, ys):
 
 
 def _power_products(images):
-    """The uint8 masks of X * Y at (X, t, Y), for all masks below 2**n,
-    from images[i, t, j] = 1 << i*j over an element-major (n, k, n) stack
+    """The uint8 masks of X * Y at (X, Y, t), for all masks below 2**n,
+    from images[i, j, t] = 1 << i*j over a table-innermost (n, n, k) stack
     of carrier tables, n <= POWER_CAP_MAX. By subset doubling, 2n ORs of
-    whole blocks: {i} * (Y + {j}) = {i} * Y | images[i, t, j] for Y below
+    whole blocks: {i} * (Y + {j}) = {i} * Y | images[i, j, t] for Y below
     2**j, as (2**j, n, k) blocks of singles with the masks Y first, then
-    (X + {i}) * Y = X * Y | {i} * Y for X below 2**i, as (2**i, k, 2**n)
-    blocks of products ORed with the one contiguous (k, 2**n) row of
-    {i} * Y, from one transposed copy of the singles."""
-    n, k, _ = images.shape
+    (X + {i}) * Y = X * Y | {i} * Y for X below 2**i, as (2**i, 2**n, k)
+    blocks of products ORed with the one contiguous (2**n, k) row of
+    {i} * Y, from one transposed copy of the singles, so that each OR
+    runs over whole rows of products however few tables k counts."""
+    n, _, k = images.shape
     singles = np.empty((1 << n, n, k), dtype=np.uint8)
     singles[0] = 0
     for j in range(n):
-        np.bitwise_or(singles[:1 << j], images[:, :, j],
+        np.bitwise_or(singles[:1 << j], images[:, j],
                       out=singles[1 << j:2 << j])
-    singles = np.ascontiguousarray(singles.transpose(1, 2, 0))
-    products = np.empty((1 << n, k, 1 << n), dtype=np.uint8)
+    singles = np.ascontiguousarray(singles.transpose(1, 0, 2))
+    products = np.empty((1 << n, 1 << n, k), dtype=np.uint8)
     products[0] = 0
     for i in range(n):
         np.bitwise_or(products[:1 << i], singles[i],
@@ -304,9 +316,9 @@ def build_power_semigroups(semigroups):
     semigroups = list(semigroups)
     powers = [None] * len(semigroups)
     for positions, carriers, products in _proved_power_stacks(semigroups):
-        m, k, _ = products[1:].shape
+        m, _, k = products[1:, 1:].shape
         tables = np.empty((k, m, m), dtype=np.uint8)
-        np.subtract(products[1:, :, 1:].transpose(1, 0, 2), 1, out=tables)
+        np.subtract(products[1:, 1:].transpose(2, 0, 1), 1, out=tables)
         for p, power in zip(positions, _semigroups_from_stack(
                 tables, [c.commutative for c in carriers],
                 [None if c.identity is None else (1 << c.identity) - 1
@@ -342,19 +354,21 @@ def power_fingerprints(semigroups):
         keys.view(">u8")[..., 0] -= 0x0000000101010000
         for p, carrier, profiles in zip(positions, carriers,
                                         _sorted_profiles(keys)):
-            found[p] = IsoFingerprint(carrier.identity is not None, profiles)
+            # tuple.__new__ skips the NamedTuple's generated __new__.
+            found[p] = tuple.__new__(
+                IsoFingerprint, (carrier.identity is not None, profiles))
     return found
 
 
 def _proved_power_stacks(semigroups):
     """Yield the positions of the carriers of one stack in the list, the
-    carriers, and their products as one element-major (2**n, k, 2**n)
-    uint8 array, the entry at (X, t, Y) the mask of X * Y in table t:
+    carriers, and their products as one table-innermost (2**n, 2**n, k)
+    uint8 array, the entry at (X, Y, t) the mask of X * Y in table t:
     the table of P(S) with the empty set, mask 0, adjoined as a zero,
     its elements numbered by their masks.
 
     Carriers of one order n are multiplied over all masks by
-    _power_products, _BATCH_CELLS // 4**n tables a stack (64 at order
+    _power_products, _POWER_CELLS // 4**n tables a stack (128 at order
     5). With h the lowest element of a set of two or more, each table P
     must have P[{i}, {j}] = {i*j}, P[{i}, Y] = P[{i}, Y - {h}] |
     P[{i}, {h}], P[X, Y] = P[X - {h}, Y] | P[{h}, Y], P[{}, Y] = {}
@@ -363,15 +377,15 @@ def _proved_power_stacks(semigroups):
     zero: the recurrences alone leave the empty set's row and the
     entries P[{i}, {}] free, and the last one then gives P[X, {}] = {}.
     The build adds highest elements, so the check does not replay it.
-    Every gather takes whole blocks along a first
-    axis: the (k, 2**n) rows P[X - {h}] and P[{h}] of the stack, and the
-    entries P[{i}, Y - {h}] and P[{i}, {h}] of one Y-major copy of the
-    singletons' rows.
+    Every gather takes whole blocks along the first axis: the (2**n, k)
+    rows P[X - {h}] and P[{h}] of the stack, and the (n, k) entries
+    P[{i}, Y - {h}] and P[{i}, {h}] of one Y-major (2**n, n, k) copy of
+    the singletons' rows.
     """
     for semigroup in semigroups:
         _check_cap(semigroup.order)
     for positions, tables in _table_stacks(
-            semigroups, lambda n: max(1, _BATCH_CELLS // 4 ** n)):
+            semigroups, lambda n: max(1, _POWER_CELLS // 4 ** n)):
         images = 1 << tables
         products = _power_products(images)
         singles = 1 << np.arange(tables.shape[0])
@@ -379,9 +393,9 @@ def _proved_power_stacks(semigroups):
         lows = masks & -masks
         # columns[Y, i, t] = {i} * Y, so that every gather takes blocks.
         columns = np.ascontiguousarray(
-            np.take(products, singles, axis=0).transpose(2, 0, 1))
+            np.take(products, singles, axis=0).transpose(1, 0, 2))
         if not ((np.take(columns, singles, axis=0)
-                 == images.transpose(2, 0, 1)).all()
+                 == images.transpose(1, 0, 2)).all()
                 and (columns == np.take(columns, masks - lows, axis=0)
                      | np.take(columns, lows, axis=0)).all()
                 and (products == np.take(products, masks - lows, axis=0)
@@ -418,7 +432,10 @@ class SubsetFamily:
     the uint64 matrix of all member products as family_products does,
     without checking them again (8 * k**2 bytes for k members, at most
     FAMILY_MAX of them), and, from it, the closure and
-    downward-completeness flags; the matrix also serves as_semigroup,
+    downward-completeness flags: over a carrier of order at most
+    POWER_CAP_MAX by the word tests of downward_completeness alone,
+    without a certificate, above it by downward_completeness itself.
+    The matrix also serves as_semigroup,
     the brute-force cancellativity classifier and the witnesses.
     Instances are immutable afterwards.
     """
@@ -435,9 +452,18 @@ class SubsetFamily:
         self._positions = {m: i for i, m in enumerate(cleaned)}
         self.products = _family_products(semigroup, cleaned, cleaned)
         self.products.setflags(write=False)
-        cert = downward_completeness(self)
-        self.is_subsemigroup = cert.failed != "closure"
-        self.is_downward_complete = cert.ok
+        if _fits_power_table(semigroup):
+            # The word tests alone decide both flags; the certificates
+            # are left to downward_completeness.
+            members = self._members_word()
+            self.is_subsemigroup = self._products_within(members)
+            self.is_downward_complete = (
+                self.is_subsemigroup and not _uncovered(self)
+                and _removals_are_members(members, semigroup.order))
+        else:
+            cert = downward_completeness(self)
+            self.is_subsemigroup = cert.failed != "closure"
+            self.is_downward_complete = cert.ok
         self._materialized = None
 
     def _product_indices(self):
@@ -456,20 +482,26 @@ class SubsetFamily:
             members |= 1 << m
         return members
 
+    def _products_within(self, members):
+        """True iff every product of two members is a member, over a
+        carrier of order at most POWER_CAP_MAX, by one word comparison:
+        the set of the products, the OR of 1 << product, is a subset of
+        members, the _members_word."""
+        produced = np.bitwise_or.reduce(
+            np.uint64(1) << self.products, axis=None)
+        return not int(produced) & ~members
+
     def _closure_witness(self, members=None):
         """The first pair of members, in row-major order, whose product
         is not a member, with that product; None for a closed family.
-        Over a carrier of order at most POWER_CAP_MAX one word comparison
-        tells a closed family: the set of its products, the OR of
-        1 << product, is a subset of members, the _members_word that the
-        caller may pass; the scan for the certificate runs only on a
-        family that fails it."""
+        Over a carrier of order at most POWER_CAP_MAX _products_within,
+        on the _members_word that the caller may pass, tells a closed
+        family; the scan for the certificate runs only on a family that
+        fails it."""
         if _fits_power_table(self.semigroup):
             if members is None:
                 members = self._members_word()
-            produced = np.bitwise_or.reduce(
-                np.uint64(1) << self.products, axis=None)
-            if not int(produced) & ~members:
+            if self._products_within(members):
                 return None
         _, member = self._product_indices()
         if member.all():
@@ -549,13 +581,10 @@ def downward_completeness(family):
     witness = family._closure_witness(members)
     if witness is not None:
         return CompletenessCertificate(False, "closure", witness)
-    covered = 0
-    for m in family.masks:
-        covered |= m
-    if covered != (1 << family.semigroup.order) - 1:
-        missing = next(x for x in range(family.semigroup.order)
-                       if not covered >> x & 1)
-        return CompletenessCertificate(False, "coverage", (missing,))
+    missing = _uncovered(family)
+    if missing:
+        return CompletenessCertificate(
+            False, "coverage", ((missing & -missing).bit_length() - 1,))
     if members is not None and _removals_are_members(
             members, family.semigroup.order):
         return CompletenessCertificate(True)
@@ -568,6 +597,14 @@ def downward_completeness(family):
             sub = next(s for s in _submasks(m) if s not in positions)
             return CompletenessCertificate(False, "subsets", (m, sub))
     return CompletenessCertificate(True)
+
+
+def _uncovered(family):
+    """The mask of the carrier elements that lie in no member."""
+    covered = 0
+    for m in family.masks:
+        covered |= m
+    return ((1 << family.semigroup.order) - 1) & ~covered
 
 
 # _HAS_ELEMENT[b] is the word of every mask below 64 that holds element

@@ -31,19 +31,16 @@ CONGRUENCE_MAX = 10
 # as built by _label_array; 1.1 MB at order 10, 260 bytes at order 5.
 _LABEL_ARRAYS = {}
 
-# Batched table work keeps its temporaries within about 13 * _BATCH_CELLS
+# Batched table work keeps its temporaries within about 12 * _BATCH_CELLS
 # bytes however many tables a caller passes (tracemalloc peaks below).
 # _profile_rows keeps n-bit sets in the narrowest word that holds them,
-# in one buffer that each call reuses from stack to stack, so
-# fingerprints, which profiles _BATCH_CELLS cells at a time and sorts the
-# rows, peaks at 9.1 bytes per table cell on a stack of 68 order-31
-# power tables (32-bit sets) and 12.7 on 16 order-63 ones (64-bit sets)
-# (chunks eight times larger ran no faster and left the process's peak
-# RSS about 5 MB higher).
-# _proved_power_stacks stacks _BATCH_CELLS one-byte masks of its 2**n by
-# 2**n products, so build_power_semigroups peaks at 4.3 bytes per product
-# cell (n = 5) and 4.2 (n = 6), and power_fingerprints, which profiles
-# the stack itself, at 9.2 (n = 5) and 12.8 (n = 6).
+# in one buffer that each call reuses from stack to stack, and reads the
+# table-innermost stacks of _table_stacks with no copy, so fingerprints,
+# which profiles _BATCH_CELLS cells at a time and sorts the rows, peaks
+# at 7.8 bytes per table cell on a stack of 68 order-31 power tables
+# (32-bit sets) and 11.7 on 16 order-63 ones (64-bit sets) (chunks eight
+# times larger ran no faster and left the process's peak RSS about 5 MB
+# higher). Power stacks have their own budget, power._POWER_CELLS.
 _BATCH_CELLS = 1 << 16
 
 
@@ -238,8 +235,8 @@ def _semigroups_from_stack(tables, commutative, identities):
 
 def _table_stacks(semigroups, per_stack):
     """Yield the positions of at most per_stack(n) semigroups of one order
-    n in a list, and their tables as one element-major (n, k, n) stack,
-    stack[a, t, x] = a*x in table t: the layout of every stack that the
+    n in a list, and their tables as one table-innermost (n, n, k) stack,
+    stack[a, x, t] = a*x in table t: the layout of every stack that the
     batched kernels build, prove and profile."""
     by_order = {}
     for position, semigroup in enumerate(semigroups):
@@ -248,10 +245,11 @@ def _table_stacks(semigroups, per_stack):
         size = per_stack(n)
         for start in range(0, len(positions), size):
             chunk = positions[start:start + size]
-            # Row a of the concatenation is row a of each table in turn.
+            # One contiguous copy of the tables, then one transposed copy
+            # of its (k, n*n) matrix of cells.
             yield chunk, np.concatenate(
-                [semigroups[p].table for p in chunk], axis=1).reshape(
-                    n, len(chunk), n)
+                [semigroups[p].table for p in chunk]).reshape(
+                    len(chunk), n * n).T.copy().reshape(n, n, len(chunk))
 
 
 class IsoFingerprint(NamedTuple):
@@ -303,8 +301,9 @@ def fingerprints(semigroups):
         for p, profiles in zip(positions, _sorted_profiles(
                 _profile_rows(tables, buffer))):
             semigroup = pending[p]
-            semigroup._fingerprint = IsoFingerprint(
-                semigroup.identity is not None, profiles)
+            # tuple.__new__ skips the NamedTuple's generated __new__.
+            semigroup._fingerprint = tuple.__new__(
+                IsoFingerprint, (semigroup.identity is not None, profiles))
     return [fingerprint(semigroup) for semigroup in semigroups]
 
 
@@ -326,11 +325,12 @@ def _sorted_profiles(keys):
     """The profiles field of a fingerprint per table, from the (k, m, 8)
     sort keys of its elements as _profile_rows lays them out: each
     table's keys sorted in place, their six-byte rows as bytes. One
-    tobytes call copies the stack's rows, sliced per table."""
+    tobytes call copies the stack's rows, six-byte records, sliced per
+    table."""
     # As zero-padded big-endian keys the rows sort as six-byte strings.
     keys.view(">u8")[..., 0].sort(axis=1)
     k, m, _ = keys.shape
-    data = keys[:, :, :6].tobytes()
+    data = keys[:, :, :6].view("V6").tobytes()
     step = 6 * m
     return [data[start:start + step] for start in range(0, k * step, step)]
 
@@ -360,10 +360,11 @@ def _word(n):
 
 def _word_buffer(buffer, t):
     """buffer if it has a word at least as wide as _word(n) for every
-    cell of the (n, k, n) stack t, to hold one n-bit set each; else a
-    fresh buffer of exactly t.size words of _word(n). The callers of _profile_rows allocate it on
-    their first stack and regrow it only when a later stack needs a
-    larger shape or a wider word, so no buffer outlives a call."""
+    cell of the (n, n, k) stack t, to hold one n-bit set each; else a
+    fresh buffer of exactly t.size words of _word(n). The callers of
+    _profile_rows allocate it on their first stack and regrow it only
+    when a later stack needs a larger shape or a wider word, so no
+    buffer outlives a call."""
     word = _word(t.shape[0])
     if (buffer is None or buffer.size < t.size
             or buffer.itemsize < np.dtype(word).itemsize):
@@ -372,62 +373,65 @@ def _word_buffer(buffer, t):
 
 
 def _profile_rows(t, buffer=None):
-    """The profiles of every element of every table of an element-major
-    (n, k, n) stack of uint8 tables, t[a, i, x] = a*x in table i, as (k,
+    """The profiles of every element of every table of a table-innermost
+    (n, n, k) stack of uint8 tables, t[a, x, i] = a*x in table i, as (k,
     n, 8) uint8 sort keys: the six profile columns (idempotency as 0/1),
     then two zero bytes, so that a key read as a big-endian uint64 orders
     as its six profile bytes do. The n-bit sets are shifted into buffer,
     from _word_buffer, or into a fresh one.
 
     The powers a, a**2, ... of every element come one at a time, a**(m+1)
-    = a * a**m, by one gather along the rows of the whole stack, and each
-    element keeps the set of its powers so far as an n-bit word of
-    _word(n). Once no element gains a power, every cyclic subsemigroup is
-    complete: its size s = index + period - 1 is the set's popcount,
-    a**(s+1) = a**index, and index is the least m with a**m = a**(s+1).
-    The other columns reduce over the first axis of the stack itself and
-    of its one transposed copy, columns[x, i, a] = a*x: the entries of
-    each row and column as n-bit sets, whose popcounts count distinct
-    entries, and t == columns, which marks the pairs that commute.
+    = a * a**m, by one flat gather from the whole stack, and each element
+    keeps the set of its powers so far as an n-bit word of _word(n). Once
+    no element gains a power, every cyclic subsemigroup is complete: its
+    size s = index + period - 1 is the set's popcount, a**(s+1) =
+    a**index, and index is the least m with a**m = a**(s+1). The other
+    columns need no copy of the stack: its entries as n-bit sets reduce
+    over axis 1 to the set of each row and over axis 0 to that of each
+    column, whose popcounts count distinct entries, and t compared with
+    its view t.transpose(1, 0, 2), still contiguous along the tables,
+    marks the pairs that commute.
     """
-    n, k, _ = t.shape
+    n, _, k = t.shape
     word = _word(n)
     one = word(1)
     flat = t.reshape(-1)
-    elements = np.arange(n, dtype=np.intp)
-    row_starts = (np.arange(0, k * n, n, dtype=np.intp)[:, None]
-                  + elements * (k * n))
-    powers = np.empty((n + 1, k, n), dtype=np.uint8)
-    current = powers[0] = elements
-    seen = np.left_shift(one, powers[0], dtype=word)
+    # a*x in table i is flat[row_starts[a, i] + x*k].
+    row_starts = (np.arange(0, n * n * k, n * k, dtype=np.intp)[:, None]
+                  + np.arange(k, dtype=np.intp))
+    stride = np.intp(k)
+    powers = np.empty((n + 1, n, k), dtype=np.uint8)
+    powers[0] = np.arange(n, dtype=np.uint8)[:, None]
+    current = powers[0]
+    seen = np.left_shift(one, current, dtype=word)
     for m in range(1, n + 1):
-        current = powers[m] = flat[row_starts + current]
+        current = powers[m] = flat[row_starts + current * stride]
         bits = np.left_shift(one, current, dtype=word)
         if (seen & bits).all():
             break
         seen |= bits
     keys = np.zeros((k, n, 8), dtype=np.uint8)
     idempotent, index, period, row_sizes, column_sizes, commuting = \
-        keys.transpose(2, 0, 1)[:6]
+        keys.transpose(2, 1, 0)[:6]
     np.equal(powers[1], powers[0], out=idempotent)
     size = np.bitwise_count(seen)
     # powers[size] = a**(s+1), gathered from the flat powers.
-    cycle_start = np.take(powers, size * np.intp(k * n)
-                          + np.arange(k * n, dtype=np.intp).reshape(k, n))
+    cycle_start = np.take(powers, size * np.intp(n * k)
+                          + np.arange(n * k, dtype=np.intp).reshape(n, k))
     # With weights m, ..., 1 on a, ..., a**m, the heaviest power equal
     # to a**(s+1) is a**index, of weight m + 1 - index.
     weights = np.arange(m, 0, -1, dtype=np.uint8)[:, None, None]
     np.subtract(m + 1, np.maximum.reduce(
         (powers[:m] == cycle_start) * weights, axis=0), out=index)
     np.subtract(size + 1, index, out=period)
-    columns = np.ascontiguousarray(t.transpose(2, 1, 0))
     sets = _word_buffer(buffer, t).view(word)[:t.size].reshape(t.shape)
-    np.left_shift(one, columns, out=sets)
-    np.bitwise_count(np.bitwise_or.reduce(sets, axis=0), out=row_sizes)
     np.left_shift(one, t, out=sets)
+    np.bitwise_count(np.bitwise_or.reduce(sets, axis=1), out=row_sizes)
     np.bitwise_count(np.bitwise_or.reduce(sets, axis=0), out=column_sizes)
-    commuting[...] = np.add.reduce((t == columns).view(np.uint8), axis=0,
-                                   dtype=np.uint8)
+    # a*x == x*a is symmetric in a and x, so the count of each a reduces
+    # over axis 0, the faster one.
+    commuting[...] = np.add.reduce(
+        (t == t.transpose(1, 0, 2)).view(np.uint8), axis=0, dtype=np.uint8)
     return keys
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -418,3 +419,28 @@ def test_only_witnesses_fill_a_carriers_sides():
     assert witness.report() == {"case": "Case2", "multiplier": 0b0101,
                                 "lhs": 0b0101, "rhs": 0b0001}
     assert sgr._witness_sides == {0b0101: 0b0101 | 0b0001 << 4 | 1 << 8}
+
+
+def test_kept_witnesses_equal_constructed_ones():
+    # witness_noncancellative builds its witnesses without the frozen
+    # dataclass's __init__: each must equal the one the constructor
+    # builds from the same fields, in equality, hash, repr and report,
+    # and stay frozen. null(3) gives Case1 witnesses, Z5 Case2 ones.
+    tags = set()
+    for carrier in (zoo.null_semigroup(3), zoo.cyclic_group(5)):
+        family = full_family(carrier)
+        for mask in family.masks:
+            if mask.bit_count() < 2:
+                continue
+            kept = witness_noncancellative(mask, family)
+            built = CancellationWitness(kept.multiplier, kept.lhs, kept.rhs,
+                                        kept.case_tag)
+            assert type(kept) is CancellationWitness
+            assert kept == built and hash(kept) == hash(built)
+            assert repr(kept) == repr(built)
+            assert kept.report() == built.report()
+            assert vars(kept) == vars(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                kept.lhs = kept.rhs
+            tags.add(kept.case_tag)
+    assert tags == {CASE1, CASE2}

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 from math import factorial
 
@@ -9,7 +10,8 @@ import pytest
 
 import powersemi.catalog as catalog_module
 import powersemi.semigroups as semigroups_module
-from powersemi import (CatalogEntry, FiniteSemigroup, OrderUnsupported,
+from powersemi import (CatalogEntry, FiniteSemigroup, IsoFingerprint,
+                       OrderUnsupported,
                        PreconditionViolated, TheoremViolation,
                        associative_tables, build_power_semigroup,
                        build_power_semigroups, canonical_tables,
@@ -393,7 +395,7 @@ def test_probe_caches_survivor_profiles_from_the_kernel(monkeypatch):
     report = global_iso_probe(5, entries=entries)
     monkeypatch.undo()
     assert report["counterexamples"] == [] and len(built) == 10
-    assert stacks == [(31, 10, 31)]
+    assert stacks == [(31, 31, 10)]
     for power in built:
         loop = FiniteSemigroup(power.rows).profiles
         assert power._profiles == loop
@@ -419,3 +421,22 @@ def test_power_cache_is_not_a_constructor_argument():
         fingerprints(build_power_semigroups(e.semigroup for e in entries))
     assert fresh == [CatalogEntry(e.semigroup, e.canonical_id, e.fingerprint)
                      for e in entries]
+
+
+@pytest.mark.parametrize("sizes", [
+    [1] * 20 + [2] * 5 + [3] + [4] * 3 + [6],
+    [1] * 30,
+    [6, 1],
+    [],
+], ids=["buckets_1_2_3_4_6", "no_repeats", "one_bucket", "empty"])
+def test_same_fingerprint_pairs_match_all_pairs(sizes):
+    # Buckets of these sizes, their members shuffled: the pairs must be
+    # those of an all-pairs comparison, in ascending order. The first
+    # case has the bucket sizes of the order-6 power fingerprints.
+    fps = [IsoFingerprint(bool(b % 2), bytes([b, size]))
+           for b, size in enumerate(sizes) for _ in range(size)]
+    random.Random(len(fps)).shuffle(fps)
+    want = [(i, j) for i, j in itertools.combinations(range(len(fps)), 2)
+            if fps[i] == fps[j]]
+    assert catalog_module._same_fingerprint_pairs(fps) == want
+    assert len(want) == sum(k * (k - 1) // 2 for k in sizes)

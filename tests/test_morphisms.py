@@ -290,7 +290,7 @@ def test_profile_kernel_matches_loop_at_word_boundaries(n):
     if n & (n - 1) == 0:
         _, _, padded = next(power_module._proved_power_stacks(
             [zoo.cyclic_group(n.bit_length() - 1)]))
-        semigroups.append(FiniteSemigroup(padded[:, 0]))
+        semigroups.append(FiniteSemigroup(padded[:, :, 0]))
     assert_batch_matches_loop(semigroups)
 
 

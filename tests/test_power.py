@@ -18,6 +18,7 @@ import powersemi.power as power_module
 import powersemi.semigroups as semigroups_module
 from powersemi import (FAMILY_MAX, MAX_ORDER, POWER_CAP_MAX, AmbientMismatch,
                        CatalogEntry, FiniteSemigroup, IndexOutOfRange,
+                       IsoFingerprint,
                        OrderCapExceeded, SubsetElement, SubsetFamily,
                        TheoremViolation, all_congruences, bits,
                        build_power_semigroup,
@@ -26,8 +27,9 @@ from powersemi import (FAMILY_MAX, MAX_ORDER, POWER_CAP_MAX, AmbientMismatch,
                        global_iso_probe,
                        congruence_from_partition, congruence_family,
                        downward_complete_closure, downward_completeness,
-                       family_products, family_report, fingerprints,
-                       full_family, mask_of, power_fingerprints,
+                       family_products, family_report, fingerprint,
+                       fingerprints, full_family, mask_of,
+                       power_fingerprints,
                        setwise_product, singleton_family,
                        submasks, witness_noncancellative)
 from powersemi import zoo
@@ -518,7 +520,7 @@ def test_batched_power_tables_equal_one_at_a_time(catalog, monkeypatch, cells):
     # in the input; with 1000 cells the order-4 tables come three at a
     # time, the last stack partial.
     if cells is not None:
-        monkeypatch.setattr(power_module, "_BATCH_CELLS", cells)
+        monkeypatch.setattr(power_module, "_POWER_CELLS", cells)
     carriers = [e.semigroup for entries in catalog.values() for e in entries]
     random.Random(4).shuffle(carriers)
     powers = build_power_semigroups(carriers)
@@ -558,7 +560,7 @@ def padded_power_tables(carriers):
     the empty set adjoined as a zero, its elements numbered by masks."""
     found = [None] * len(carriers)
     for positions, _, products in power_module._proved_power_stacks(carriers):
-        for p, table in zip(positions, products.transpose(1, 0, 2)):
+        for p, table in zip(positions, products.transpose(2, 0, 1)):
             found[p] = table
     return found
 
@@ -578,7 +580,7 @@ def test_profile_rows_of_the_padded_table_add_the_empty_sets_share():
     for n in range(1, 7):
         at = [p for p, c in enumerate(carriers) if c.order == n]
         keys = semigroups_module._profile_rows(
-            np.stack([padded[p] for p in at], axis=1))
+            np.stack([padded[p] for p in at], axis=2))
         widths.append(keys.shape[1])
         assert not keys[:, :, 6:].any()
         assert (keys[:, 0, :6] == (1, 1, 1, 1, 1, 1 << n)).all()
@@ -627,7 +629,7 @@ def test_power_fingerprints_equal_fingerprints_of_built_tables(monkeypatch,
         carriers = [e.semigroup for n in (3, 4, 2, 5)
                     for e in enumerate_semigroups(n)[:24]] + ORDER_6_ZOO
     if case != "default":
-        monkeypatch.setattr(power_module, "_BATCH_CELLS", 1000)
+        monkeypatch.setattr(power_module, "_POWER_CELLS", 1000)
     found = power_fingerprints(carriers)
     powers = build_power_semigroups(carriers)
     assert found == fingerprints(powers)
@@ -638,17 +640,117 @@ def test_power_fingerprints_equal_fingerprints_of_built_tables(monkeypatch,
     assert power_fingerprints([]) == []
 
 
+def test_power_stacks_split_anywhere_give_one_at_a_time_results(monkeypatch):
+    # 300 order-5 classes make three stacks of at most 128 (128, 128, 44)
+    # and 40 order-6 tables, the zoo and seven relabelings of each, two
+    # of at most 32 (32, 8), shuffled with every class of orders 1-4:
+    # each carrier's power fingerprint and power table must not depend
+    # on which stack it shares, or where in it it sits.
+    rng = random.Random(35)
+    carriers = [e.semigroup for n in range(1, 5)
+                for e in enumerate_semigroups(n)]
+    carriers += [e.semigroup for e in enumerate_semigroups(5)[:300]]
+    carriers += ORDER_6_ZOO + [relabeled(c, rng) for c in ORDER_6_ZOO * 7]
+    rng.shuffle(carriers)
+    stacks = []
+
+    def recording(images):
+        stacks.append(images.shape)
+        return KERNEL(images)
+
+    monkeypatch.setattr(power_module, "_power_products", recording)
+    found = power_fingerprints(carriers)
+    assert sorted(k for n, _, k in stacks if n == 5) == [44, 128, 128]
+    assert sorted(k for n, _, k in stacks if n == 6) == [8, 32]
+    powers = build_power_semigroups(carriers)
+    monkeypatch.undo()
+    for carrier, fp, power in zip(carriers, found, powers, strict=True):
+        assert power_fingerprints([carrier]) == [fp]
+        (single,) = build_power_semigroups([carrier])
+        assert semigroup_state(power) == semigroup_state(single)
+
+
+def test_batched_fingerprints_are_the_named_tuples_fingerprint_gives():
+    # fingerprints and power_fingerprints build their IsoFingerprint
+    # tuples without the NamedTuple's __new__; each must still be the
+    # NamedTuple that fingerprint builds on a fresh copy, in type,
+    # fields, equality, hash and repr.
+    carriers = [e.semigroup for n in (2, 3) for e in enumerate_semigroups(n)]
+    carriers += [zoo.cyclic_group(4), zoo.min_chain(4)]
+    powers = build_power_semigroups(carriers)
+    batch = fingerprints([FiniteSemigroup(p.table) for p in powers])
+    for got_batch, got_power, power in zip(
+            batch, power_fingerprints(carriers), powers, strict=True):
+        want = fingerprint(FiniteSemigroup(power.table))
+        for got in (got_batch, got_power):
+            assert type(got) is IsoFingerprint
+            assert got == want and hash(got) == hash(want)
+            assert got._asdict() == want._asdict()
+            assert type(got.has_identity) is bool
+            assert type(got.profiles) is bytes
+            assert (got.order, got.commutative, got.idempotent_count) == (
+                want.order, want.commutative, want.idempotent_count)
+            assert repr(got) == repr(want)
+
+
+def build_classify_families(seed, closures=3):
+    """Build the families of the benchmark workload classify-order5 at a
+    seed: per commutative order-5 class, in a seeded shuffle of catalog
+    order, the full family, one family per congruence and the closures
+    of `closures` seeded lists of zero to two generators."""
+    rng = random.Random(seed)
+    chosen = [e.semigroup for e in enumerate_semigroups(5)
+              if e.semigroup.commutative]
+    rng.shuffle(chosen)
+    for carrier in chosen:
+        gens = [[rng.randrange(1, 1 << carrier.order)
+                 for _ in range(rng.randint(0, 2))]
+                for _ in range(closures)]
+        full_family(carrier)
+        for congruence in all_congruences(carrier):
+            congruence_family(congruence)
+        for g in gens:
+            downward_complete_closure(carrier, g)
+
+
+def test_word_test_flags_match_certificates_on_classify_inputs(monkeypatch):
+    # Over carriers of order at most POWER_CAP_MAX the constructor sets
+    # both flags by the word tests alone. On every family that the
+    # workload's inputs at seed 3 construct, the rounds of each closure
+    # included, the flags must be those of downward_completeness, and its
+    # certificate the full scan's.
+    built = []
+    init = SubsetFamily.__init__
+
+    def recording(self, semigroup, masks):
+        init(self, semigroup, masks)
+        built.append(self)
+
+    monkeypatch.setattr(SubsetFamily, "__init__", recording)
+    build_classify_families(3)
+    monkeypatch.undo()
+    failed = Counter()
+    for family in built:
+        cert = downward_completeness(family)
+        failed[cert.failed] += 1
+        assert family.is_subsemigroup == (cert.failed != "closure")
+        assert family.is_downward_complete == cert.ok
+        assert cert == downward_completeness_bruteforce(family)
+    # 5,406 families checked, and 412 closure rounds that fail closure.
+    assert failed == {None: 5406, "closure": 412}
+
+
 @pytest.mark.parametrize("order", [5, 6])
 def test_power_stacks_keep_scratch_within_a_multiple_of_batch_cells(order):
-    # The order-5 catalog, 30 stacks, and the order-6 zoo tables, one:
-    # beyond what the call returns, power_fingerprints peaks at 10.2 and
-    # 4.7 times _BATCH_CELLS bytes under tracemalloc, and
-    # build_power_semigroups at 5.0 and 1.0, however many carriers come.
+    # The order-5 catalog, 15 stacks, and the order-6 zoo tables, one:
+    # beyond what the call returns, power_fingerprints peaks at 9.7 and
+    # 2.2 times _POWER_CELLS bytes under tracemalloc, and
+    # build_power_semigroups at 4.5 and 0.5, however many carriers come.
     # Scratch that grew with the input, such as a word buffer sized for
     # every stack at once, would exceed these bounds at order 5.
     carriers = ([e.semigroup for e in enumerate_semigroups(5)]
                 if order == 5 else ORDER_6_ZOO)
-    cells = semigroups_module._BATCH_CELLS
+    cells = power_module._POWER_CELLS
     for build, bound in ((power_fingerprints, 16), (build_power_semigroups, 8)):
         tracemalloc.start()
         try:
@@ -674,11 +776,11 @@ def test_small_batch_cells_build_one_table_per_stack(monkeypatch):
                 for e in enumerate_semigroups(5)[:6]]
     carriers += [zoo.cyclic_group(6), zoo.min_chain(6)]
     want = [semigroup_state(p) for p in build_power_semigroups(carriers)]
-    monkeypatch.setattr(power_module, "_BATCH_CELLS", 1000)
+    monkeypatch.setattr(power_module, "_POWER_CELLS", 1000)
     monkeypatch.setattr(power_module, "_power_products", recording)
     assert [semigroup_state(p)
             for p in build_power_semigroups(carriers)] == want
-    assert stacks == [(5, 1, 5)] * 6 + [(6, 1, 6)] * 2
+    assert stacks == [(5, 5, 1)] * 6 + [(6, 6, 1)] * 2
 
 
 def test_batched_power_build_checks_the_cap_of_every_carrier(monkeypatch):
@@ -750,19 +852,19 @@ KERNEL = power_module._power_products
 def left_zero_in_place_of_null(images):
     # P(left_zero(3)) is associative, so an associativity check passes
     # it, but it is not P(null(3)).
-    return KERNEL(np.broadcast_to((1 << zoo.left_zero(3).table)[:, None],
+    return KERNEL(np.broadcast_to((1 << zoo.left_zero(3).table)[:, :, None],
                                   images.shape))
 
 
 def one_flipped_bit(images):
     products = KERNEL(images)
-    products[5, 0, 6] ^= 2
+    products[5, 6, 0] ^= 2
     return products
 
 
 def two_swapped_entries(images):
     products = KERNEL(images)
-    products[[3, 5], 0, [5, 3]] = products[[5, 3], 0, [3, 5]]
+    products[[3, 5], [5, 3], 0] = products[[5, 3], [3, 5], 0]
     return products
 
 
@@ -771,7 +873,7 @@ def empty_set_absorbed(images):
     # every recurrence of the proof, but {} is no longer a zero, and the
     # power fingerprint changes.
     products = KERNEL(images)
-    products[0, :, 1:] = products[1:, :, 0] = 1
+    products[0, 1:] = products[1:, 0] = 1
     return products
 
 
@@ -788,7 +890,7 @@ WRONG_KERNELS = {
                          ids=WRONG_KERNELS)
 def test_power_table_that_is_not_the_setwise_product_is_rejected(
         monkeypatch, kernel, carrier):
-    images = 1 << carrier.table[:, None]
+    images = 1 << carrier.table[:, :, None]
     assert not np.array_equal(kernel(images), KERNEL(images))
     monkeypatch.setattr(power_module, "_power_products", kernel)
     with pytest.raises(TheoremViolation, match="not the setwise product"):
@@ -802,7 +904,7 @@ def test_every_single_bit_flip_of_a_power_table_is_rejected(monkeypatch):
     for x, y, bit in product(range(1, 8), range(1, 8), range(3)):
         def flipped(images):
             products = KERNEL(images)
-            products[x, 0, y] ^= 1 << bit
+            products[x, y, 0] ^= 1 << bit
             return products
         monkeypatch.setattr(power_module, "_power_products", flipped)
         with pytest.raises(TheoremViolation):
@@ -1021,7 +1123,7 @@ def test_families_read_one_cached_power_table_per_carrier():
     (_, _, padded), = power_module._proved_power_stacks([carrier])
     assert table.dtype == np.uint8 and table.shape == (32, 32)
     assert not table.flags.writeable
-    assert np.array_equal(table, padded[:, 0])
+    assert np.array_equal(table, padded[:, :, 0])
     downward_complete_closure(carrier, [0b101])
     singleton_family(carrier)
     setwise_product(SubsetElement(carrier, 3), SubsetElement(carrier, 6))
